@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint lint-fixtures build test bench-smoke bench bench-json chaos-smoke chaos
+.PHONY: check fmt vet lint lint-fixtures build test bench-smoke bench chaos-smoke chaos
 
 ## check: the tier-1 gate — format, vet, build, race-enabled tests, and a
 ## one-iteration benchmark smoke pass. CI and pre-commit both run this.
@@ -42,11 +42,6 @@ bench-smoke:
 ## bench: the full measured benchmark suite (minutes).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
-
-## bench-json: append today's key-benchmark numbers and sweep-output digests
-## to BENCH_<date>.json (the committed perf-trend record).
-bench-json:
-	./scripts/bench_trend.sh
 
 ## chaos-smoke: the CI chaos gate — 25 seeded fault-storm scenarios against
 ## the canonical SIMPLE campaign, plus 6 crash/feedback-drop scenarios

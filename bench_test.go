@@ -15,7 +15,6 @@ package eucon_test
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -375,71 +374,8 @@ func BenchmarkControllerStepSimple(b *testing.B) {
 	}
 }
 
-// BenchmarkControllerStepMedium measures one MPC invocation on MEDIUM
-// (12 tasks, 4 processors, P=4, M=2) — the paper's "polynomial in tasks ×
-// processors × horizons" scaling claim.
-func BenchmarkControllerStepMedium(b *testing.B) {
-	sys := workload.Medium()
-	ctrl, err := core.New(sys, nil, workload.MediumController())
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := []float64{0.5, 0.6, 0.55, 0.65}
-	rates := sys.InitialRates()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ctrl.Step(i, u, rates); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkControllerStepExplicitMedium measures the explicit-MPC fast
-// path on MEDIUM: with measured utilization near the set point the step is
-// a region lookup plus one exact interior evaluation, with zero heap
-// allocations. The benchmark fails if any step misses the compiled law,
-// so it can never silently degrade into benchmarking the iterative
-// fallback. scripts/check.sh gates on 0 allocs/op here.
-func BenchmarkControllerStepExplicitMedium(b *testing.B) {
-	sys := workload.Medium()
-	cfg := workload.MediumController()
-	cfg.Explicit = true
-	ctrl, err := core.New(sys, nil, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Utilization just under the set point with mid-box rates is the
-	// steady-state neighborhood the interior region covers: the output
-	// constraints have slack and no rate bound is tight. (u exactly at the
-	// set point sits on the region boundary and truthfully misses.)
-	u := append([]float64(nil), ctrl.SetPoints()...)
-	for i := range u {
-		u[i] *= 0.98
-	}
-	rates := make([]float64, len(sys.Tasks))
-	for i, tk := range sys.Tasks {
-		rates[i] = (tk.RateMin + tk.RateMax) / 2
-	}
-	if _, err := ctrl.Step(0, u, rates); err != nil { // warm lazily built buffers
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ctrl.Step(i, u, rates); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if _, misses := ctrl.ExplicitCounts(); misses > 0 {
-		b.Fatalf("explicit law missed %d of %d steps; the numbers above measure the iterative fallback, not the lookup path", misses, b.N+1)
-	}
-}
-
 // BenchmarkExplicitCompileMedium measures the offline compile: the
-// one-time cost of enumerating the MEDIUM law's critical regions that the
-// per-step lookup above amortizes.
+// one-time cost of enumerating the MEDIUM law's critical regions.
 func BenchmarkExplicitCompileMedium(b *testing.B) {
 	sys := workload.Medium()
 	cfg := workload.MediumController()
@@ -552,35 +488,11 @@ func BenchmarkQPSolverReused(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorMedium measures raw simulator throughput (MEDIUM, no
-// controller) with a fresh simulator per run — the cost a one-shot caller
-// pays. The remaining allocations are construction-time only (pools,
-// trace backing, workload build); the event loop itself is allocation-free
-// (see BenchmarkSimulatorSteadyState).
-func BenchmarkSimulatorMedium(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s, err := sim.New(sim.Config{
-			System:         workload.Medium(),
-			SamplingPeriod: workload.SamplingPeriod,
-			Periods:        50,
-			Jitter:         workload.MediumJitter,
-			Seed:           1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSimulatorSteadyState measures the simulator's steady-state cost:
 // one warm Reset+Run cycle on a reused simulator, the per-replication cost
 // sweep workers pay. With warm pools and pre-sized trace buffers this is
-// allocation-free — 0 allocs/op is the pinned budget
-// (TestSteadyStateEventLoopAllocFree enforces it).
+// allocation-free (internal/sim's TestSteadyStateEventLoopAllocFree gates it
+// at 0 allocs/op).
 func BenchmarkSimulatorSteadyState(b *testing.B) {
 	cfg := sim.Config{
 		System:         workload.Medium(),
@@ -611,9 +523,8 @@ func BenchmarkSimulatorSteadyState(b *testing.B) {
 // BenchmarkSimulatorFaultedSteadyState is BenchmarkSimulatorSteadyState
 // with the kitchen-sink fault scenario compiled in: the same warm
 // Reset+Run cycle, but every period now reads the pre-resolved fault
-// tables. Measured against the gated clean benchmark it isolates the fault
-// layer's steady-state overhead (scripts/bench_trend.sh tracks both). The
-// only steady-state allocations are the per-Reset reseeding of the
+// tables. Measured against the clean benchmark it isolates the fault
+// layer's steady-state overhead. The only steady-state allocations are the per-Reset reseeding of the
 // probabilistic injectors' private rand sources; the event loop itself
 // stays allocation-free.
 func BenchmarkSimulatorFaultedSteadyState(b *testing.B) {
@@ -674,7 +585,7 @@ func BenchmarkDeuconVsEuconMedium(b *testing.B) {
 	if testing.Short() {
 		b.Skip("MEDIUM comparison runs skipped in -short mode")
 	}
-	runWith := func(ctrl sim.RateController) float64 {
+	runWith := func(ctrl sim.Controller) float64 {
 		sys := workload.Medium()
 		s, err := sim.New(sim.Config{
 			System:         sys,
@@ -719,46 +630,6 @@ func BenchmarkDeuconVsEuconMedium(b *testing.B) {
 	}
 	b.ReportMetric(central, "worst-err-eucon")
 	b.ReportMetric(decentral, "worst-err-deucon")
-}
-
-// BenchmarkDeuconLocalStep measures one decentralized control period on a
-// 16-processor ring: the per-period cost stays bounded by the neighborhood
-// size, the decentralization payoff the paper's future work aims at.
-func BenchmarkDeuconLocalStep(b *testing.B) {
-	const procs = 16
-	sys := &task.System{Name: "ring", Processors: procs}
-	for p := 0; p < procs; p++ {
-		sys.Tasks = append(sys.Tasks, task.Task{
-			Name: fmt.Sprintf("R%d", p),
-			Subtasks: []task.Subtask{
-				{Processor: p, EstimatedCost: 30},
-				{Processor: (p + 1) % procs, EstimatedCost: 30},
-			},
-			RateMin: 1.0 / 4000, RateMax: 1.0 / 50, InitialRate: 1.0 / 400,
-		})
-	}
-	// Serial: the steady-state claim is per-period work, not fan-out
-	// scaffolding, and with Parallelism 1 the whole period must run
-	// allocation-free once warm.
-	ctrl, err := deucon.New(sys, nil, deucon.Config{Parallelism: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := make([]float64, procs)
-	for i := range u {
-		u[i] = 0.5
-	}
-	rates := sys.InitialRates()
-	if _, err := ctrl.Step(0, u, rates); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ctrl.Step(i, u, rates); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // --- LARGE scaling benchmarks ---
@@ -818,7 +689,7 @@ func benchLargeCentralizedStep(b *testing.B, forceDense bool) {
 }
 
 // BenchmarkControllerStepLarge128 is the structured-solver step at 128
-// processors (the check.sh trend record includes it).
+// processors.
 func BenchmarkControllerStepLarge128(b *testing.B) { benchLargeCentralizedStep(b, false) }
 
 // BenchmarkControllerStepLarge128Dense is the same step with the banded
@@ -826,70 +697,29 @@ func BenchmarkControllerStepLarge128(b *testing.B) { benchLargeCentralizedStep(b
 // path replaces.
 func BenchmarkControllerStepLarge128Dense(b *testing.B) { benchLargeCentralizedStep(b, true) }
 
-// benchDeuconLargeStep measures one full localized-DEUCON period — all
-// per-processor solves plus the order-stable merge — on a LARGE workload,
-// serial so the steady state must be allocation-free (check.sh gates the
-// 128-processor variant at 0 allocs/op). strict asserts that the timed
-// window resolves nothing but SolveOK; at 1024 processors the announcement
-// dynamics under pinned utilization settle into a small limit cycle where
-// a few locals periodically resolve SolveRelaxed, so only the 128-processor
-// gate variant runs strict.
-func benchDeuconLargeStep(b *testing.B, procs int, strict bool) {
-	sys, err := workload.Large(procs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctrl, err := deucon.New(sys, nil, deucon.Config{Parallelism: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Lightly-loaded steady state: utilization pinned just below the set
-	// points. Exactly AT the set points the constraint RHS B-u is zero, so
-	// the interior fast path's strict-feasibility guard rejects every local
-	// and all of them take the allocating active-set fallback; at 0.98·B the
-	// slack is ~1e-3, far above the guard tolerance. The first announcement
-	// wave (period 1) is a transient — a handful of locals see neighbor
-	// compensation overshoot and resolve SolveRelaxed — so three warm-up
-	// periods carry the controller to its announcement fixed point before
-	// the timer starts.
-	u := make([]float64, sys.Processors)
-	for i, bp := range sys.DefaultSetPoints() {
-		u[i] = 0.98 * bp
-	}
-	rates := sys.InitialRates()
-	for k := 0; k < 3; k++ {
-		if _, err := ctrl.Step(k, u, rates); err != nil {
-			b.Fatal(err)
-		}
-	}
-	warm := ctrl.OutcomeCounts()
+// BenchmarkDeuconLocalStepLarge1024 measures one full localized-DEUCON
+// period on LARGE-1024 in the pinned regime TestSteadyStateAllocationFree
+// gates at 128 processors (`large-deucon` in bench/ prices that size in
+// closed loop). At this size the announcement dynamics under pinned
+// utilization settle into a small limit cycle where a few locals
+// periodically resolve SolveRelaxed; nothing deeper in the ladder may
+// fire.
+func BenchmarkDeuconLocalStepLarge1024(b *testing.B) {
+	op, since := pinnedDeuconPeriod(b, workload.Large1024())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ctrl.Step(3+i, u, rates); err != nil {
+		if err := op(); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	for o, n := range ctrl.OutcomeCounts() {
-		if strict && o != int(mpc.SolveOK) && n != warm[o] {
-			b.Fatalf("degradation rung %d resolved %d local solves during the timed steady-state window", o, n-warm[o])
-		}
-		if mpc.SolveOutcome(o) > mpc.SolveRelaxed && n != warm[o] {
-			b.Fatalf("degradation rung %d resolved %d local solves during the timed window", o, n-warm[o])
+	for o, n := range since() {
+		if mpc.SolveOutcome(o) > mpc.SolveRelaxed && n != 0 {
+			b.Fatalf("degradation rung %d resolved %d local solves during the timed window", o, n)
 		}
 	}
 }
-
-// BenchmarkDeuconLocalStepLarge128 is the localized per-period step at 128
-// processors.
-func BenchmarkDeuconLocalStepLarge128(b *testing.B) { benchDeuconLargeStep(b, 128, true) }
-
-// BenchmarkDeuconLocalStepLarge1024 is the same step at 1024 processors;
-// near-linear scaling means its ns/op stays within roughly the processor
-// ratio (8×) of the 128-processor step, not the ~500× a dense global
-// O(n³) solve implies.
-func BenchmarkDeuconLocalStepLarge1024(b *testing.B) { benchDeuconLargeStep(b, 1024, false) }
 
 // benchFig4Large is the Figure 4 analogue at scale: a closed-loop
 // execution-time-factor sweep of the localized DEUCON controller over a
@@ -952,7 +782,7 @@ func BenchmarkAblationPIDCoupling(b *testing.B) {
 			},
 		}
 	}
-	errP1 := func(ctrl sim.RateController) float64 {
+	errP1 := func(ctrl sim.Controller) float64 {
 		s, err := sim.New(sim.Config{
 			System:         trap(),
 			SamplingPeriod: workload.SamplingPeriod,

@@ -27,7 +27,7 @@
 //
 //	euconfarm                      # 1000 agents, 200 periods, 8 crash cycles
 //	euconfarm -smoke               # 64 agents, 50 periods, 2 crash cycles
-//	euconfarm -json                # machine-readable result line for bench_trend.sh
+//	euconfarm -json                # machine-readable result line
 //	euconfarm -transport-faults drop=0.05,delayprob=0.5,delay=20ms \
 //	          -interval 20ms -skew 0.005 -partitions 4   # lossy campaign
 package main
@@ -69,7 +69,7 @@ func run() int {
 	skew := flag.Float64("skew", 0, "per-agent clock drift amplitude (free-running only): agent p drifts by a deterministic rate in ±skew")
 	partitions := flag.Int("partitions", 0, "partition/heal cycles: each isolates a 1/16 slice of the fleet for ~5 periods, then heals it")
 	smoke := flag.Bool("smoke", false, "CI smoke: 64 agents, 50 periods, 2 crash cycles")
-	jsonOut := flag.Bool("json", false, "emit one JSON result line (for scripts/bench_trend.sh)")
+	jsonOut := flag.Bool("json", false, "emit one JSON result line")
 	flag.Parse()
 
 	if *smoke {

@@ -43,12 +43,12 @@ func run() int {
 	exp := flag.String("exp", "", "experiment ID to run, or \"all\"")
 	csvDir := flag.String("csv", "", "for trace experiments: also write <id>-utilization.csv, <id>-rates.csv, <id>-missratio.csv into this directory")
 	workers := flag.Int("workers", 0, "worker count for sweep experiments (0 = GOMAXPROCS)")
-	digest := flag.Bool("sweep-digest", false, "print JSON digests of the Figure 4/5 sweep series at 1, 2, and 8 workers, then exit (scripts/bench_trend.sh snapshots these to prove sweep outputs stay bit-identical across worker counts and PRs)")
+	digest := flag.Bool("sweep-digest", false, "print JSON digests of the Figure 4/5 sweep series at 1, 2, and 8 workers, then exit (scripts/check.sh diffs these against scripts/golden/ to prove sweep outputs stay bit-identical across worker counts and PRs)")
 	faults := flag.String("faults", "", "fault scenario to inject: comma-separated scenario names (see -list-faults), an inline JSON clause array (chaos reproducer format, starts with '['), or @file containing either; runs the canonical 300-period SIMPLE experiment under the scenario and reports robustness and degradation counters")
 	listFaults := flag.Bool("list-faults", false, "list the named fault scenarios")
 	faultDigest := flag.Bool("fault-digest", false, "with -faults: print JSON digests of a faulted SIMPLE sweep at 1, 2, and 8 workers, including robustness metrics, then exit (scripts/check.sh diffs these against scripts/golden/)")
 	explicit := flag.Bool("explicit", false, "run EUCON with the offline-compiled explicit MPC law (internal/empc); rates are bit-identical to the iterative solver, so every digest and table is unchanged — the flag exists to prove exactly that")
-	explicitReport := flag.Bool("explicit-report", false, "compile the explicit MPC laws for the SIMPLE and MEDIUM controllers and print one JSON line each with region counts, build digest, and compile wall time, then exit (scripts/bench_trend.sh snapshots these)")
+	explicitReport := flag.Bool("explicit-report", false, "compile the explicit MPC laws for the SIMPLE and MEDIUM controllers and print one JSON line each with region counts, build digest, and compile wall time, then exit (scripts/check.sh compiles twice and requires equal digests)")
 	workloadName := flag.String("workload", "", "run a named LARGE scaling workload (see -list-workloads) and print JSON trajectory digests: centralized EUCON on the structured solver path plus localized DEUCON at 1, 2, and 8 workers (scripts/check.sh diffs these against scripts/golden/)")
 	listWL := flag.Bool("list-workloads", false, "list the named scaling workloads accepted by -workload")
 	flag.Parse()
@@ -292,8 +292,7 @@ func faultReport(ctx context.Context, w io.Writer, list string, explicit bool) e
 // printExplicitReport compiles the explicit laws for the paper's two
 // controllers and prints one JSON line each: region counts, the
 // deterministic build digest, and the offline-compile wall time.
-// scripts/bench_trend.sh snapshots these lines so compile-time regressions
-// and digest drift both show up in the trend record.
+// scripts/check.sh runs it twice and requires equal digests.
 func printExplicitReport(w io.Writer) error {
 	for _, wl := range []struct {
 		name string

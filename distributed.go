@@ -20,8 +20,7 @@ import (
 //
 // ServeController and RunNodeAgent are the production entry points; the
 // cmd/euconctl, cmd/nodeagent, and cmd/euconfarm binaries are thin
-// wrappers over them. The older Coordinator/RunNode surface in
-// extensions.go remains as deprecated shims.
+// wrappers over them.
 
 type (
 	// ControllerServer is the controller daemon: the centralized feedback

@@ -6,6 +6,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	eucon "github.com/rtsyslab/eucon"
 )
@@ -25,7 +26,7 @@ func TestServeControllerFacade(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	var wg sync.WaitGroup
 	codecs := []eucon.WireCodec{eucon.BinaryCodec, eucon.JSONCodec}
@@ -42,13 +43,18 @@ func TestServeControllerFacade(t *testing.T) {
 		}()
 	}
 
+	// A lockstep daemon steps whoever has joined, at socket speed: the run
+	// is long enough that the first joiner's head start (a few periods) is
+	// a vanishing part of it and both agents are members well before the
+	// tail the assertions read.
+	const periods = 2000
 	res, err := eucon.ServeController(ctx, sys, ctrl, ln,
-		eucon.DistributedPeriods(60), eucon.DistributedTrace(true))
+		eucon.DistributedPeriods(periods), eucon.DistributedTrace(true))
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Periods != 60 || res.Joins != sys.Processors || res.Crashes != 0 {
+	if res.Periods != periods || res.Joins != sys.Processors || res.Crashes != 0 {
 		t.Fatalf("run record: periods=%d joins=%d crashes=%d", res.Periods, res.Joins, res.Crashes)
 	}
 	sp := ctrl.SetPoints()

@@ -75,10 +75,6 @@ type (
 	Trace = sim.Trace
 	// RunStats aggregates counters over a run.
 	RunStats = sim.Stats
-	// RateController is the pre-interface name of Controller.
-	//
-	// Deprecated: use Controller.
-	RateController = sim.RateController
 	// ETFSchedule is a piecewise-constant execution-time factor over time.
 	ETFSchedule = sim.ETFSchedule
 	// ETFStep is one segment of an ETFSchedule.
@@ -106,20 +102,12 @@ func NewOpenBaseline(sys *System, setPoints []float64) (*OpenBaseline, error) {
 	return baseline.NewOpen(sys, setPoints)
 }
 
-// Simulate runs the event-driven simulator for cfg.Periods sampling
-// periods and returns the trace.
-//
-// Deprecated: use RunExperiment for the declarative experiment API (which
-// also validates fault specs and applies the paper defaults), or
-// SimulateContext when a raw SimulationConfig with cancellation is needed.
-// Simulate remains for source compatibility.
-func Simulate(cfg SimulationConfig) (*Trace, error) {
-	return SimulateContext(context.Background(), cfg)
-}
-
-// SimulateContext is Simulate with cancellation: the context is checked at
-// every sampling boundary and the run aborts with ctx.Err() once it is
-// done.
+// SimulateContext runs the event-driven simulator on a raw
+// SimulationConfig for cfg.Periods sampling periods and returns the trace.
+// The context is checked at every sampling boundary and the run aborts
+// with ctx.Err() once it is done. RunExperiment is the declarative
+// experiment API, which also validates fault specs and applies the paper
+// defaults.
 func SimulateContext(ctx context.Context, cfg SimulationConfig) (*Trace, error) {
 	s, err := sim.New(cfg)
 	if err != nil {

@@ -1,6 +1,7 @@
 package eucon_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,7 +15,7 @@ func TestQuickstartConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := eucon.Simulate(eucon.SimulationConfig{
+	tr, err := eucon.SimulateContext(context.Background(), eucon.SimulationConfig{
 		System:         sys,
 		Controller:     ctrl,
 		SamplingPeriod: 1000,
@@ -88,7 +89,7 @@ func TestPublicStepETF(t *testing.T) {
 
 func TestRateSeriesExtraction(t *testing.T) {
 	sys := eucon.SimpleWorkload()
-	tr, err := eucon.Simulate(eucon.SimulationConfig{
+	tr, err := eucon.SimulateContext(context.Background(), eucon.SimulationConfig{
 		System:         sys,
 		SamplingPeriod: 1000,
 		Periods:        5,

@@ -35,16 +35,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	coord, err := eucon.NewCoordinator(eucon.CoordinatorConfig{
-		System:     sys,
-		Controller: ctrl,
-		Listener:   ln,
-		Periods:    80,
-		Timeout:    5 * time.Second,
-	})
-	if err != nil {
-		return err
-	}
+	addr := ln.Addr().String()
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -56,25 +47,18 @@ func run() error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := eucon.RunNode(ctx, eucon.NodeConfig{
-				Processor:      p,
-				System:         sys,
-				Addr:           ln.Addr().String(),
-				Name:           fmt.Sprintf("node-P%d", p+1),
-				ETF:            eucon.ConstantETF(0.5), // estimates are 2x pessimistic
-				SamplingPeriod: 1000,
-				Jitter:         0.05,
-				Seed:           int64(p + 1),
-				Timeout:        5 * time.Second,
-			})
+			// The estimates are 2x pessimistic: actual execution times are
+			// half of what the controller's model assumes.
+			err := eucon.RunNodeAgent(ctx, sys, p, addr, eucon.DistributedETF(eucon.ConstantETF(0.5)))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "node P%d: %v\n", p+1, err)
 			}
 		}()
 	}
 
-	fmt.Printf("coordinator on %s, %d node agents, 80 feedback periods over TCP\n", ln.Addr(), sys.Processors)
-	res, err := coord.Run(ctx)
+	fmt.Printf("controller on %s, %d node agents, 80 feedback periods over TCP\n", addr, sys.Processors)
+	res, err := eucon.ServeController(ctx, sys, ctrl, ln,
+		eucon.DistributedPeriods(80), eucon.DistributedTrace(true))
 	wg.Wait()
 	if err != nil {
 		return err

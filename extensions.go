@@ -1,10 +1,8 @@
 package eucon
 
 import (
-	"context"
 	"io"
 
-	"github.com/rtsyslab/eucon/internal/agent"
 	"github.com/rtsyslab/eucon/internal/baseline"
 	"github.com/rtsyslab/eucon/internal/deucon"
 	"github.com/rtsyslab/eucon/internal/sched"
@@ -78,46 +76,6 @@ func WriteMissRatioCSV(w io.Writer, tr *Trace) error { return trace.WriteMissRat
 
 // WriteTraceJSON exports a whole trace as indented JSON.
 func WriteTraceJSON(w io.Writer, tr *Trace) error { return trace.WriteJSON(w, tr) }
-
-// Pre-membership distributed runtime, kept as shims for existing callers.
-// The production surface is distributed.go (ServeController/RunNodeAgent):
-// membership, bounded send queues, and the binary wire codec.
-type (
-	// Coordinator is the fixed-fleet controller daemon end of the feedback
-	// lanes.
-	//
-	// Deprecated: use ServeController or NewControllerServer, which admit
-	// agents dynamically and survive crashes and rejoins.
-	Coordinator = agent.Coordinator
-	// CoordinatorConfig configures a Coordinator.
-	//
-	// Deprecated: use DistributedOption values with ServeController.
-	CoordinatorConfig = agent.CoordinatorConfig
-	// CoordinatorResult is the coordinator's per-period run record.
-	//
-	// Deprecated: use ControllerServerResult.
-	CoordinatorResult = agent.Result
-	// NodeConfig configures one per-processor node agent.
-	//
-	// Deprecated: use DistributedOption values with RunNodeAgent.
-	NodeConfig = agent.NodeConfig
-)
-
-// NewCoordinator builds the fixed-fleet controller daemon.
-//
-// Deprecated: use ServeController or NewControllerServer.
-func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	return agent.NewCoordinator(cfg)
-}
-
-// RunNode connects a node agent (utilization monitor + rate modulator for
-// one processor) to a coordinator and participates in the feedback loop
-// until shutdown.
-//
-// Deprecated: use RunNodeAgent.
-func RunNode(ctx context.Context, cfg NodeConfig) error {
-	return agent.RunNode(ctx, cfg)
-}
 
 // compile-time interface checks: every controller in the public set
 // implements the unified Controller interface.

@@ -1,6 +1,7 @@
 package eucon_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -14,7 +15,7 @@ func TestDecentralizedControllerPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := eucon.Simulate(eucon.SimulationConfig{
+	tr, err := eucon.SimulateContext(context.Background(), eucon.SimulationConfig{
 		System:         sys,
 		Controller:     ctrl,
 		SamplingPeriod: 1000,
@@ -81,7 +82,7 @@ func TestSchedulabilityPublicAPI(t *testing.T) {
 
 func TestTraceExportPublicAPI(t *testing.T) {
 	sys := eucon.SimpleWorkload()
-	tr, err := eucon.Simulate(eucon.SimulationConfig{
+	tr, err := eucon.SimulateContext(context.Background(), eucon.SimulationConfig{
 		System:         sys,
 		SamplingPeriod: 1000,
 		Periods:        3,

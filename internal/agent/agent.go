@@ -1,13 +1,14 @@
 // Package agent implements the distributed runtime of the EUCON
-// architecture (paper §4): a centralized controller process (Coordinator)
-// connected through TCP feedback lanes to one node agent per processor,
-// each hosting a utilization monitor and a rate modulator.
+// architecture (paper §4): a centralized controller process (Server)
+// connected through TCP feedback lanes to one node agent per processor
+// (RunAgent), each hosting a utilization monitor and a rate modulator.
 //
-// The feedback loop runs in lockstep, mirroring the paper's sequence: at
-// the end of each sampling period every node sends its measured
-// utilization to the controller, the controller solves the MPC problem and
-// broadcasts the new task rates, and each node's rate modulator applies
-// them.
+// The feedback loop mirrors the paper's sequence: at the end of each
+// sampling period every node sends its measured utilization to the
+// controller, the controller solves the MPC problem and broadcasts the new
+// task rates, and each node's rate modulator applies them. A membership
+// layer lets agents join, leave, crash, and rejoin without a controller
+// restart.
 //
 // Node agents in this package carry a synthetic plant — utilization is
 // generated from the node's hosted subtasks, the current rates, and an
@@ -16,372 +17,7 @@
 // (preemptive RMS, release guard, queueing) live in internal/sim.
 package agent
 
-import (
-	"context"
-	"errors"
-	"fmt"
-	"math"
-	"math/rand"
-	"net"
-	"time"
-
-	"github.com/rtsyslab/eucon/internal/lane"
-	"github.com/rtsyslab/eucon/internal/sim"
-	"github.com/rtsyslab/eucon/internal/task"
-)
+import "time"
 
 // DefaultTimeout bounds every lane send/receive.
 const DefaultTimeout = 10 * time.Second
-
-// CoordinatorConfig configures the controller process.
-//
-// Deprecated: the fixed-membership Coordinator requires every processor to
-// connect before the loop starts and aborts on any peer failure. New code
-// should use Server (NewServer/Run), whose membership layer admits joins,
-// leaves, and crashes without a controller restart.
-type CoordinatorConfig struct {
-	// System describes the workload (needed for task count and initial
-	// rates).
-	System *task.System
-	// Controller computes rates each period (e.g. core.Controller).
-	Controller sim.RateController
-	// Listener accepts node-agent lanes. The coordinator takes ownership
-	// and closes it when Run returns.
-	Listener net.Listener
-	// Periods is the number of feedback periods to run.
-	Periods int
-	// Timeout bounds each lane operation; zero selects DefaultTimeout.
-	Timeout time.Duration
-	// Degrade keeps the loop alive when a node's utilization report times
-	// out: the missing sample is recorded as NaN (counted in
-	// Result.MissedReports) and handed to the controller, whose
-	// hold-last-sample policy (core.Controller) absorbs it. Without
-	// Degrade a timeout aborts the run, the pre-fault-layer behavior.
-	// Non-timeout lane failures abort either way.
-	Degrade bool
-}
-
-// Result is the coordinator's run record, shaped like a sim.Trace.
-type Result struct {
-	// Utilization[k][p] is processor p's report in period k; NaN marks a
-	// report that timed out under CoordinatorConfig.Degrade.
-	Utilization [][]float64
-	// Rates[k] is the rate vector applied for period k+1.
-	Rates [][]float64
-	// MissedReports counts utilization reports replaced by NaN because
-	// they timed out (Degrade mode only).
-	MissedReports int
-}
-
-// Coordinator runs the centralized EUCON feedback loop over TCP lanes.
-//
-// Deprecated: use Server, which adds membership, bounded send queues, and
-// batched reports. Coordinator is kept as a shim for the fixed-fleet
-// lockstep tests.
-type Coordinator struct {
-	cfg   CoordinatorConfig
-	lanes []*lane.Conn // index = processor
-}
-
-// NewCoordinator validates the configuration.
-func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	if cfg.System == nil {
-		return nil, errors.New("agent: CoordinatorConfig.System is nil")
-	}
-	if err := cfg.System.Validate(); err != nil {
-		return nil, fmt.Errorf("agent: %w", err)
-	}
-	if cfg.Controller == nil {
-		return nil, errors.New("agent: CoordinatorConfig.Controller is nil")
-	}
-	if cfg.Listener == nil {
-		return nil, errors.New("agent: CoordinatorConfig.Listener is nil")
-	}
-	if cfg.Periods <= 0 {
-		return nil, fmt.Errorf("agent: period count %d must be positive", cfg.Periods)
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultTimeout
-	}
-	return &Coordinator{cfg: cfg}, nil
-}
-
-// Run accepts one lane per processor, then drives the feedback loop for
-// the configured number of periods. It always releases all connections and
-// the listener before returning.
-func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
-	defer func() {
-		for _, l := range c.lanes {
-			if l != nil {
-				_ = l.Close()
-			}
-		}
-		_ = c.cfg.Listener.Close()
-	}()
-	if err := c.accept(ctx); err != nil {
-		return nil, err
-	}
-
-	n := c.cfg.System.Processors
-	rates := c.cfg.System.InitialRates()
-	res := &Result{
-		Utilization: make([][]float64, 0, c.cfg.Periods),
-		Rates:       make([][]float64, 0, c.cfg.Periods),
-	}
-	for k := 0; k < c.cfg.Periods; k++ {
-		if err := ctx.Err(); err != nil {
-			c.shutdown("context canceled")
-			return res, fmt.Errorf("agent: run canceled at period %d: %w", k, err)
-		}
-		u := make([]float64, n)
-		for p := 0; p < n; p++ {
-			m, err := c.lanes[p].Receive(c.cfg.Timeout)
-			// In Degrade mode a report lost in transit may surface later as
-			// a stale period; drain anything older than k before judging.
-			for c.cfg.Degrade && err == nil && m.Type == lane.TypeUtilizationBatch && m.Batch.First+len(m.Batch.Samples) <= k {
-				m, err = c.lanes[p].Receive(c.cfg.Timeout)
-			}
-			if err != nil {
-				if c.cfg.Degrade && isTimeout(err) {
-					// Missing sample: degrade instead of aborting. The
-					// controller's hold-last policy substitutes for NaN.
-					u[p] = math.NaN()
-					res.MissedReports++
-					continue
-				}
-				c.shutdown("peer failure")
-				return res, fmt.Errorf("agent: utilization from P%d in period %d: %w", p+1, k, err)
-			}
-			if m.Type != lane.TypeUtilizationBatch {
-				c.shutdown("protocol error")
-				return res, fmt.Errorf("agent: P%d sent %q in period %d, want utilization", p+1, m.Type, k)
-			}
-			if k < m.Batch.First || k >= m.Batch.First+len(m.Batch.Samples) {
-				c.shutdown("protocol error")
-				return res, fmt.Errorf("agent: P%d reported periods [%d,%d), want %d", p+1, m.Batch.First, m.Batch.First+len(m.Batch.Samples), k)
-			}
-			u[p] = m.Batch.Samples[k-m.Batch.First]
-		}
-		res.Utilization = append(res.Utilization, u)
-		applied := make([]float64, len(rates))
-		copy(applied, rates)
-		res.Rates = append(res.Rates, applied)
-
-		newRates, err := c.cfg.Controller.Step(k, u, rates)
-		if err != nil {
-			// Match the simulator's policy: keep rates on controller error.
-			newRates = rates
-		}
-		rates = newRates
-		out := &lane.Message{Type: lane.TypeRates, Rates: lane.Rates{Period: k, Values: rates}}
-		for p := 0; p < n; p++ {
-			if err := c.lanes[p].Send(out, c.cfg.Timeout); err != nil {
-				c.shutdown("peer failure")
-				return res, fmt.Errorf("agent: rates to P%d in period %d: %w", p+1, k, err)
-			}
-		}
-	}
-	c.shutdown("run complete")
-	return res, nil
-}
-
-// accept waits for a hello from every processor, rejecting duplicates and
-// out-of-range indices.
-func (c *Coordinator) accept(ctx context.Context) error {
-	n := c.cfg.System.Processors
-	c.lanes = make([]*lane.Conn, n)
-	registered := 0
-	for registered < n {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("agent: accept canceled: %w", err)
-		}
-		if d, ok := c.cfg.Listener.(*net.TCPListener); ok {
-			// Bound each Accept so context cancellation is honored.
-			_ = d.SetDeadline(time.Now().Add(c.cfg.Timeout)) //eucon:wallclock-ok operational accept deadline, never feeds control output
-		}
-		nc, err := c.cfg.Listener.Accept()
-		if err != nil {
-			return fmt.Errorf("agent: accept node lane: %w", err)
-		}
-		l := lane.NewConn(nc)
-		m, err := l.Receive(c.cfg.Timeout)
-		if err != nil {
-			_ = l.Close()
-			return fmt.Errorf("agent: hello: %w", err)
-		}
-		if m.Type != lane.TypeHello {
-			_ = l.Close()
-			return fmt.Errorf("agent: first message was %q, want hello", m.Type)
-		}
-		if m.Hello.Processor < 0 || m.Hello.Processor >= n {
-			_ = l.Close()
-			return fmt.Errorf("agent: hello for processor %d, have %d processors", m.Hello.Processor, n)
-		}
-		if c.lanes[m.Hello.Processor] != nil {
-			_ = l.Close()
-			return fmt.Errorf("agent: duplicate hello for processor %d", m.Hello.Processor)
-		}
-		c.lanes[m.Hello.Processor] = l
-		registered++
-	}
-	return nil
-}
-
-// isTimeout reports whether err is a network timeout (an expired lane
-// deadline), the only failure Degrade mode absorbs.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// shutdown notifies all connected nodes, best effort.
-func (c *Coordinator) shutdown(reason string) {
-	m := &lane.Message{Type: lane.TypeShutdown, Shutdown: lane.Shutdown{Reason: reason}}
-	for _, l := range c.lanes {
-		if l != nil {
-			_ = l.Send(m, time.Second)
-		}
-	}
-}
-
-// NodeConfig configures one node agent.
-//
-// Deprecated: use RunAgent with functional options (WithETF, WithJitter,
-// WithRetry, ...), which adds send queues, sparse rate application, and
-// rejoin support.
-type NodeConfig struct {
-	// Processor is this node's 0-based processor index.
-	Processor int
-	// System describes the workload; the node derives its hosted subtasks
-	// from it.
-	System *task.System
-	// Addr is the coordinator's TCP address.
-	Addr string
-	// Name labels the node in the hello message.
-	Name string
-	// ETF is the execution-time factor schedule for the synthetic plant.
-	ETF sim.ETFSchedule
-	// SamplingPeriod converts period indices to plant time for ETF lookup
-	// (time units per period).
-	SamplingPeriod float64
-	// Jitter adds uniform ±Jitter relative noise to the measured
-	// utilization.
-	Jitter float64
-	// Seed drives the noise.
-	Seed int64
-	// Interval is the real-time duration of one sampling period; zero runs
-	// the loop as fast as the lanes allow (tests).
-	Interval time.Duration
-	// Timeout bounds each lane operation; zero selects DefaultTimeout.
-	Timeout time.Duration
-	// SendFaults, when non-nil, injects transport faults (drops, delays)
-	// into this node's outbound utilization reports — e.g.
-	// fault.TransportPlan. A report still lost after Retry is abandoned
-	// and the node stays in lockstep, relying on the coordinator's
-	// Degrade mode to substitute the missing sample.
-	SendFaults lane.Plan
-	// Retry governs utilization-report resends over a faulty transport
-	// (capped exponential backoff). The zero value selects the lane
-	// package defaults.
-	Retry lane.RetryPolicy
-}
-
-// RunNode connects to the coordinator and participates in the feedback
-// loop until a shutdown message, a lane failure, or context cancellation.
-//
-// Deprecated: use RunAgent.
-func RunNode(ctx context.Context, cfg NodeConfig) error {
-	if cfg.System == nil {
-		return errors.New("agent: NodeConfig.System is nil")
-	}
-	if cfg.Processor < 0 || cfg.Processor >= cfg.System.Processors {
-		return fmt.Errorf("agent: processor %d out of range", cfg.Processor)
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultTimeout
-	}
-	if cfg.SamplingPeriod <= 0 {
-		cfg.SamplingPeriod = 1
-	}
-	l, err := lane.DialContext(ctx, cfg.Addr, cfg.Timeout)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = l.Close() }()
-
-	hello := &lane.Message{Type: lane.TypeHello, Hello: lane.Hello{Processor: cfg.Processor, Node: cfg.Name}}
-	if err := l.Send(hello, cfg.Timeout); err != nil {
-		return err
-	}
-
-	// Utilization reports go through the fault plan (when configured) and
-	// the retry policy; the hello above and rate receives use the raw lane.
-	var reports lane.Sender = l
-	if cfg.SendFaults != nil {
-		reports = lane.NewFaultConn(l, cfg.SendFaults)
-	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	// Per-task cost hosted on this processor (the row of F for this node).
-	costs := make([]float64, len(cfg.System.Tasks))
-	for i := range cfg.System.Tasks {
-		for _, st := range cfg.System.Tasks[i].Subtasks {
-			if st.Processor == cfg.Processor {
-				costs[i] += st.EstimatedCost
-			}
-		}
-	}
-	rates := cfg.System.InitialRates()
-	for k := 0; ; k++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("agent: node P%d canceled: %w", cfg.Processor+1, err)
-		}
-		if cfg.Interval > 0 {
-			select {
-			case <-time.After(cfg.Interval):
-			case <-ctx.Done():
-				return fmt.Errorf("agent: node P%d canceled: %w", cfg.Processor+1, ctx.Err())
-			}
-		}
-		u := c0(costs, rates)
-		u *= cfg.ETF.At(float64(k) * cfg.SamplingPeriod)
-		if cfg.Jitter > 0 {
-			u *= 1 + cfg.Jitter*(2*rng.Float64()-1)
-		}
-		if u > 1 {
-			u = 1
-		}
-		m := &lane.Message{Type: lane.TypeUtilizationBatch, Batch: lane.UtilizationBatch{Processor: cfg.Processor, First: k, Samples: []float64{u}}}
-		if err := lane.SendRetry(ctx, reports, m, cfg.Timeout, cfg.Retry); err != nil {
-			if !errors.Is(err, lane.ErrInjectedDrop) {
-				return err
-			}
-			// The report was lost to an injected transport fault even after
-			// retries. Stay in lockstep and keep listening: the coordinator
-			// degrades around the missing sample and still broadcasts rates.
-		}
-		reply, err := l.Receive(cfg.Timeout)
-		if err != nil {
-			return err
-		}
-		switch reply.Type {
-		case lane.TypeShutdown:
-			return nil
-		case lane.TypeRates:
-			if err := applyRates(rates, &reply.Rates); err != nil {
-				return fmt.Errorf("agent: node P%d: %w", cfg.Processor+1, err)
-			}
-		default: //eucon:exhaustive-default hello/utilization from the coordinator are protocol errors
-			return fmt.Errorf("agent: node P%d got unexpected %q", cfg.Processor+1, reply.Type)
-		}
-	}
-}
-
-// c0 is the synthetic plant's estimated utilization Σ c_i·r_i.
-func c0(costs, rates []float64) float64 {
-	var u float64
-	for i := range costs {
-		u += costs[i] * rates[i]
-	}
-	return u
-}

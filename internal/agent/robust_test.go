@@ -183,31 +183,12 @@ func TestServerV2DeltaConvergesUnderDupAndReorder(t *testing.T) {
 // control quality.
 func TestServerMixedCodecFleetConverges(t *testing.T) {
 	sys := workload.Simple()
-	srv, addr, done := startServer(t, sys, simpleController(t, sys),
-		WithPeriods(60), WithTrace(true), WithPeriodTimeout(5*time.Second))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		res, err := srv.Run(ctx)
-		done <- serverOutcome{res, err}
-	}()
 	codecs := []lane.Codec{lane.BinaryV2, lane.JSONv0}
-	var wg sync.WaitGroup
-	for p := 0; p < sys.Processors; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := RunAgent(ctx, sys, p, addr, WithETF(sim.ConstantETF(1)), WithCodec(codecs[p%len(codecs)])); err != nil {
-				t.Errorf("agent P%d: %v", p+1, err)
-			}
-		}()
-	}
-	out := <-done
-	wg.Wait()
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	res := out.res
+	res := runFleet(t, sys, simpleController(t, sys),
+		[]Option{WithPeriods(60), WithTrace(true), WithPeriodTimeout(5 * time.Second)},
+		func(p int) []Option {
+			return []Option{WithETF(sim.ConstantETF(1)), WithCodec(codecs[p%len(codecs)])}
+		})
 	if res.Periods != 60 || res.Joins != sys.Processors {
 		t.Fatalf("periods=%d joins=%d, want 60 and %d", res.Periods, res.Joins, sys.Processors)
 	}

@@ -45,30 +45,9 @@ func simpleController(t *testing.T, sys *task.System) sim.Controller {
 
 func TestServerConvergesWithFullFleet(t *testing.T) {
 	sys := workload.Simple()
-	srv, addr, done := startServer(t, sys, simpleController(t, sys),
-		WithPeriods(60), WithTrace(true), WithPeriodTimeout(5*time.Second))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		res, err := srv.Run(ctx)
-		done <- serverOutcome{res, err}
-	}()
-	var wg sync.WaitGroup
-	for p := 0; p < sys.Processors; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := RunAgent(ctx, sys, p, addr, WithETF(sim.ConstantETF(1))); err != nil {
-				t.Errorf("agent P%d: %v", p+1, err)
-			}
-		}()
-	}
-	out := <-done
-	wg.Wait()
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	res := out.res
+	res := runFleet(t, sys, simpleController(t, sys),
+		[]Option{WithPeriods(60), WithTrace(true), WithPeriodTimeout(5 * time.Second)},
+		func(int) []Option { return []Option{WithETF(sim.ConstantETF(1))} })
 	if res.Periods != 60 {
 		t.Fatalf("Periods = %d, want 60", res.Periods)
 	}
@@ -210,16 +189,28 @@ func TestServerRejectsOutOfRangeHello(t *testing.T) {
 		res, err := srv.Run(ctx)
 		done <- serverOutcome{res, err}
 	}()
-	conn, err := lane.Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.Send(&lane.Message{Type: lane.TypeHello, Hello: lane.Hello{Processor: 99}}, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// The server closes the lane instead of admitting the impostor.
-	if _, err := conn.Receive(3 * time.Second); err == nil {
-		t.Fatal("out-of-range hello was acked")
+	for _, tc := range []struct {
+		name  string
+		first lane.Message
+	}{
+		{"out-of-range processor", lane.Message{Type: lane.TypeHello, Hello: lane.Hello{Processor: 99}}},
+		{"not a hello", lane.Message{Type: lane.TypeUtilizationBatch,
+			Batch: lane.UtilizationBatch{Processor: 0, Samples: []float64{0.5}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := lane.Dial(addr, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = conn.Close() }()
+			if err := conn.Send(&tc.first, time.Second); err != nil {
+				t.Fatal(err)
+			}
+			// The server closes the lane instead of admitting the impostor.
+			if _, err := conn.Receive(3 * time.Second); err == nil {
+				t.Fatal("bad first frame was acked")
+			}
+		})
 	}
 	cancel()
 	out := <-done

@@ -7,22 +7,23 @@ import (
 	"strings"
 )
 
-// chainRoots pins the entry points of the benchmark-gated allocation-free
-// hot paths: the simulator's steady-state event handlers (measured by
-// BenchmarkSimulatorSteadyState at 0 allocs/op) and the localized DEUCON
-// per-processor step (BenchmarkDeuconLocalStepLarge128). The noalloc
-// analyzer requires each root to exist and carry //eucon:noalloc; the
-// interprocedural proof then covers everything the roots reach, so the
-// runtime allocation gates in scripts/check.sh have a static counterpart.
+// chainRoots pins the entry points of the runtime-gated allocation-free
+// hot paths: the simulator's steady-state event handlers (held at 0
+// allocs/op by internal/sim's TestSteadyStateEventLoopAllocFree) and the
+// localized DEUCON per-processor step (by the root package's
+// TestSteadyStateAllocationFree). The noalloc analyzer requires
+// each root to exist and carry //eucon:noalloc; the interprocedural proof
+// then covers everything the roots reach, so the runtime allocation gate
+// has a static counterpart.
 var chainRoots = []struct {
 	pkgRel string
 	fn     string // manifest-style name (Recv.Func)
-	bench  string
+	gate   string // the runtime test that measures it
 }{
-	{"internal/sim", "Simulator.handleRelease", "BenchmarkSimulatorSteadyState"},
-	{"internal/sim", "Simulator.handleCompletion", "BenchmarkSimulatorSteadyState"},
-	{"internal/sim", "Simulator.handleSampling", "BenchmarkSimulatorSteadyState"},
-	{"internal/deucon", "Controller.stepLocal", "BenchmarkDeuconLocalStepLarge128"},
+	{"internal/sim", "Simulator.handleRelease", "TestSteadyStateEventLoopAllocFree"},
+	{"internal/sim", "Simulator.handleCompletion", "TestSteadyStateEventLoopAllocFree"},
+	{"internal/sim", "Simulator.handleSampling", "TestSteadyStateEventLoopAllocFree"},
+	{"internal/deucon", "Controller.stepLocal", "TestSteadyStateAllocationFree"},
 }
 
 // checkChainRoots verifies the declared chain roots of the analyzed
@@ -47,14 +48,14 @@ func checkChainRoots(p *pass) {
 		if decl == nil {
 			p.reportf(p.pkg.Files[0].Package,
 				"allocation-guarded chain root %s (measured by %s) was not found in %s; update chainRoots in internal/analysis/chains.go if it moved",
-				root.fn, root.bench, p.pkg.Rel)
+				root.fn, root.gate, p.pkg.Rel)
 			continue
 		}
 		fn, ok := p.pkg.Info.Defs[decl.Name].(*types.Func)
 		if !ok || !p.prog.isAnnotated(fn) {
 			p.reportf(decl.Name.Pos(),
 				"allocation-guarded chain root %s (measured by %s) must be annotated //eucon:noalloc",
-				root.fn, root.bench)
+				root.fn, root.gate)
 		}
 	}
 }

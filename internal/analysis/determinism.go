@@ -31,7 +31,7 @@ var determinismScope = []string{
 	// problem.
 	"internal/empc",
 	// The distributed runtime layers: protocol framing and the
-	// coordinator/agent loops must replay identically given the same
+	// server/agent loops must replay identically given the same
 	// message trace. Operational wall-clock reads (I/O deadlines) carry
 	// //eucon:wallclock-ok.
 	"internal/lane",

@@ -16,9 +16,9 @@ var noallocSafeBuiltins = map[string]bool{
 
 // runNoalloc checks every //eucon:noalloc-annotated function: the
 // steady-state event-loop handlers, flat-heap operations, and pool recycle
-// paths whose allocation-freedom the runtime gate
-// (BenchmarkSimulatorSteadyState at 0 allocs/op) measures and this
-// analyzer proves. Inside an annotated function the following are
+// paths whose allocation-freedom the runtime gates
+// (TestSteadyStateEventLoopAllocFree and TestSteadyStateAllocationFree at
+// 0 allocs/op) measure and this analyzer proves. Inside an annotated function the following are
 // diagnosed unless the line carries //eucon:alloc-ok:
 //
 //   - append, make, and new;

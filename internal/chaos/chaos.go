@@ -125,11 +125,11 @@ type Options struct {
 	// Campaign selects the run configuration (workload + controller +
 	// clause alphabet); the zero value is the canonical SIMPLE campaign.
 	Campaign Campaign
-	// Explicit runs every scenario with the explicit-MPC fast path
-	// enabled (core.Config.Explicit). Since the fast path is bit-identical
-	// to the iterative solve, the invariant set, violations, and shrunken
-	// reproducers are unchanged; campaigns with it on prove the explicit
-	// controller holds the same invariants under fault storms.
+	// Explicit runs every scenario with an explicit law attached
+	// (core.Config.Explicit). The law changes no rate, so the invariant
+	// set, violations, and shrunken reproducers are unchanged; campaigns
+	// with it on prove that, and that the hit/miss bookkeeping holds up
+	// under fault storms.
 	Explicit bool
 
 	// seedBug, when non-nil, plants a controller bug for harness

@@ -55,12 +55,11 @@ type Config struct {
 	// the whole system on fiction. 0 selects 4.
 	StalenessBound int
 	// Explicit compiles the MPC's parametric QP into an offline
-	// piecewise-affine law at construction (see internal/empc). Control
-	// steps whose query lands in the law's bit-exact region skip the
-	// iterative solve entirely — rates are bit-identical either way, so
-	// traces and digests do not change; only the per-step cost does. Steps
-	// off the precomputed map fall back to the iterative solver and are
-	// counted through ExplicitCounts.
+	// piecewise-affine law at construction (see internal/empc): an analysis
+	// artefact (regions, gains, digest — ExplicitReport) plus run-time
+	// bookkeeping. Rates, traces, digests and the per-step cost are the same
+	// with or without it; ExplicitCounts reports how many steps lay in the
+	// law's interior critical region (hits) versus anywhere else (misses).
 	Explicit bool
 	// ExplicitMaxRegions caps the offline region enumeration; 0 selects
 	// the empc default.
@@ -87,16 +86,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Controller is the EUCON rate controller. It implements
-// sim.RateController and is driven once per sampling period. It is not
-// safe for concurrent use.
+// Controller is the EUCON rate controller. It implements sim.Controller
+// and is driven once per sampling period. It is not safe for concurrent
+// use.
 type Controller struct {
 	sys      *task.System
 	mpc      *mpc.Controller
 	cfg      Config
 	f        *mat.Dense
 	b        []float64
-	filtered []float64 // EWMA state when MeasurementFilter > 0
+	filtered []float64      // EWMA state when MeasurementFilter > 0
+	res      mpc.StepResult // reused by every Step; sized by the first
 	relaxed  int
 	steps    int
 
@@ -200,7 +200,9 @@ func (c *Controller) Name() string { return "EUCON" }
 // filter and MPC ever see the vector; when every substitute would be
 // staler than Config.StalenessBound, the call degrades to skip-and-
 // saturate: the returned slice aliases the rates argument, signalling
-// "keep actuation unchanged" without copying.
+// "keep actuation unchanged" without copying. Otherwise the returned slice
+// is controller memory the next Step overwrites; it may be passed back as
+// that Step's rates.
 func (c *Controller) Step(_ int, u, rates []float64) ([]float64, error) {
 	u, ok := c.degradeFeedback(u)
 	if !ok {
@@ -220,22 +222,14 @@ func (c *Controller) Step(_ int, u, rates []float64) ([]float64, error) {
 		}
 		u = c.filtered
 	}
-	res, err := c.mpc.Step(u, rates)
-	if err != nil {
+	if err := c.mpc.StepTo(&c.res, u, rates); err != nil {
 		return nil, fmt.Errorf("eucon: %w", err)
 	}
 	c.steps++
-	if res.OutputConstraintsRelaxed {
+	if c.res.OutputConstraintsRelaxed {
 		c.relaxed++
 	}
-	return res.NewRates, nil
-}
-
-// Rates is the pre-interface name of Step.
-//
-// Deprecated: use Step.
-func (c *Controller) Rates(k int, u, rates []float64) ([]float64, error) {
-	return c.Step(k, u, rates)
+	return c.res.NewRates, nil
 }
 
 // degradeFeedback applies the hold-last-sample policy to the measurement
@@ -329,9 +323,10 @@ func (c *Controller) SetPoints() []float64 { return c.mpc.SetPoints() }
 // UpdateSetPoints changes the set points online (overload protection:
 // paper §3.3). When the controller runs with an explicit law and the set
 // points actually change, the law is recompiled for the new set points —
-// the piecewise-affine offsets bake them in — so the fast path survives
-// overload-protection transitions. Recompilation is an offline-scale cost
-// (tens of milliseconds) paid only on genuine set-point changes.
+// the piecewise-affine offsets bake them in — so the law and its counters
+// survive overload-protection transitions. Recompilation is an
+// offline-scale cost (tens of milliseconds) paid only on genuine set-point
+// changes.
 func (c *Controller) UpdateSetPoints(b []float64) error {
 	if err := c.mpc.UpdateSetPoints(b); err != nil {
 		return fmt.Errorf("eucon: %w", err)
@@ -347,8 +342,8 @@ func (c *Controller) UpdateSetPoints(b []float64) error {
 	return nil
 }
 
-// ExplicitCounts implements sim.ExplicitReporter: explicit fast-path hits
-// and fallback misses since construction or Reset. Both are zero when the
+// ExplicitCounts implements sim.ExplicitReporter: explicit-law hits and
+// misses since construction or Reset. Both are zero when the
 // controller runs without Config.Explicit.
 func (c *Controller) ExplicitCounts() (hits, misses int) { return c.mpc.ExplicitCounts() }
 

@@ -256,6 +256,7 @@ func TestResetClearsFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r1 = append([]float64(nil), r1...) // the next Step overwrites the returned slice
 	if _, err := c.Step(1, []float64{0.9, 0.9}, r1); err != nil {
 		t.Fatal(err)
 	}

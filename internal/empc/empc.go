@@ -29,12 +29,13 @@
 //
 // The compiled Law is a flat, cache-friendly point-location structure:
 // one []float64 for all halfspace rows, one for all gain rows, located by
-// sequential scan with a caller-held warm-start hint. Runtime exactness is
-// split by design: for the interior region the runtime (internal/mpc)
-// re-derives the move through qp.LSI.SolveInteriorTo, which is bit-identical
-// to the iterative solver; the stored affine gains of every region are
-// accurate to solver tolerance (~1e-9) and serve point location, analysis,
-// and the equivalence property tests.
+// sequential scan with a caller-held warm-start hint. The control loop
+// never queries it: internal/mpc resolves the interior region through
+// qp.LSI.SolveInteriorTo, which is bit-identical to the iterative solver
+// and whose guards decide membership themselves, and only counts hits and
+// misses against an attached law. The stored affine gains of every region
+// are accurate to solver tolerance (~1e-9) and serve point location,
+// analysis, and the equivalence property tests.
 package empc
 
 import (

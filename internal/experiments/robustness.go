@@ -63,7 +63,7 @@ func TraceRobustness(tr *sim.Trace, setPoints []float64, from, to int) Robustnes
 		for k := from; k < to; k++ {
 			v := col[k]
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				// Degraded feedback (the coordinator's Degrade mode) can
+				// Degraded feedback (lost feedback, fault injection) can
 				// leave non-finite samples in a trace. They are maximally
 				// out of spec: never in the in-spec count, and a
 				// full-scale excursion for the overshoot — an ordinary max

@@ -92,10 +92,10 @@ type Spec struct {
 	// from its own run seed, so replications see independent patterns.
 	Faults []fault.Spec
 	// Explicit runs the MPC controller with an offline-compiled explicit
-	// law (see core.Config.Explicit). The fast path is bit-identical to
-	// the iterative solve, so every trace, sweep series, and digest is
-	// unchanged; only Stats.ExplicitHits/ExplicitMisses and the per-step
-	// cost differ. Ignored by non-MPC controller kinds.
+	// law (see core.Config.Explicit). The law changes no rate, so every
+	// trace, sweep series, and digest is unchanged; only
+	// Stats.ExplicitHits/ExplicitMisses differ. Ignored by non-MPC
+	// controller kinds.
 	Explicit bool
 	// System overrides the paper workload with a custom task system; with
 	// it set, Workload may be left zero. EUCON controllers for custom

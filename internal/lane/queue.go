@@ -364,8 +364,10 @@ func (q *SendQueue) finish(m *Message) {
 // run is the writer loop.
 func (q *SendQueue) run(ctx context.Context) {
 	defer close(q.done)
+	var m Message // escapes through send: one per writer, not one per frame
 	for {
-		m, ok, drained := q.pop()
+		var ok, drained bool
+		m, ok, drained = q.pop()
 		if !ok {
 			if drained {
 				return

@@ -10,7 +10,7 @@ import (
 
 // ErrInjectedDrop marks a send discarded by a transport fault plan rather
 // than by the network. Callers distinguish it from real lane failures: a
-// lost report can be degraded around (the coordinator substitutes a missing
+// lost report can be degraded around (the controller server substitutes a missing
 // sample), while a broken connection cannot.
 var ErrInjectedDrop = errors.New("lane: injected transport drop")
 

@@ -13,7 +13,10 @@ import (
 // one with an attached explicit law, one without — through the same
 // closed-loop trajectory with seeded disturbances and requires the rates
 // to agree bit for bit at every step. This is the property that keeps the
-// fig4/fig5 sweep digests unchanged under -explicit.
+// fig4/fig5 sweep digests unchanged under -explicit. Both sides take the
+// one step path (the law is bookkeeping), so this pins "attaching a law
+// changes no bits"; the interior solve against the iterative one is
+// TestInteriorSolveMatchesIterativeBitwise.
 func TestExplicitMatchesIterativeBitwise(t *testing.T) {
 	cfg := defaultSimpleConfig()
 	iter := simpleController(t, cfg)

@@ -1,0 +1,10 @@
+package mpc
+
+import "github.com/rtsyslab/eucon/internal/mat"
+
+// NominalProblem exposes the least-squares stack, the full constraint
+// matrix and the right-hand sides the most recent StepTo filled, so the
+// external test package can hand the controller's own problems to qp.
+func (c *Controller) NominalProblem() (cmat *mat.Dense, d []float64, a *mat.Dense, b []float64) {
+	return c.cmat, c.dbuf, c.aFull, c.bFull
+}

@@ -80,8 +80,8 @@ func (c Config) validate(n, m int) error {
 // Everything that does not depend on the measurements is computed once at
 // construction and cached: the least-squares stack C (and, inside the LSI
 // solver, its Hessian CᵀC with Cholesky factorization) and both constraint
-// matrices. Step only refreshes the right-hand sides, so the steady-state
-// control path performs no matrix assembly and near-zero allocation.
+// matrices. StepTo only refreshes the right-hand sides, so the steady-state
+// control path performs no matrix assembly and no allocation.
 type Controller struct {
 	f         *mat.Dense // n×m allocation matrix
 	setPoints []float64  // B, length n
@@ -99,7 +99,7 @@ type Controller struct {
 	// Anti-windup state: lastRates remembers the rates argument of the
 	// previous Step (the rates the plant actually applied), so the move
 	// memory can be reconciled with the achieved move when an actuator
-	// fault keeps a command from taking effect (see Step).
+	// fault keeps a command from taking effect (see pre).
 	lastRates   []float64
 	haveLast    bool
 	windupSyncs int
@@ -108,12 +108,13 @@ type Controller struct {
 	cmat  *mat.Dense // least-squares stack C; only d changes per period
 	lsi   *qp.LSI    // caches CᵀC + Cholesky, scratch, warm-start set
 	aFull *mat.Dense // rate box + output constraints (output part empty when disabled)
-	aBox  *mat.Dense // rate box only (the relaxation fallback)
+	aBox  *mat.Dense // rate box only: aFull's leading rows (the relaxation fallback)
 
 	// Tikhonov fallback solver: the stack [C; √λ·I] against the rate box,
-	// used when the nominal solve fails numerically (see Step's degradation
-	// ladder). Built once at construction; nil only if its Hessian cannot
-	// be factored, in which case the ladder skips straight to holding.
+	// used when the nominal solve fails numerically (see solveIterative's
+	// degradation ladder). Built once at construction; nil only if its
+	// Hessian cannot be factored, in which case the ladder skips straight to
+	// holding.
 	lsiReg *qp.LSI
 
 	// Containment counters (cleared by Reset): how many Steps were
@@ -124,25 +125,19 @@ type Controller struct {
 	lastOutcome  SolveOutcome
 
 	// Per-period scratch (right-hand sides and starting point).
-	dbuf        []float64
-	dregBuf     []float64 // dbuf extended with the Tikhonov zero targets
-	bFull, bBox []float64
-	z0          []float64
-	fastX       []float64 // StepTo interior fast-path solution scratch
+	dregBuf     []float64 // d extended with the Tikhonov zero targets
+	dbuf        []float64 // d: the leading part of dregBuf
+	bFull, bBox []float64 // bBox is bFull's rate-box prefix, so one fill serves both
+	z0          []float64 // interior solution, then the iterative solve's starting point
 	prevRelaxed bool      // which constraint variant the warm-start set refers to
 
-	// Explicit-MPC state (nil law: iterative solver only). The law is the
-	// offline-compiled piecewise-affine map of internal/empc; lastRegion is
-	// the point-location warm-start hint. The exp* buffers back the reused
-	// StepResult of the zero-allocation explicit path.
+	// Explicit-MPC state. The law is the offline-compiled piecewise-affine
+	// map of internal/empc — an analysis artefact; at run time it only turns
+	// on the hit/miss counters (see StepTo).
 	law            *empc.Law
-	lastRegion     int
 	explicitHits   int
 	explicitMisses int
 	lastExplicit   SolveOutcome // SolveExplicit, SolveExplicitMiss, or SolveOK (no law)
-	theta          []float64
-	expX           []float64
-	expRes         StepResult
 
 	// GainsTo scratch: the QR factorization of the least-squares stack is
 	// constant after construction, so it is computed once on first use and
@@ -185,17 +180,17 @@ const (
 	// through the anti-windup resync on the next Step, so no windup
 	// accumulates while holding.
 	SolveHeld
-	// SolveExplicit: the offline-compiled explicit law resolved the move —
-	// the query landed in the interior critical region and the bit-exact
-	// fast path (qp.LSI.SolveInteriorTo) produced rates identical to what
-	// the iterative solver would have returned. Not a degradation.
+	// SolveExplicit: SolveOK while an explicit law is attached — the query
+	// lay in the law's interior critical region, where the interior solve
+	// (qp.LSI.SolveInteriorTo) produces the rates the iterative solver
+	// would have returned, bit for bit. Not a degradation.
 	SolveExplicit
-	// SolveExplicitMiss: an explicit law is attached but the query fell off
-	// its bit-exact map (a constrained critical region, off-map parameters,
-	// or a boundary-numerics disagreement); the iterative solver and its
-	// degradation ladder produced the move. Reported through
-	// ExplicitCounts and LastExplicitOutcome — a Step's Outcome always
-	// carries the ladder rung that actually produced the rates.
+	// SolveExplicitMiss: an explicit law is attached but the interior solve
+	// did not resolve the step (a constrained critical region, off-map or
+	// non-finite parameters); the iterative solver and its degradation
+	// ladder produced the move. Reported through ExplicitCounts and
+	// LastExplicitOutcome — a step's Outcome always carries the ladder rung
+	// that actually produced the rates.
 	SolveExplicitMiss
 )
 
@@ -327,13 +322,12 @@ func New(f *mat.Dense, setPoints, rmin, rmax []float64, cfg Config) (*Controller
 		return nil, fmt.Errorf("mpc: prepare least-squares solver: %w", err)
 	}
 	c.lsi = lsi
-	c.aFull = c.buildConstraintMatrix(true)
-	c.aBox = c.buildConstraintMatrix(false)
-	c.dbuf = make([]float64, c.cmat.Rows())
+	nz := m * cfg.ControlHorizon
+	c.aFull = c.buildConstraintMatrix()
+	c.aBox = c.aFull.Slice(0, 2*nz, 0, nz)
 	c.bFull = make([]float64, c.aFull.Rows())
-	c.bBox = make([]float64, c.aBox.Rows())
-	c.z0 = make([]float64, m*cfg.ControlHorizon)
-	c.fastX = make([]float64, m*cfg.ControlHorizon)
+	c.bBox = c.bFull[:2*nz]
+	c.z0 = make([]float64, nz)
 
 	// Tikhonov fallback: min ‖C·z − d‖² + λ‖z‖² as the augmented stack
 	// [C; √λ·I] with zero targets on the new rows. λ is sized from C so the
@@ -341,44 +335,27 @@ func New(f *mat.Dense, setPoints, rmin, rmax []float64, cfg Config) (*Controller
 	// singular; a factorization failure here (pathological weights) just
 	// removes the rung — the ladder then degrades from a failed nominal
 	// solve directly to holding rates.
-	nz := m * cfg.ControlHorizon
 	sqrtLam := tikhonovWeightFrac * math.Max(1, c.cmat.MaxAbs())
-	creg := mat.New(c.cmat.Rows()+nz, nz)
-	for i := 0; i < c.cmat.Rows(); i++ {
-		for j := 0; j < nz; j++ {
-			creg.Set(i, j, c.cmat.At(i, j))
-		}
-	}
-	for j := 0; j < nz; j++ {
-		creg.Set(c.cmat.Rows()+j, j, sqrtLam)
-	}
+	creg := mat.StackV(c.cmat, mat.Identity(nz).Scale(sqrtLam))
 	if reg, err := qp.NewLSI(creg, cfg.Solver); err == nil {
 		c.lsiReg = reg
-		c.dregBuf = make([]float64, creg.Rows())
 	}
+	// The zero targets of the Tikhonov rows are never written: d is the
+	// leading part of the regularized right-hand side.
+	c.dregBuf = make([]float64, creg.Rows())
+	c.dbuf = c.dregBuf[:c.cmat.Rows()]
 	return c, nil
 }
 
 // SetPoints returns a copy of the current utilization set points.
 func (c *Controller) SetPoints() []float64 { return mat.VecClone(c.setPoints) }
 
-// AppendSetPoints appends the current utilization set points to dst and
-// returns the extended slice, which aliases dst's backing array when its
-// capacity suffices — the zero-allocation variant of SetPoints for hot
-// paths that reuse one buffer across control steps.
-//
-//eucon:noalloc
-func (c *Controller) AppendSetPoints(dst []float64) []float64 {
-	return append(dst, c.setPoints...) //eucon:alloc-ok grows only when the caller under-provisions capacity
-}
-
 // UpdateSetPoints changes the utilization set points online (paper §3.3,
 // overload protection: set points can be lowered in anticipation of load).
 //
 // The explicit law bakes the set points into its affine offsets, so
-// changing them detaches any attached law; the controller reverts to the
-// iterative solver until CompileExplicit or AttachExplicit is called
-// again.
+// changing them detaches any attached law (and stops its hit/miss
+// bookkeeping) until CompileExplicit or AttachExplicit is called again.
 func (c *Controller) UpdateSetPoints(b []float64) error {
 	if len(b) != c.n {
 		return fmt.Errorf("mpc: set points have length %d, want %d", len(b), c.n)
@@ -419,9 +396,6 @@ func (c *Controller) Reset() {
 	c.explicitHits = 0
 	c.explicitMisses = 0
 	c.lastExplicit = SolveOK
-	if c.law != nil {
-		c.lastRegion = c.law.InteriorIndex()
-	}
 }
 
 // ContainmentCounts reports how many Steps since construction or Reset
@@ -438,10 +412,10 @@ func (c *Controller) LastOutcome() SolveOutcome { return c.lastOutcome }
 // one (actuator faults, external clamping).
 func (c *Controller) AntiWindupSyncs() int { return c.windupSyncs }
 
-// ExplicitCounts reports how many Steps since construction or Reset were
-// resolved by the explicit fast path (hits) versus fell back to the
-// iterative solver while a law was attached (misses). Both are zero when
-// no law has ever been attached.
+// ExplicitCounts reports how many steps since construction or Reset, taken
+// with a law attached, the interior solve resolved (hits) versus left to
+// the iterative solver and its ladder (misses). Both are zero when no law
+// has ever been attached.
 func (c *Controller) ExplicitCounts() (hits, misses int) {
 	return c.explicitHits, c.explicitMisses
 }
@@ -451,29 +425,96 @@ func (c *Controller) ExplicitCounts() (hits, misses int) {
 // SolveOK when no law is attached.
 func (c *Controller) LastExplicitOutcome() SolveOutcome { return c.lastExplicit }
 
-// ExplicitLaw returns the attached explicit law, or nil when the
-// controller runs the iterative solver only.
+// ExplicitLaw returns the attached explicit law, or nil.
 func (c *Controller) ExplicitLaw() *empc.Law { return c.law }
 
 // Step computes the control input for the next sampling period from the
-// measured utilizations u(k) and the currently applied rates r(k−1).
-//
-// Step contains every numerical failure of the underlying QP solve through
-// a staged degradation ladder (see SolveOutcome) and never lets one escape:
-// the returned error is non-nil only for caller bugs (wrong vector
-// lengths), and NewRates is always finite and inside the rate box. A
-// non-finite measurement vector short-circuits to the hold rung — steering
-// the plant on NaN would poison the move memory.
+// measured utilizations u(k) and the currently applied rates r(k−1),
+// returning a freshly allocated result. It is StepTo on a new StepResult;
+// loops that step every period should own one result and call StepTo.
 func (c *Controller) Step(u, rates []float64) (*StepResult, error) {
-	if err := c.pre(u, rates); err != nil {
+	out := c.NewStepResult()
+	if err := c.StepTo(out, u, rates); err != nil {
 		return nil, err
 	}
-	return c.stepSolve(u, rates), nil
+	return out, nil
 }
 
-// pre validates the input vectors and runs the anti-windup resync shared
-// by Step and StepTo. It must run exactly once per sampling period, before
-// any solve path reads c.prevDelta.
+// NewStepResult allocates a StepResult whose slices are sized for this
+// controller, for use as the reusable destination of StepTo.
+func (c *Controller) NewStepResult() *StepResult {
+	return &StepResult{
+		DeltaR:        make([]float64, c.m),
+		NewRates:      make([]float64, c.m),
+		PredictedUtil: make([]float64, c.n),
+	}
+}
+
+// StepTo is the one implementation of a control step (paper §6.1: one
+// constrained least-squares solve per sampling period), writing into a
+// caller-owned, reusable StepResult (allocate it once with NewStepResult).
+// out's slices are overwritten, never retained, and rates may alias
+// out.NewRates from the previous call.
+//
+// The right-hand sides are filled once, then the interior solve is tried:
+// in the steady state — strictly feasible measurements, no rate bound or
+// output constraint active — qp.LSI.SolveInteriorTo resolves the move with
+// zero allocations and the exact bits the iterative solve would produce
+// (its guards are the conditions under which that solve completes in one
+// unblocked Newton step from Δr = 0). Otherwise the iterative active-set
+// solve and its degradation ladder (see SolveOutcome) produce the move.
+//
+// StepTo contains every numerical failure of the underlying QP solve and
+// never lets one escape: the returned error is non-nil only for caller
+// bugs (wrong vector lengths), and NewRates is always finite and inside
+// the rate box. A non-finite measurement vector short-circuits to the hold
+// rung — steering the plant on NaN would poison the move memory.
+//
+// An attached explicit law does not change the path: it is bookkeeping.
+// Every step with a law attached counts as a hit (the interior solve
+// resolved it — the law's interior critical region — reported as
+// SolveExplicit) or a miss (anything else; Outcome carries the ladder rung).
+//
+//eucon:noalloc
+func (c *Controller) StepTo(out *StepResult, u, rates []float64) error {
+	if err := c.pre(u, rates); err != nil {
+		return err
+	}
+	var x []float64 // stacked solution; nil selects the hold rung
+	iters, outcome, relaxed, interior := 0, SolveHeld, false, false
+	// A NaN/Inf measurement reached the solver layer (the EUCON
+	// controller's hold-last policy normally substitutes upstream): no
+	// trustworthy solve is possible, so hold the applied rates.
+	if finiteVec(u) {
+		c.fillLeastSquaresRHS(u, c.dbuf)
+		c.fillConstraintRHS(u, rates)
+		iters, interior = c.lsi.SolveInteriorTo(c.z0, c.dbuf, c.aFull, c.bFull)
+		interior = interior && finiteVec(c.z0[:c.m])
+		if interior {
+			// The state the iterative solve would leave behind: a non-relaxed
+			// converged solve with an empty active set (SolveInteriorTo
+			// already cleared the warm-start set).
+			x, outcome = c.z0, SolveOK
+			c.prevRelaxed = false
+		} else {
+			x, iters, outcome, relaxed = c.solveIterative(u, rates) //eucon:alloc-ok off the interior the active-set solve and its ladder allocate
+		}
+	}
+	if c.law != nil {
+		if interior {
+			c.explicitHits++
+			c.lastExplicit, outcome = SolveExplicit, SolveExplicit
+		} else {
+			c.explicitMisses++
+			c.lastExplicit = SolveExplicitMiss
+		}
+	}
+	c.finish(out, u, rates, x, iters, outcome, relaxed)
+	return nil
+}
+
+// pre validates the input vectors and runs the anti-windup resync. It runs
+// exactly once per sampling period, before anything reads c.prevDelta.
 //
 // Anti-windup: reconcile the move memory with the move the plant actually
 // achieved, rates(k−1) → rates(k). When actuation is healthy the achieved
@@ -505,45 +546,22 @@ func (c *Controller) pre(u, rates []float64) error {
 	return nil
 }
 
-// stepSolve is everything in Step after validation and anti-windup: the
-// explicit fast path, the iterative solve, and the degradation ladder. It
-// never fails — every numerical outcome maps to a ladder rung.
-func (c *Controller) stepSolve(u, rates []float64) *StepResult {
-	for _, v := range u {
-		if !finite(v) {
-			// A NaN/Inf measurement reached the solver layer (the EUCON
-			// controller's hold-last policy normally substitutes upstream):
-			// no trustworthy solve is possible, so hold the applied rates.
-			return c.holdStep(u, rates)
-		}
-	}
-	c.fillLeastSquaresRHS(u, c.dbuf)
-	c.fillConstraintRHS(u, rates, true, c.bFull)
-
-	// Explicit fast path: when an offline-compiled law is attached and the
-	// query lands in its bit-exact region, the move is resolved without the
-	// iterative active-set solve. A miss falls through to the iterative
-	// path below, which reuses the right-hand sides already filled above.
-	if c.law != nil {
-		if res, ok := c.stepExplicit(u, rates); ok {
-			return res
-		}
-		c.explicitMisses++
-		c.lastExplicit = SolveExplicitMiss
-	}
-
+// solveIterative is the step off the interior: an analytic starting point,
+// the warm-started active-set solve, and the degradation ladder. It reads
+// the right-hand sides StepTo filled and returns the stacked solution with
+// its iteration count, the ladder rung that produced it, and whether the
+// move was solved without the output constraints; a nil solution selects
+// the hold rung.
+func (c *Controller) solveIterative(u, rates []float64) (x []float64, iters int, outcome SolveOutcome, relaxed bool) {
 	// Pick a feasible starting point analytically instead of relying on the
 	// solver's generic (and expensive) phase-1. Δr = 0 is feasible unless a
 	// processor is over its set point; in that case "all rates to R_min" is
 	// the most aggressive recovery available — F is non-negative, so if even
 	// that violates the output constraints, the constraint set is infeasible
 	// and the hard utilization constraints must be relaxed for this period.
-	relaxed := false
 	a, b := c.aFull, c.bFull
 	z0 := c.z0
-	for j := range z0 {
-		z0[j] = 0
-	}
+	clear(z0)
 	if maxViolation(a, b, z0) > 1e-9 {
 		for j := 0; j < c.m; j++ {
 			z0[j] = c.rmin[j] - rates[j]
@@ -551,10 +569,7 @@ func (c *Controller) stepSolve(u, rates []float64) *StepResult {
 		if maxViolation(a, b, z0) > 1e-9 && !c.cfg.DisableOutputConstraints {
 			relaxed = true
 			a, b = c.aBox, c.bBox
-			c.fillConstraintRHS(u, rates, false, b)
-			for j := range z0 {
-				z0[j] = 0
-			}
+			clear(z0)
 		}
 	}
 	// The warm-start set indexes constraint rows, so it is only meaningful
@@ -567,300 +582,115 @@ func (c *Controller) stepSolve(u, rates []float64) *StepResult {
 		// Belt and braces: fall back to the always-feasible rate box.
 		relaxed = true
 		a, b = c.aBox, c.bBox
-		c.fillConstraintRHS(u, rates, false, b)
-		for j := range z0 {
-			z0[j] = 0
-		}
+		clear(z0)
 		c.lsi.ResetWarmStart()
 		res, err = c.lsi.Solve(c.dbuf, a, b, z0)
 	}
 	c.prevRelaxed = relaxed
-	outcome := SolveOK
+	outcome = SolveOK
 	if relaxed {
 		outcome = SolveRelaxed
 	}
-	if err != nil {
-		// Degradation ladder, rung by rung. Rung 1: an iteration-capped
-		// solve still carries its best iterate, which is feasible by
-		// construction (the active-set method never leaves the feasible
-		// region); accept it when it is finite and nearly stationary.
-		accepted := false
-		if errors.Is(err, qp.ErrMaxIterations) && res != nil &&
-			res.Stationarity <= bestIterateResidualBound && finiteVec(res.X) {
-			outcome = SolveBestIterate
-			c.bestIterates++
-			accepted = true
+	if err == nil {
+		if !finiteVec(res.X[:c.m]) {
+			// Belt and braces: a converged solve can still carry non-finite
+			// values if the inputs were poisoned. Holding is the only safe
+			// move.
+			return nil, 0, SolveHeld, false
 		}
-		// Rung 2: Tikhonov-regularized re-solve against the always-feasible
-		// rate box, biasing the move toward Δr = 0.
-		if !accepted && c.lsiReg != nil {
-			copy(c.dregBuf, c.dbuf)
-			for i := len(c.dbuf); i < len(c.dregBuf); i++ {
-				c.dregBuf[i] = 0
-			}
-			c.fillConstraintRHS(u, rates, false, c.bBox)
-			for j := range z0 {
-				z0[j] = 0
-			}
-			regRes, regErr := c.lsiReg.Solve(c.dregBuf, c.aBox, c.bBox, z0)
-			usable := regRes != nil && finiteVec(regRes.X) &&
-				(regErr == nil || (errors.Is(regErr, qp.ErrMaxIterations) && regRes.Stationarity <= bestIterateResidualBound))
-			if usable {
-				res = regRes
-				outcome = SolveRegularized
-				c.regularized++
-				accepted = true
-				// The nominal solver's remembered active set describes a
-				// solve that failed; start the next period clean.
-				c.lsi.ResetWarmStart()
-				c.prevRelaxed = false
-			}
-		}
-		// Rung 3: hold the applied rates.
-		if !accepted {
-			return c.holdStep(u, rates)
+		return res.X, res.Iterations, outcome, relaxed
+	}
+	// Degradation ladder, rung by rung. Rung 1: an iteration-capped solve
+	// still carries its best iterate, which is feasible by construction (the
+	// active-set method never leaves the feasible region); accept it when it
+	// is finite and nearly stationary.
+	if errors.Is(err, qp.ErrMaxIterations) && res != nil &&
+		res.Stationarity <= bestIterateResidualBound && finiteVec(res.X) {
+		c.bestIterates++
+		return res.X, res.Iterations, SolveBestIterate, relaxed
+	}
+	// Rung 2: Tikhonov-regularized re-solve against the always-feasible rate
+	// box, biasing the move toward Δr = 0.
+	if c.lsiReg != nil {
+		clear(z0)
+		reg, regErr := c.lsiReg.Solve(c.dregBuf, c.aBox, c.bBox, z0)
+		if reg != nil && finiteVec(reg.X) &&
+			(regErr == nil || (errors.Is(regErr, qp.ErrMaxIterations) && reg.Stationarity <= bestIterateResidualBound)) {
+			c.regularized++
+			// The nominal solver's remembered active set describes a solve
+			// that failed; start the next period clean.
+			c.lsi.ResetWarmStart()
+			c.prevRelaxed = false
+			return reg.X, reg.Iterations, SolveRegularized, true
 		}
 	}
+	// Rung 3: hold the applied rates.
+	return nil, 0, SolveHeld, false
+}
 
-	delta := mat.VecClone(res.X[:c.m])
-	if !finiteVec(delta) {
-		// Belt and braces: a converged solve can still carry non-finite
-		// values if the inputs were poisoned. Holding is the only safe move.
-		return c.holdStep(u, rates)
+// finish is the one epilogue of a control step: it turns the stacked
+// solution x into the applied move, clamps it to the rate box, stores the
+// move memory, predicts the utilization, and writes every field of out.
+//
+// A nil x (with outcome SolveHeld) selects the bottom rung of the
+// degradation ladder: command Δr = 0, keeping the last-applied rates
+// (clipped to the box so even an out-of-range caller vector cannot
+// escape). The zeroed move memory is reconciled against the achieved move
+// by the anti-windup resync at the next step, exactly as for an actuator
+// fault, so holding accumulates no windup.
+//
+//eucon:noalloc
+func (c *Controller) finish(out *StepResult, u, rates, x []float64, iters int, outcome SolveOutcome, relaxed bool) {
+	delta := sized(out.DeltaR, c.m)
+	newRates := sized(out.NewRates, c.m)
+	pred := sized(out.PredictedUtil, c.n)
+	if x == nil {
+		c.heldSteps++
+		// The remembered active set belongs to a solve that never completed;
+		// clear it so the next period starts from a clean working set.
+		c.lsi.ResetWarmStart()
+		c.prevRelaxed = false
 	}
-	newRates := make([]float64, c.m)
+	// Each element reads rates[i] before writing newRates[i]: the two may be
+	// the same slice.
 	for i := range newRates {
-		nr := rates[i] + delta[i]
+		r := rates[i]
+		if x == nil {
+			if !finite(r) {
+				// Never emit non-finite rates, whatever the caller handed us:
+				// fall back to the most conservative end of the box.
+				r = c.rmin[i]
+			}
+			newRates[i] = math.Max(c.rmin[i], math.Min(c.rmax[i], r))
+			delta[i] = 0
+			continue
+		}
 		// Guard against solver tolerance drift outside the box.
-		nr = math.Max(c.rmin[i], math.Min(c.rmax[i], nr))
+		nr := math.Max(c.rmin[i], math.Min(c.rmax[i], r+x[i]))
+		delta[i] = nr - r
 		newRates[i] = nr
-		delta[i] = nr - rates[i]
 	}
 	copy(c.prevDelta, delta)
+	c.f.MulVecTo(pred, delta)
+	for i := range pred {
+		pred[i] = u[i] + pred[i]
+	}
 	c.lastOutcome = outcome
-	return &StepResult{
-		DeltaR:                   delta,
-		NewRates:                 newRates,
-		PredictedUtil:            mat.VecAdd(u, c.f.MulVec(delta)),
-		OutputConstraintsRelaxed: relaxed || outcome == SolveRegularized,
-		SolverIterations:         res.Iterations,
-		Outcome:                  outcome,
-	}
-}
-
-// NewStepResult allocates a StepResult whose slices are sized for this
-// controller, for use as the reusable destination of StepTo.
-func (c *Controller) NewStepResult() *StepResult {
-	return &StepResult{
-		DeltaR:        make([]float64, c.m),
-		NewRates:      make([]float64, c.m),
-		PredictedUtil: make([]float64, c.n),
-	}
-}
-
-// StepTo is Step writing into a caller-owned, reusable StepResult
-// (allocate it once with NewStepResult). In the steady state — strictly
-// feasible measurements, no rate bound or output constraint active, no
-// explicit law attached — the move resolves through the zero-allocation
-// interior fast path, which reproduces Step's arithmetic bit for bit (the
-// qp.LSI.SolveInteriorTo guards are exactly the conditions under which the
-// iterative solve completes in one unblocked Newton step from Δr = 0).
-// Off the fast path, StepTo delegates to the full solve-plus-ladder and
-// copies the result, so outputs are always identical to Step's; only the
-// allocation profile differs. out's slices are overwritten, never retained.
-//
-//eucon:noalloc
-func (c *Controller) StepTo(out *StepResult, u, rates []float64) error {
-	if err := c.pre(u, rates); err != nil {
-		return err
-	}
-	if c.stepInteriorTo(out, u, rates) {
-		return nil
-	}
-	res := c.stepSolve(u, rates) //eucon:alloc-ok off the steady-state fast path the full degradation ladder allocates its result
-	copyStepResultInto(out, res)
-	return nil
-}
-
-// stepInteriorTo attempts the interior fast path for StepTo. It reports
-// false (receiver untouched beyond scratch, right-hand sides refilled by
-// the caller's fallback) whenever any Step behavior other than the plain
-// unconstrained-interior solve could apply: non-finite measurements, an
-// attached explicit law (its hit/miss bookkeeping belongs to stepSolve),
-// or an undersized destination.
-//
-//eucon:noalloc
-func (c *Controller) stepInteriorTo(out *StepResult, u, rates []float64) bool {
-	if c.law != nil {
-		return false
-	}
-	if cap(out.DeltaR) < c.m || cap(out.NewRates) < c.m || cap(out.PredictedUtil) < c.n {
-		return false
-	}
-	for _, v := range u {
-		if !finite(v) {
-			return false
-		}
-	}
-	c.fillLeastSquaresRHS(u, c.dbuf)
-	c.fillConstraintRHS(u, rates, true, c.bFull)
-	iters, ok := c.lsi.SolveInteriorTo(c.fastX, c.dbuf, c.aFull, c.bFull)
-	if !ok {
-		return false
-	}
-	delta := out.DeltaR[:c.m]
-	newRates := out.NewRates[:c.m]
-	pred := out.PredictedUtil[:c.n]
-	copy(delta, c.fastX[:c.m])
-	if !finiteVec(delta) {
-		return false
-	}
-	for i := range newRates {
-		nr := rates[i] + delta[i]
-		// Guard against solver tolerance drift outside the box.
-		nr = math.Max(c.rmin[i], math.Min(c.rmax[i], nr))
-		newRates[i] = nr
-		delta[i] = nr - rates[i]
-	}
-	copy(c.prevDelta, delta)
-	c.f.MulVecTo(pred, delta)
-	for i := range pred {
-		pred[i] = u[i] + pred[i]
-	}
-	// State the full path would leave behind: a non-relaxed converged solve
-	// with an empty active set (SolveInteriorTo already cleared the
-	// warm-start set, matching Solve's empty Result.Active).
-	c.prevRelaxed = false
-	c.lastOutcome = SolveOK
-	out.DeltaR = delta
-	out.NewRates = newRates
-	out.PredictedUtil = pred
-	out.OutputConstraintsRelaxed = false
+	out.DeltaR, out.NewRates, out.PredictedUtil = delta, newRates, pred
+	out.OutputConstraintsRelaxed = relaxed
 	out.SolverIterations = iters
-	out.Outcome = SolveOK
-	return true
+	out.Outcome = outcome
 }
 
-// copyStepResultInto copies res into out, reusing out's slice capacity.
-func copyStepResultInto(out, res *StepResult) {
-	out.DeltaR = append(out.DeltaR[:0], res.DeltaR...)
-	out.NewRates = append(out.NewRates[:0], res.NewRates...)
-	out.PredictedUtil = append(out.PredictedUtil[:0], res.PredictedUtil...)
-	out.OutputConstraintsRelaxed = res.OutputConstraintsRelaxed
-	out.SolverIterations = res.SolverIterations
-	out.Outcome = res.Outcome
-}
-
-// holdStep is the bottom rung of the degradation ladder: command Δr = 0,
-// keeping the last-applied rates (clipped to the box so even an
-// out-of-range caller vector cannot escape). The zeroed move memory is
-// reconciled against the achieved move by the anti-windup resync at the
-// next Step, exactly as for an actuator fault, so holding accumulates no
-// windup.
-func (c *Controller) holdStep(u, rates []float64) *StepResult {
-	c.heldSteps++
-	c.lastOutcome = SolveHeld
-	delta := make([]float64, c.m)
-	newRates := make([]float64, c.m)
-	for i := range newRates {
-		nr := rates[i]
-		if !finite(nr) {
-			// Never emit non-finite rates, whatever the caller handed us:
-			// fall back to the most conservative end of the box.
-			nr = c.rmin[i]
-		}
-		nr = math.Max(c.rmin[i], math.Min(c.rmax[i], nr))
-		newRates[i] = nr
-		delta[i] = 0
-	}
-	for i := range c.prevDelta {
-		c.prevDelta[i] = 0
-	}
-	// The remembered active set belongs to a solve that never completed;
-	// clear it so the next period starts from a clean working set.
-	c.lsi.ResetWarmStart()
-	c.prevRelaxed = false
-	return &StepResult{
-		DeltaR:                   delta,
-		NewRates:                 newRates,
-		PredictedUtil:            mat.VecAdd(u, c.f.MulVec(delta)),
-		OutputConstraintsRelaxed: false,
-		SolverIterations:         0,
-		Outcome:                  SolveHeld,
-	}
-}
-
-// stepExplicit attempts the explicit-law fast path: locate the critical
-// region of θ = (u, r(k−1), Δr(k−1)) with a last-region warm start, then
-// resolve the move through the bit-exact interior solve. It requires
-// c.dbuf and c.bFull to hold the current right-hand sides (Step fills
-// them before both paths). ok reports a hit; on a miss the caller falls
-// through to the iterative solver on the same buffers.
-//
-// Only the interior (empty-active-set) region is evaluated here: for it,
-// qp.LSI.SolveInteriorTo reproduces the iterative solver's arithmetic
-// bit-for-bit, so simulation digests are unchanged. Constrained regions
-// carry tolerance-accurate stored gains (Law.EvaluateInto) — sufficient
-// for analysis but not for digest fidelity — so they report a miss and
-// delegate to the ladder (DESIGN.md §10).
-//
-// The returned StepResult and its slices are owned by the controller and
-// reused by the next explicit hit; callers must copy what they keep (the
-// simulator already does).
+// sized returns s resliced to length n, reallocating only when the caller
+// under-provisioned its capacity.
 //
 //eucon:noalloc
-func (c *Controller) stepExplicit(u, rates []float64) (*StepResult, bool) {
-	th := c.theta
-	copy(th[:c.n], u)
-	copy(th[c.n:c.n+c.m], rates)
-	copy(th[c.n+c.m:], c.prevDelta)
-	interior := c.law.InteriorIndex()
-	if c.lastRegion != interior {
-		// Geometric point location, warm-started from the previous region.
-		// When the hint already is the interior region the halfspace scan is
-		// skipped entirely: SolveInteriorTo's feasibility guards are the
-		// exact membership test and strictly subsume the stored halfspaces.
-		idx := c.law.Locate(th, c.lastRegion)
-		if idx >= 0 {
-			c.lastRegion = idx
-		}
-		if idx != interior {
-			return nil, false
-		}
+func sized(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n) //eucon:alloc-ok grows only when the caller under-provisions capacity
 	}
-	iters, ok := c.lsi.SolveInteriorTo(c.expX, c.dbuf, c.aFull, c.bFull)
-	if !ok {
-		// The exact guards disagreed with the geometric hint (boundary
-		// numerics): refresh the hint truthfully, then fall back.
-		c.lastRegion = c.law.Locate(th, c.lastRegion)
-		return nil, false
-	}
-	res := &c.expRes
-	delta, newRates, pred := res.DeltaR, res.NewRates, res.PredictedUtil
-	copy(delta, c.expX[:c.m])
-	if !finiteVec(delta) {
-		return nil, false
-	}
-	for i := range newRates {
-		nr := rates[i] + delta[i]
-		nr = math.Max(c.rmin[i], math.Min(c.rmax[i], nr))
-		newRates[i] = nr
-		delta[i] = nr - rates[i]
-	}
-	copy(c.prevDelta, delta)
-	c.f.MulVecTo(pred, delta)
-	for i := range pred {
-		pred[i] = u[i] + pred[i]
-	}
-	c.prevRelaxed = false
-	c.lastRegion = interior
-	c.lastOutcome = SolveExplicit
-	c.lastExplicit = SolveExplicit
-	c.explicitHits++
-	res.OutputConstraintsRelaxed = false
-	res.SolverIterations = iters
-	res.Outcome = SolveExplicit
-	return res, true
+	return s[:n]
 }
 
 // explicitUtilMax bounds the utilization coordinates of the explicit
@@ -955,9 +785,9 @@ func (c *Controller) CompileExplicit(opts empc.Options) (*empc.Report, error) {
 
 // AttachExplicit installs an offline-compiled explicit law; nil detaches.
 // The law must have been compiled from this controller's
-// BuildExplicitProblem (same dimensions and an interior region). The
-// fast-path buffers are allocated here so Step performs no allocation on
-// explicit hits.
+// BuildExplicitProblem (same dimensions and an interior region).
+// Attaching changes no rate: it turns on the hit/miss bookkeeping of
+// StepTo.
 func (c *Controller) AttachExplicit(law *empc.Law) error {
 	if law == nil {
 		c.law = nil
@@ -974,17 +804,7 @@ func (c *Controller) AttachExplicit(law *empc.Law) error {
 		return errors.New("mpc: explicit law has no interior region")
 	}
 	c.law = law
-	c.lastRegion = law.InteriorIndex()
 	c.lastExplicit = SolveOK
-	if c.theta == nil {
-		c.theta = make([]float64, c.n+2*c.m)
-		c.expX = make([]float64, c.m*c.cfg.ControlHorizon)
-		c.expRes = StepResult{
-			DeltaR:        make([]float64, c.m),
-			NewRates:      make([]float64, c.m),
-			PredictedUtil: make([]float64, c.n),
-		}
-	}
 	return nil
 }
 
@@ -1085,16 +905,15 @@ func (c *Controller) fillLeastSquaresRHS(u, d []float64) {
 }
 
 // buildConstraintMatrix assembles the constant A of A·z ≤ b: cumulative
-// rate box constraints for every move, plus (when withOutput and not
-// disabled) the predicted-utilization constraint rows u(k+i|k) ≤ B for
-// i = 1..P. Only b depends on the measurements; fillConstraintRHS
-// refreshes it per period.
-func (c *Controller) buildConstraintMatrix(withOutput bool) *mat.Dense {
+// rate box constraints for every move, then (unless disabled) the
+// predicted-utilization constraint rows u(k+i|k) ≤ B for i = 1..P. Only b
+// depends on the measurements; fillConstraintRHS refreshes it per period.
+func (c *Controller) buildConstraintMatrix() *mat.Dense {
 	p, mh := c.cfg.PredictionHorizon, c.cfg.ControlHorizon
 	nz := c.m * mh
 	rows := 2 * c.m * mh
 	outputRows := 0
-	if withOutput && !c.cfg.DisableOutputConstraints {
+	if !c.cfg.DisableOutputConstraints {
 		outputRows = c.n * p
 	}
 	a := mat.New(rows+outputRows, nz)
@@ -1130,12 +949,13 @@ func (c *Controller) buildConstraintMatrix(withOutput bool) *mat.Dense {
 	return a
 }
 
-// fillConstraintRHS refreshes b for the current measurements and applied
-// rates. withOutput must match the matrix the b slice belongs to.
+// fillConstraintRHS refreshes bFull (and with it its prefix bBox) for the
+// current measurements and applied rates.
 //
 //eucon:noalloc
-func (c *Controller) fillConstraintRHS(u, rates []float64, withOutput bool, b []float64) {
+func (c *Controller) fillConstraintRHS(u, rates []float64) {
 	p, mh := c.cfg.PredictionHorizon, c.cfg.ControlHorizon
+	b := c.bFull
 	for i := 0; i < mh; i++ {
 		for j := 0; j < c.m; j++ {
 			up := 2 * (i*c.m + j)
@@ -1143,7 +963,7 @@ func (c *Controller) fillConstraintRHS(u, rates []float64, withOutput bool, b []
 			b[up+1] = rates[j] - c.rmin[j]
 		}
 	}
-	if withOutput && !c.cfg.DisableOutputConstraints {
+	if !c.cfg.DisableOutputConstraints {
 		base := 2 * c.m * mh
 		for i := 1; i <= p; i++ {
 			for r := 0; r < c.n; r++ {

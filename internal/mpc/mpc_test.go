@@ -480,69 +480,6 @@ func TestAntiWindupReconcilesStuckActuator(t *testing.T) {
 	}
 }
 
-// TestStepToMatchesStepBitwise drives two identical controllers through
-// the same closed-loop-ish sequence — steady-state interior steps,
-// overload periods that relax constraints, saturating moves, and a NaN
-// measurement — and requires StepTo to reproduce Step bit for bit: same
-// results, same outcomes, same internal counters. The interior fast path
-// must be undetectable from the outputs.
-func TestStepToMatchesStepBitwise(t *testing.T) {
-	cs := simpleController(t, defaultSimpleConfig())
-	ct := simpleController(t, defaultSimpleConfig())
-	out := ct.NewStepResult()
-	rates := []float64{1.0 / 400, 1.0 / 400, 1.0 / 500}
-	ratesTo := append([]float64(nil), rates...)
-	seq := [][]float64{
-		{0.5, 0.6}, {0.7, 0.75}, {0.80, 0.81}, {0.82, 0.825}, // approach: interior
-		{1.3, 1.2}, {1.1, 1.05}, // overload: relaxed / saturated
-		{math.NaN(), 0.5},                                       // poisoned: hold rung
-		{0.6, 0.6}, {0.8, 0.8}, {0.825, 0.826}, {0.8279, 0.828}, // recovery into steady state
-	}
-	sawInterior := false
-	for k, u := range seq {
-		res, err := cs.Step(u, rates)
-		if err != nil {
-			t.Fatalf("period %d: Step: %v", k, err)
-		}
-		if err := ct.StepTo(out, u, ratesTo); err != nil {
-			t.Fatalf("period %d: StepTo: %v", k, err)
-		}
-		if out.Outcome != res.Outcome || out.OutputConstraintsRelaxed != res.OutputConstraintsRelaxed ||
-			out.SolverIterations != res.SolverIterations {
-			t.Fatalf("period %d: StepTo outcome (%v,%v,%d) != Step (%v,%v,%d)", k,
-				out.Outcome, out.OutputConstraintsRelaxed, out.SolverIterations,
-				res.Outcome, res.OutputConstraintsRelaxed, res.SolverIterations)
-		}
-		for i := range res.NewRates {
-			if out.NewRates[i] != res.NewRates[i] || out.DeltaR[i] != res.DeltaR[i] {
-				t.Fatalf("period %d task %d: StepTo rate %v Δ %v, Step rate %v Δ %v (must be bit-identical)",
-					k, i, out.NewRates[i], out.DeltaR[i], res.NewRates[i], res.DeltaR[i])
-			}
-		}
-		for i := range res.PredictedUtil {
-			if math.Float64bits(out.PredictedUtil[i]) != math.Float64bits(res.PredictedUtil[i]) {
-				t.Fatalf("period %d proc %d: predicted util %v vs %v", k, i, out.PredictedUtil[i], res.PredictedUtil[i])
-			}
-		}
-		if out.SolverIterations == 1 && out.Outcome == SolveOK {
-			sawInterior = true
-		}
-		copy(rates, res.NewRates)
-		copy(ratesTo, out.NewRates)
-	}
-	if !sawInterior {
-		t.Error("sequence never exercised the interior fast path; the bit-identity claim went untested")
-	}
-	sb, sr, sh := cs.ContainmentCounts()
-	tb, tr, th := ct.ContainmentCounts()
-	if sb != tb || sr != tr || sh != th {
-		t.Errorf("containment counters diverge: Step (%d,%d,%d) StepTo (%d,%d,%d)", sb, sr, sh, tb, tr, th)
-	}
-	if cs.AntiWindupSyncs() != ct.AntiWindupSyncs() {
-		t.Errorf("anti-windup syncs diverge: %d vs %d", cs.AntiWindupSyncs(), ct.AntiWindupSyncs())
-	}
-}
-
 // TestStepToDimensionErrors: StepTo validates like Step.
 func TestStepToDimensionErrors(t *testing.T) {
 	c := simpleController(t, defaultSimpleConfig())

@@ -1,0 +1,240 @@
+package mpc_test
+
+import (
+	"math"
+	"testing"
+
+	"github.com/rtsyslab/eucon/internal/empc"
+	"github.com/rtsyslab/eucon/internal/experiments"
+	"github.com/rtsyslab/eucon/internal/mpc"
+	"github.com/rtsyslab/eucon/internal/qp"
+	"github.com/rtsyslab/eucon/internal/workload"
+)
+
+// mediumMPC builds the bare MEDIUM controller the way core builds it.
+func mediumMPC(t *testing.T, solver qp.Options) *mpc.Controller {
+	t.Helper()
+	sys := workload.Medium()
+	rmin, rmax := sys.RateBounds()
+	cfg := workload.MediumController()
+	c, err := mpc.New(sys.AllocationMatrix(), sys.DefaultSetPoints(), rmin, rmax, mpc.Config{
+		PredictionHorizon: cfg.PredictionHorizon,
+		ControlHorizon:    cfg.ControlHorizon,
+		TrefOverTs:        cfg.TrefOverTs,
+		Solver:            solver,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStepToMatchesStepBitwise pins that a control step is one path
+// whoever owns the result: a controller stepped through Step (fresh result
+// each period) and its twin stepped through StepTo (one reused result)
+// agree bit for bit, field by field and counter by counter. The inputs are
+// the recorded (u, rates) rows of the MEDIUM dynamic-etf run
+// (Experiment II), then a scripted closed-loop tail of overload,
+// infeasible and NaN measurements in which StepTo is handed its own
+// previous NewRates; an iteration-capped solver and an attached law put
+// every SolveOutcome rung under the comparison.
+func TestStepToMatchesStepBitwise(t *testing.T) {
+	tr, err := experiments.RunMediumDynamic(experiments.KindEUCON, experiments.DefaultPeriods, experiments.DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	scripted := [][]float64{
+		{0.9, 0.7, 0.85, 0.6}, {1.3, 1.2, 0.5, 0.4}, // overload: constraints active
+		{4, 4, 4, 4}, {1.1, 1.05, 1.2, 1.3}, // infeasible even at R_min: output constraints relaxed
+		{nan, 0.5, 0.5, 0.5}, // poisoned: hold rung
+		{0.6, 0.6, 0.9, 0.2}, {0.2, 0.2, 0.2, 0.2}, {0.1, 0.1, 0.9, 0.9},
+		{0.8, 0.8, 0.8, 0.8}, {0.82, 0.825, 0.82, 0.825}, // recovery into the interior
+	}
+	seen := map[mpc.SolveOutcome]int{}
+	for _, tc := range []struct {
+		name   string
+		solver qp.Options
+		law    bool
+	}{
+		{"nominal", qp.Options{}, false},
+		{"law attached", qp.Options{}, true},
+		{"capped at 6 iterations", qp.Options{MaxIter: 6}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh, reused := mediumMPC(t, tc.solver), mediumMPC(t, tc.solver)
+			if tc.law {
+				if _, err := fresh.CompileExplicit(empc.Options{}); err != nil {
+					t.Fatal(err)
+				}
+				if err := reused.AttachExplicit(fresh.ExplicitLaw()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out := reused.NewStepResult()
+			steps := 0
+			// step feeds both controllers u and the recorded rates; nil rates
+			// close the loop instead, and the reused side then passes its own
+			// out.NewRates — the slice StepTo is about to overwrite.
+			var last *mpc.StepResult
+			step := func(u, rates []float64) {
+				t.Helper()
+				aliased := rates
+				if rates == nil {
+					rates, aliased = last.NewRates, out.NewRates
+				}
+				res, err := fresh.Step(u, rates)
+				if err != nil {
+					t.Fatalf("step %d: Step: %v", steps, err)
+				}
+				if err := reused.StepTo(out, u, aliased); err != nil {
+					t.Fatalf("step %d: StepTo: %v", steps, err)
+				}
+				if out.Outcome != res.Outcome || out.OutputConstraintsRelaxed != res.OutputConstraintsRelaxed ||
+					out.SolverIterations != res.SolverIterations {
+					t.Fatalf("step %d: StepTo (%v,%v,%d) != Step (%v,%v,%d)", steps,
+						out.Outcome, out.OutputConstraintsRelaxed, out.SolverIterations,
+						res.Outcome, res.OutputConstraintsRelaxed, res.SolverIterations)
+				}
+				if !sameBits(out.NewRates, res.NewRates) || !sameBits(out.DeltaR, res.DeltaR) ||
+					!sameBits(out.PredictedUtil, res.PredictedUtil) {
+					t.Fatalf("step %d (%v): StepTo %+v != Step %+v", steps, res.Outcome, *out, *res)
+				}
+				if fresh.LastOutcome() != reused.LastOutcome() || fresh.LastExplicitOutcome() != reused.LastExplicitOutcome() {
+					t.Fatalf("step %d: last outcomes diverge", steps)
+				}
+				if tc.law {
+					hit := reused.LastExplicitOutcome() == mpc.SolveExplicit
+					if hit != (out.Outcome == mpc.SolveExplicit) {
+						t.Fatalf("step %d: explicit disposition %v but Outcome %v", steps, reused.LastExplicitOutcome(), out.Outcome)
+					}
+				}
+				seen[res.Outcome]++
+				steps++
+				last = res
+			}
+			for k := range tr.Utilization {
+				step(tr.Utilization[k], tr.Rates[k])
+			}
+			for _, u := range scripted {
+				step(u, nil)
+			}
+			fb, fr, fh := fresh.ContainmentCounts()
+			rb, rr, rh := reused.ContainmentCounts()
+			if fb != rb || fr != rr || fh != rh {
+				t.Errorf("containment counters diverge: Step (%d,%d,%d) StepTo (%d,%d,%d)", fb, fr, fh, rb, rr, rh)
+			}
+			if fresh.AntiWindupSyncs() != reused.AntiWindupSyncs() {
+				t.Errorf("anti-windup syncs diverge: %d vs %d", fresh.AntiWindupSyncs(), reused.AntiWindupSyncs())
+			}
+			hits, misses := reused.ExplicitCounts()
+			if fh, fm := fresh.ExplicitCounts(); fh != hits || fm != misses {
+				t.Errorf("explicit counters diverge: Step (%d,%d) StepTo (%d,%d)", fh, fm, hits, misses)
+			}
+			if tc.law && hits+misses != steps {
+				t.Errorf("law attached: %d hits + %d misses over %d steps", hits, misses, steps)
+			}
+			if !tc.law && hits+misses != 0 {
+				t.Errorf("no law attached: %d hits, %d misses", hits, misses)
+			}
+		})
+	}
+	for _, o := range []mpc.SolveOutcome{mpc.SolveOK, mpc.SolveRelaxed, mpc.SolveBestIterate,
+		mpc.SolveRegularized, mpc.SolveHeld, mpc.SolveExplicit} {
+		if seen[o] == 0 {
+			t.Errorf("no step resolved as %v; that rung went uncompared", o)
+		}
+	}
+	t.Logf("outcomes compared: %v", seen)
+}
+
+// TestInteriorSolveMatchesIterativeBitwise is the comparison every
+// centralized step now rests on: on the controller's own right-hand sides
+// (the recorded MEDIUM dynamic-etf run, then a scripted overload tail),
+// whenever qp.LSI.SolveInteriorTo accepts a problem the iterative
+// LSI.Solve from Δr = 0 returns the same bits, the same iteration count
+// and an empty active set. The iterative side also solves the constrained
+// rows in between, so it reaches interior rows carrying the warm-start set
+// of a constrained solve, as the pre-single-path Step did.
+func TestInteriorSolveMatchesIterativeBitwise(t *testing.T) {
+	tr, err := experiments.RunMediumDynamic(experiments.KindEUCON, experiments.DefaultPeriods, experiments.DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := mediumMPC(t, qp.Options{})
+	cmat, d, a, b := ctrl.NominalProblem()
+	interior, err := qp.NewLSI(cmat, qp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	iterative, err := qp.NewLSI(cmat, qp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := cmat.Cols()
+	x, zero, start := make([]float64, n), make([]float64, n), make([]float64, n)
+	rmin, _ := workload.Medium().RateBounds()
+	out := ctrl.NewStepResult()
+	hits, misses, warmed := 0, 0, 0
+	warm := false // the iterative side's last solve ended with active constraints
+	step := func(k int, u, rates []float64) {
+		t.Helper()
+		if err := ctrl.StepTo(out, u, rates); err != nil { // fills d and b for this period
+			t.Fatalf("row %d: %v", k, err)
+		}
+		iters, ok := interior.SolveInteriorTo(x, d, a, b)
+		if !ok {
+			misses++
+			// Off the interior, start where the controller does (all rates to
+			// R_min) so overloaded rows skip the generic phase-1.
+			clear(start)
+			for j := range rates {
+				start[j] = rmin[j] - rates[j]
+			}
+			res, err := iterative.Solve(d, a, b, start)
+			warm = err == nil && len(res.Active) > 0
+			return
+		}
+		res, err := iterative.Solve(d, a, b, zero)
+		hits++
+		if warm {
+			warmed++
+		}
+		if err != nil {
+			t.Fatalf("row %d: interior solve accepted a problem the iterative solve fails: %v", k, err)
+		}
+		if !sameBits(res.X, x) || res.Iterations != iters || len(res.Active) != 0 {
+			t.Fatalf("row %d: interior (x=%v, %d iterations) != iterative (x=%v, %d iterations, active %v)",
+				k, x, iters, res.X, res.Iterations, res.Active)
+		}
+		if out.SolverIterations != iters || out.Outcome != mpc.SolveOK {
+			t.Fatalf("row %d: controller resolved an interior problem as %v in %d iterations", k, out.Outcome, out.SolverIterations)
+		}
+		warm = false
+	}
+	for k := range tr.Utilization {
+		step(k, tr.Utilization[k], tr.Rates[k])
+	}
+	for i, u := range [][]float64{
+		{1.3, 1.2, 0.5, 0.4}, {0.9, 0.7, 0.85, 0.6}, {0.8, 0.8, 0.8, 0.8},
+		{0.82, 0.825, 0.82, 0.825}, {0.82, 0.825, 0.82, 0.825},
+	} {
+		step(len(tr.Utilization)+i, u, out.NewRates)
+	}
+	t.Logf("%d interior rows compared (%d right after a constrained solve), %d rows off the interior", hits, warmed, misses)
+	if hits == 0 || misses == 0 || warmed == 0 {
+		t.Fatalf("comparison is thin: %d interior rows, %d after a constrained solve, %d off the interior", hits, warmed, misses)
+	}
+}

@@ -38,7 +38,7 @@ type LSI struct {
 	opts  Options
 
 	// Scratch for SolveInteriorTo, sized once at construction so the
-	// explicit-MPC fast path performs zero allocations.
+	// interior solve performs zero allocations.
 	ix, ig, ihg, ip []float64
 }
 
@@ -143,7 +143,7 @@ func (s *LSI) Structured() (banded bool, bandwidth int) {
 // with an empty working set in one unblocked Newton step (plus the
 // confirming stationarity iteration). This is the steady-state case of the
 // EUCON controller — no rate bound or output constraint active — and the
-// critical region the explicit-MPC law (internal/empc) dispatches here.
+// interior critical region of the explicit-MPC law (internal/empc).
 //
 // When it reports ok, x holds bit-for-bit the iterate that
 // Solve(d, a, b, 0) would have returned in Result.X, iters the iteration

@@ -3,8 +3,8 @@ package sim
 // Controller is the unified rate-controller interface: everything the
 // simulator and the experiment harnesses need from a controller, with no
 // per-type wiring. Implementations include the EUCON MPC controller
-// (package core, iterative or explicit), the DEUCON decentralized
-// extension, and the OPEN, PID, and FixedRates baselines.
+// (package core), the DEUCON decentralized extension, and the OPEN, PID,
+// and FixedRates baselines.
 //
 // Optional capabilities are separate interfaces the harnesses probe for:
 // DegradationReporter, ContainmentReporter, and ExplicitReporter.
@@ -14,7 +14,9 @@ type Controller interface {
 	// Step returns the rates for sampling period k+1 given the utilization
 	// vector u(k) measured over period k and the currently applied rates.
 	// Implementations must return a slice of the same length as rates and
-	// must respect each task's rate bounds.
+	// must respect each task's rate bounds. The returned slice may alias
+	// rates or controller memory that the next Step overwrites: callers
+	// copy what they keep, and may pass it back as the next Step's rates.
 	Step(k int, u, rates []float64) ([]float64, error)
 	// Reset restores post-construction state so one controller can be
 	// reused across replications; a Reset controller must drive a run
@@ -25,11 +27,6 @@ type Controller interface {
 	// set-point notion (open-loop baselines).
 	SetPoints() []float64
 }
-
-// RateController is the pre-interface name of Controller.
-//
-// Deprecated: use Controller.
-type RateController = Controller
 
 // DegradationReporter is an optional interface a Controller can
 // implement to expose which graceful-degradation policy fired during its
@@ -57,12 +54,12 @@ type ContainmentReporter interface {
 }
 
 // ExplicitReporter is an optional interface a Controller can implement to
-// expose explicit-MPC fast-path accounting: how many control steps were
-// resolved by the offline-compiled piecewise-affine law versus fell back
-// to the iterative solver.
+// expose explicit-MPC accounting: how many control steps lay in the
+// interior critical region of the offline-compiled piecewise-affine law
+// versus anywhere else.
 type ExplicitReporter interface {
-	// ExplicitCounts reports fast-path hits and fallback misses since
-	// construction or Reset. Both are zero when no explicit law is in use.
+	// ExplicitCounts reports interior hits and misses since construction or
+	// Reset. Both are zero when no explicit law is in use.
 	ExplicitCounts() (hits, misses int)
 }
 

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -77,6 +78,77 @@ func TestResetReproducesFreshTrace(t *testing.T) {
 	}
 	if want.Stats != got.Stats {
 		t.Errorf("reused stats %+v != fresh stats %+v", got.Stats, want.Stats)
+	}
+}
+
+// abortAt is FixedRates until period k, where it ends the run early: by
+// canceling the run's context when cancel is set, otherwise by returning a
+// rate vector of the wrong length.
+type abortAt struct {
+	sim.FixedRates
+	k      int
+	cancel context.CancelFunc
+}
+
+func (c abortAt) Step(k int, u, rates []float64) ([]float64, error) {
+	if k == c.k {
+		if c.cancel == nil {
+			return rates[:1], nil
+		}
+		c.cancel()
+	}
+	return c.FixedRates.Step(k, u, rates)
+}
+
+// TestResetAfterAbortedRun pins that a run ended early — canceled, or
+// failed by its controller — leaks no pooled object: after Reset the
+// pool-conservation audit stays silent and the trace is a fresh
+// simulator's.
+func TestResetAfterAbortedRun(t *testing.T) {
+	cfg := sim.Config{
+		System:         workload.Simple(),
+		SamplingPeriod: workload.SamplingPeriod,
+		Periods:        50,
+		Seed:           1,
+	}
+	fresh, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"canceled", "controller error"} {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			aborted := cfg
+			aborted.Controller = abortAt{k: 10}
+			if name == "canceled" {
+				aborted.Controller = abortAt{k: 10, cancel: cancel}
+			}
+			s, err := sim.New(aborted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.RunContext(ctx); err == nil {
+				t.Fatal("aborted run returned no error")
+			}
+			if err := s.Reset(cfg); err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Stats.GuardPoolFirings != 0 {
+				t.Errorf("GuardPoolFirings = %d after Reset, want 0", got.Stats.GuardPoolFirings)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Error("trace after an aborted run and Reset differs from a fresh simulator's")
+			}
+		})
 	}
 }
 

@@ -44,7 +44,7 @@ type Config struct {
 	Periods int
 	// Controller adjusts task rates at each sampling boundary; nil keeps
 	// the initial rates for the whole run.
-	Controller RateController
+	Controller Controller
 	// ETF is the execution-time factor schedule (zero value: etf = 1).
 	ETF ETFSchedule
 	// Jitter, in [0, 1), draws each job's execution time uniformly from
@@ -173,9 +173,9 @@ type Stats struct {
 	// construction or last Reset.
 	ContainmentBestIterate, ContainmentRegularized, ContainmentHeld int
 	// ExplicitHits and ExplicitMisses mirror the controller's explicit-MPC
-	// fast-path counters as of the end of the run: control steps resolved
-	// by the offline-compiled piecewise-affine law versus fallen back to
-	// the iterative solver. Populated only when the controller implements
+	// counters as of the end of the run: control steps that lay in the
+	// interior critical region of the offline-compiled piecewise-affine
+	// law versus anywhere else. Populated only when the controller implements
 	// ExplicitReporter; both stay zero without an explicit law.
 	ExplicitHits, ExplicitMisses int
 }
@@ -507,10 +507,16 @@ func (s *Simulator) RunContext(ctx context.Context) (*Trace, error) {
 		case evCompletion:
 			s.handleCompletion(e)
 		case evSampling:
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("sim: run canceled: %w", err)
+			err := ctx.Err()
+			if err != nil {
+				err = fmt.Errorf("sim: run canceled: %w", err)
+			} else {
+				err = s.handleSampling()
 			}
-			if err := s.handleSampling(); err != nil {
+			if err != nil {
+				// Reset reclaims what is still queued, not what was popped:
+				// recycle the event or every later pool audit is off by one.
+				s.putEvent(e)
 				return nil, err
 			}
 		}

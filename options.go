@@ -58,10 +58,10 @@ func WithoutOutputConstraints() ControllerOption {
 }
 
 // WithExplicit compiles the controller's parametric QP into an offline
-// piecewise-affine law at construction: control steps whose query lands on
-// the precomputed map skip the iterative QP solve while producing
-// bit-identical rates; steps off the map fall back to the iterative solver
-// (see MPCController.ExplicitCounts and ExplicitReport). maxRegions caps
+// piecewise-affine law at construction: an analysis artefact
+// (MPCController.ExplicitReport) plus run-time bookkeeping — rates, traces
+// and step cost are unchanged, and MPCController.ExplicitCounts reports how
+// many steps lay in the law's interior critical region. maxRegions caps
 // the offline region enumeration; 0 selects the default.
 func WithExplicit(maxRegions int) ControllerOption {
 	return func(c *ControllerConfig) {

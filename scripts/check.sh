@@ -1,7 +1,8 @@
 #!/bin/sh
-# Tier-1 check: gofmt -s, vet, euconlint, build, race-enabled tests,
-# benchmark smoke, the steady-state zero-allocation gates (simulator,
-# explicit MPC, and the localized DEUCON step at 128 processors), the
+# Tier-1 check: gofmt -s, vet, euconlint, build, race-enabled tests (which
+# carry the steady-state zero-allocation gates: TestSteadyStateAllocationFree
+# and internal/sim's TestSteadyStateEventLoopAllocFree),
+# benchmark smoke, the explicit-compile determinism check, the
 # sweep/fault/LARGE-workload digest diffs against scripts/golden/, and the
 # chaos smoke campaigns (25 seeded fault storms on SIMPLE, 6 localized
 # fault storms at 128 processors, and 2 partition scenarios against a real
@@ -36,45 +37,6 @@ go test -race ./...
 
 echo "==> benchmark smoke (1 iteration, -short)"
 go test -short -run '^$' -bench . -benchtime 1x ./...
-
-echo "==> steady-state allocation gate (BenchmarkSimulatorSteadyState)"
-bench_out=$(go test -run '^$' -bench 'BenchmarkSimulatorSteadyState$' -benchmem -benchtime 5x .)
-echo "$bench_out"
-allocs=$(echo "$bench_out" | awk '/BenchmarkSimulatorSteadyState/ {print $(NF-1)}')
-if [ -z "$allocs" ]; then
-	echo "FAIL: BenchmarkSimulatorSteadyState did not run; the allocation gate has no teeth"
-	exit 1
-fi
-if [ "$allocs" != "0" ]; then
-	echo "FAIL: BenchmarkSimulatorSteadyState reports $allocs allocs/op; the steady state must not allocate"
-	exit 1
-fi
-
-echo "==> explicit-MPC allocation gate (BenchmarkControllerStepExplicitMedium)"
-exp_out=$(go test -run '^$' -bench 'BenchmarkControllerStepExplicitMedium$' -benchmem -benchtime 5x .)
-echo "$exp_out"
-exp_allocs=$(echo "$exp_out" | awk '/BenchmarkControllerStepExplicitMedium/ {print $(NF-1)}')
-if [ -z "$exp_allocs" ]; then
-	echo "FAIL: BenchmarkControllerStepExplicitMedium did not run; the explicit-step allocation gate has no teeth"
-	exit 1
-fi
-if [ "$exp_allocs" != "0" ]; then
-	echo "FAIL: BenchmarkControllerStepExplicitMedium reports $exp_allocs allocs/op; the explicit fast path must not allocate"
-	exit 1
-fi
-
-echo "==> localized-DEUCON allocation gate (BenchmarkDeuconLocalStepLarge128)"
-loc_out=$(go test -run '^$' -bench 'BenchmarkDeuconLocalStepLarge128$' -benchmem -benchtime 5x .)
-echo "$loc_out"
-loc_allocs=$(echo "$loc_out" | awk '/BenchmarkDeuconLocalStepLarge128/ {print $(NF-1)}')
-if [ -z "$loc_allocs" ]; then
-	echo "FAIL: BenchmarkDeuconLocalStepLarge128 did not run; the localized-step allocation gate has no teeth"
-	exit 1
-fi
-if [ "$loc_allocs" != "0" ]; then
-	echo "FAIL: BenchmarkDeuconLocalStepLarge128 reports $loc_allocs allocs/op; the localized per-processor step must not allocate in steady state"
-	exit 1
-fi
 
 echo "==> explicit-MPC compile determinism (two compiles, identical digests)"
 exp_rep_a=$(go run ./cmd/euconsim -explicit-report)
