@@ -43,8 +43,8 @@ func listWorkloads(w io.Writer) {
 //     algebra, period after period — must not drift across PRs;
 //   - localized DEUCON must produce bit-identical closed-loop trajectories
 //     at 1, 2, and 8 internal workers. The digest line repeats per worker
-//     count and scripts/check.sh diffs the whole output against
-//     scripts/golden/, so any divergence fails the gate.
+//     count and TestGoldenDigests compares the whole output with
+//     scripts/golden/, so any divergence fails go test ./... .
 //
 // The centralized digest is open-loop (a scripted utilization sequence in
 // the lightly-loaded regime) rather than a full closed-loop simulation:

@@ -43,13 +43,13 @@ func run() int {
 	exp := flag.String("exp", "", "experiment ID to run, or \"all\"")
 	csvDir := flag.String("csv", "", "for trace experiments: also write <id>-utilization.csv, <id>-rates.csv, <id>-missratio.csv into this directory")
 	workers := flag.Int("workers", 0, "worker count for sweep experiments (0 = GOMAXPROCS)")
-	digest := flag.Bool("sweep-digest", false, "print JSON digests of the Figure 4/5 sweep series at 1, 2, and 8 workers, then exit (scripts/check.sh diffs these against scripts/golden/ to prove sweep outputs stay bit-identical across worker counts and PRs)")
+	digest := flag.Bool("sweep-digest", false, "print JSON digests of the Figure 4/5 sweep series at 1, 2, and 8 workers, then exit (TestGoldenDigests compares these with scripts/golden/ to prove sweep outputs stay bit-identical across worker counts and PRs)")
 	faults := flag.String("faults", "", "fault scenario to inject: comma-separated scenario names (see -list-faults), an inline JSON clause array (chaos reproducer format, starts with '['), or @file containing either; runs the canonical 300-period SIMPLE experiment under the scenario and reports robustness and degradation counters")
 	listFaults := flag.Bool("list-faults", false, "list the named fault scenarios")
-	faultDigest := flag.Bool("fault-digest", false, "with -faults: print JSON digests of a faulted SIMPLE sweep at 1, 2, and 8 workers, including robustness metrics, then exit (scripts/check.sh diffs these against scripts/golden/)")
+	faultDigest := flag.Bool("fault-digest", false, "with -faults: print JSON digests of a faulted SIMPLE sweep at 1, 2, and 8 workers, including robustness metrics, then exit (TestGoldenDigests compares these with scripts/golden/)")
 	explicit := flag.Bool("explicit", false, "run EUCON with the offline-compiled explicit MPC law (internal/empc); rates are bit-identical to the iterative solver, so every digest and table is unchanged — the flag exists to prove exactly that")
 	explicitReport := flag.Bool("explicit-report", false, "compile the explicit MPC laws for the SIMPLE and MEDIUM controllers and print one JSON line each with region counts, build digest, and compile wall time, then exit (scripts/check.sh compiles twice and requires equal digests)")
-	workloadName := flag.String("workload", "", "run a named LARGE scaling workload (see -list-workloads) and print JSON trajectory digests: centralized EUCON on the structured solver path plus localized DEUCON at 1, 2, and 8 workers (scripts/check.sh diffs these against scripts/golden/)")
+	workloadName := flag.String("workload", "", "run a named LARGE scaling workload (see -list-workloads) and print JSON trajectory digests: centralized EUCON on the structured solver path plus localized DEUCON at 1, 2, and 8 workers (TestGoldenDigests compares these with scripts/golden/)")
 	listWL := flag.Bool("list-workloads", false, "list the named scaling workloads accepted by -workload")
 	flag.Parse()
 
@@ -206,8 +206,8 @@ func parseFaultsArg(arg string) ([]fault.Spec, error) {
 // hash extends the -sweep-digest format with the per-point robustness metrics
 // (settling time, max overshoot, per-processor time-in-spec), so it pins both
 // the controlled trajectories and the degradation behaviour. The standard
-// -sweep-digest format is untouched. scripts/check.sh diffs the
-// proc2-crash-recover output against scripts/golden/.
+// -sweep-digest format is untouched. TestGoldenDigests compares the
+// proc2-crash-recover output with scripts/golden/.
 func faultDigests(ctx context.Context, w io.Writer, list string, explicit bool) error {
 	specs, err := parseFaultsArg(list)
 	if err != nil {

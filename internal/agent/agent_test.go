@@ -89,6 +89,7 @@ func runFleet(t *testing.T, sys *task.System, ctrl sim.Controller, serverOpts []
 			defer wg.Done()
 			if err := RunAgent(ctx, sys, p, ln.Addr().String(), agentOpts(p)...); err != nil {
 				t.Errorf("agent P%d: %v", p+1, err)
+				cancel() // a fleet that lost an agent cannot finish: fail now, not at the timeout
 			}
 		}()
 	}

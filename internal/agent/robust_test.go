@@ -143,6 +143,7 @@ func TestServerV2DeltaConvergesUnderDupAndReorder(t *testing.T) {
 				WithRetry(lane.RetryPolicy{Attempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}))
 			if err != nil {
 				t.Errorf("agent P%d: %v", p+1, err)
+				cancel() // a dead fleet fails now instead of hanging the server
 			}
 		}()
 	}
@@ -232,6 +233,7 @@ func TestServerToleratesSkewedFreeRunningAgents(t *testing.T) {
 				WithETF(sim.ConstantETF(1)), WithInterval(interval), WithClock(clocks[p]))
 			if err != nil {
 				t.Errorf("agent P%d: %v", p+1, err)
+				cancel() // a dead fleet fails now instead of hanging the server
 			}
 		}()
 	}
@@ -251,4 +253,39 @@ func TestServerToleratesSkewedFreeRunningAgents(t *testing.T) {
 		t.Fatalf("ControllerErrors = %d, want 0", res.ControllerErrors)
 	}
 	t.Logf("skewed fleet: missed=%d stale=%d (phase misalignment absorbed by hold-last)", res.MissedReports, res.StaleSamples)
+}
+
+// reorderWindow reorders every send whose index lies in [from, to] and
+// delivers the rest untouched.
+type reorderWindow struct{ from, to uint64 }
+
+func (reorderWindow) Outcome(uint64) (bool, time.Duration) { return false, 0 }
+
+func (w reorderWindow) FateOf(n uint64) (bool, time.Duration, bool, bool) {
+	return false, 0, false, n >= w.from && n <= w.to
+}
+
+// TestServerLockstepRecoversWhenEveryRatesFrameIsHeld is the lockstep
+// liveness regression. A reordered frame is held until its lane's next
+// send, so when every member's newest rates frame is held at once the
+// agents wait for rates, the server waits for reports, and nobody sends:
+// the fleet used to sit at that period until the agents' I/O timeout killed
+// them and the server idled forever. The period timer now re-sends the
+// current rates, which releases the held frames, and the run completes.
+func TestServerLockstepRecoversWhenEveryRatesFrameIsHeld(t *testing.T) {
+	sys := workload.Simple()
+	const periods = 60
+	res := runFleet(t, sys, simpleController(t, sys),
+		[]Option{WithPeriods(periods), WithTrace(true), WithPeriodTimeout(100 * time.Millisecond),
+			WithTransportFaults(func(int) lane.Plan { return reorderWindow{10, 20} })},
+		func(p int) []Option {
+			return []Option{WithETF(sim.ConstantETF(1)), WithSeed(int64(p + 1)), WithIOTimeout(5 * time.Second)}
+		})
+	if res.Periods != periods || res.LiveAtEnd != sys.Processors || res.ControllerErrors != 0 {
+		t.Fatalf("periods=%d live=%d controller errors=%d, want %d, %d and 0",
+			res.Periods, res.LiveAtEnd, res.ControllerErrors, periods, sys.Processors)
+	}
+	if res.Crashes != 0 || res.Rejoins != 0 {
+		t.Errorf("crashes=%d rejoins=%d: the fleet should ride out held frames without losing a member", res.Crashes, res.Rejoins)
+	}
 }

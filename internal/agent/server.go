@@ -474,8 +474,26 @@ func (s *Server) control(ctx context.Context) (*ServerResult, error) {
 
 		case <-timer.C:
 			// Step with what we have; an empty or idle farm just waits.
-			if live > 0 && (s.opt.interval > 0 || reported > 0) {
+			switch {
+			case live > 0 && (s.opt.interval > 0 || reported > 0):
 				step()
+			case live > 0 && res.Periods > 0:
+				// Lockstep and a whole period timeout without one report: the
+				// members are waiting for the rates of the period just stepped
+				// (every newest frame lost, or held by a reordering transport
+				// until the lane's next send) while this loop waits for them.
+				// Say it again. The frame is absolute state stamped with the
+				// period it actuates, so a member that already has it applies
+				// the same rates and keeps waiting for the next period.
+				k := int(s.period.Load()) - 1
+				for _, mb := range members {
+					if mb == nil {
+						continue
+					}
+					if err := mb.queue.EnqueueRates(k, mb.tasks, rates); err == nil {
+						res.FramesOut++
+					}
+				}
 			}
 			timer.Reset(wait)
 

@@ -85,6 +85,7 @@ func TestServerMembershipCrashAndRejoinWithoutRestart(t *testing.T) {
 		defer wg.Done()
 		if err := RunAgent(ctx, sys, 0, addr, WithETF(sim.ConstantETF(1))); err != nil {
 			t.Errorf("agent P1: %v", err)
+			cancel() // a dead fleet fails now instead of hanging the server
 		}
 	}()
 
@@ -111,6 +112,7 @@ func TestServerMembershipCrashAndRejoinWithoutRestart(t *testing.T) {
 			WithLatencySink(func(int, time.Duration) { once.Do(func() { close(rejoined) }) }))
 		if err != nil {
 			t.Errorf("agent P2 rejoin: %v", err)
+			cancel() // a dead fleet fails now instead of hanging the server
 		}
 	}()
 	select {
@@ -167,6 +169,15 @@ func TestServerCleanLeave(t *testing.T) {
 	mustSend(&lane.Message{Type: lane.TypeUtilizationBatch,
 		Batch: lane.UtilizationBatch{Processor: 0, First: ack.Rates.Period, Samples: []float64{0.5}}})
 	mustSend(&lane.Message{Type: lane.TypeShutdown, Shutdown: lane.Shutdown{Reason: "done"}})
+	// The control loop closes a lane once it has booked the departure, so
+	// reading to the end of the stream (past the period's rates frame) is
+	// the proof that the leave was processed before the server is stopped;
+	// canceling as soon as the period counter moves would race it.
+	for {
+		if _, err := conn.Receive(2 * time.Second); err != nil {
+			break
+		}
+	}
 	_ = conn.Close()
 
 	waitFor(t, func() bool { return srv.Period() >= 1 })
@@ -245,6 +256,7 @@ func TestServerBackpressureSlowReaderNeverBlocksControl(t *testing.T) {
 		defer wg.Done()
 		if err := RunAgent(ctx, sys, 0, addr, WithETF(sim.ConstantETF(1))); err != nil {
 			t.Errorf("agent P1: %v", err)
+			cancel() // a dead fleet fails now instead of hanging the server
 		}
 	}()
 

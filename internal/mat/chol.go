@@ -27,23 +27,25 @@ func FactorCholesky(a *Dense) (*Cholesky, error) {
 		return nil, fmt.Errorf("mat: FactorCholesky requires a square matrix, got %dx%d", a.rows, a.cols)
 	}
 	l := New(n, n)
+	ld, ad := l.data, a.data
 	for j := 0; j < n; j++ {
+		lj := ld[j*n : j*n+j]
 		var d float64
-		for k := 0; k < j; k++ {
-			d += l.At(j, k) * l.At(j, k)
+		for _, v := range lj {
+			d += v * v
 		}
-		d = a.At(j, j) - d
+		d = ad[j*n+j] - d
 		if d <= 0 {
 			return nil, fmt.Errorf("factor Cholesky at column %d: %w", j, ErrNotPositiveDefinite)
 		}
 		ljj := math.Sqrt(d)
-		l.Set(j, j, ljj)
+		ld[j*n+j] = ljj
 		for i := j + 1; i < n; i++ {
 			var s float64
-			for k := 0; k < j; k++ {
-				s += l.At(i, k) * l.At(j, k)
+			for k, v := range ld[i*n : i*n+j] {
+				s += v * lj[k]
 			}
-			l.Set(i, j, (a.At(i, j)-s)/ljj)
+			ld[i*n+j] = (ad[i*n+j] - s) / ljj
 		}
 	}
 	return &Cholesky{l: l, lt: l.T()}, nil

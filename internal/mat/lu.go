@@ -31,11 +31,12 @@ func FactorLU(a *Dense) (*LU, error) {
 	for i := range pivot {
 		pivot[i] = i
 	}
+	d := lu.data
 	for k := 0; k < n; k++ {
 		// Find pivot row.
-		p, max := k, math.Abs(lu.At(k, k))
+		p, max := k, math.Abs(d[k*n+k])
 		for i := k + 1; i < n; i++ {
-			if v := math.Abs(lu.At(i, k)); v > max {
+			if v := math.Abs(d[i*n+k]); v > max {
 				p, max = i, v
 			}
 		}
@@ -47,15 +48,17 @@ func FactorLU(a *Dense) (*LU, error) {
 			pivot[p], pivot[k] = pivot[k], pivot[p]
 			sign = -sign
 		}
-		pkk := lu.At(k, k)
+		rk := d[k*n : (k+1)*n]
+		pkk := rk[k]
 		for i := k + 1; i < n; i++ {
-			m := lu.At(i, k) / pkk
-			lu.Set(i, k, m)
+			ri := d[i*n : (i+1)*n]
+			m := ri[k] / pkk
+			ri[k] = m
 			if IsZero(m) {
 				continue
 			}
 			for j := k + 1; j < n; j++ {
-				lu.Set(i, j, lu.At(i, j)-m*lu.At(k, j))
+				ri[j] = ri[j] - m*rk[j]
 			}
 		}
 	}
@@ -81,25 +84,26 @@ func (f *LU) SolveVec(b []float64) ([]float64, error) {
 	for i := 0; i < n; i++ {
 		x[i] = b[f.pivot[i]]
 	}
+	d := f.lu.data
 	// Forward substitution with unit lower triangle.
 	for i := 1; i < n; i++ {
 		var s float64
-		for j := 0; j < i; j++ {
-			s += f.lu.At(i, j) * x[j]
+		for j, v := range d[i*n : i*n+i] {
+			s += v * x[j]
 		}
 		x[i] -= s
 	}
 	// Back substitution.
 	for i := n - 1; i >= 0; i-- {
+		ri := d[i*n : (i+1)*n]
 		var s float64
 		for j := i + 1; j < n; j++ {
-			s += f.lu.At(i, j) * x[j]
+			s += ri[j] * x[j]
 		}
-		d := f.lu.At(i, i)
-		if math.Abs(d) < 1e-300 {
+		if math.Abs(ri[i]) < 1e-300 {
 			return nil, ErrSingular
 		}
-		x[i] = (x[i] - s) / d
+		x[i] = (x[i] - s) / ri[i]
 	}
 	return x, nil
 }

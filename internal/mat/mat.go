@@ -144,6 +144,18 @@ func (m *Dense) RowView(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
 }
 
+// RowPrefix returns the first k rows of m as a matrix aliasing m's storage:
+// no copy is made, row i of the view is row i of m, and writes through
+// either mutate both. It lets a caller that solves against a leading block
+// of a constraint matrix (mpc's rate box inside its full constraint set)
+// hand out that block under the parent's row numbering.
+func (m *Dense) RowPrefix(k int) *Dense {
+	if k < 0 || k > m.rows {
+		panic(fmt.Sprintf("mat: RowPrefix %d out of bounds for %dx%d matrix", k, m.rows, m.cols))
+	}
+	return &Dense{rows: k, cols: m.cols, data: m.data[: k*m.cols : k*m.cols]}
+}
+
 // Col returns a copy of column j.
 func (m *Dense) Col(j int) []float64 {
 	if j < 0 || j >= m.cols {

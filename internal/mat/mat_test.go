@@ -198,6 +198,34 @@ func TestSlice(t *testing.T) {
 	}
 }
 
+func TestRowPrefixIsAView(t *testing.T) {
+	a := MustFromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
+	v := a.RowPrefix(2)
+	if !v.Equal(a.Slice(0, 2, 0, 3), 0) {
+		t.Fatalf("RowPrefix(2) = %v, want the first two rows of %v", v, a)
+	}
+	if &v.RowView(0)[0] != &a.RowView(0)[0] {
+		t.Fatal("RowPrefix copied the storage; it must alias the parent's")
+	}
+	a.Set(1, 2, -6)
+	if v.At(1, 2) != -6 {
+		t.Fatalf("a write through the parent is not visible in the view: %v", v)
+	}
+	if r, c := a.RowPrefix(0).Dims(); r != 0 || c != 3 {
+		t.Fatalf("RowPrefix(0) is %dx%d, want 0x3", r, c)
+	}
+	for _, k := range []int{-1, 4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RowPrefix(%d) of a 3-row matrix did not panic", k)
+				}
+			}()
+			a.RowPrefix(k)
+		}()
+	}
+}
+
 func TestStackV(t *testing.T) {
 	a := MustFromRows([][]float64{{1, 2}})
 	b := MustFromRows([][]float64{{3, 4}, {5, 6}})

@@ -23,30 +23,35 @@ func FactorQR(a *Dense) (*QR, error) {
 	}
 	qr := a.Clone()
 	rdiag := make([]float64, n)
+	// The factorization walks the backing array directly: column k of row i
+	// is d[i*n+k]. Operation order is the textbook element-wise one, so the
+	// factor is a pure function of the input bits.
+	d := qr.data
+	end := m * n
 	for k := 0; k < n; k++ {
 		var norm float64
-		for i := k; i < m; i++ {
-			norm = math.Hypot(norm, qr.At(i, k))
+		for o := k * n; o < end; o += n {
+			norm = math.Hypot(norm, d[o+k])
 		}
 		if IsZero(norm) {
 			rdiag[k] = 0
 			continue
 		}
-		if qr.At(k, k) < 0 {
+		if d[k*n+k] < 0 {
 			norm = -norm
 		}
-		for i := k; i < m; i++ {
-			qr.Set(i, k, qr.At(i, k)/norm)
+		for o := k * n; o < end; o += n {
+			d[o+k] = d[o+k] / norm
 		}
-		qr.Set(k, k, qr.At(k, k)+1)
+		d[k*n+k] = d[k*n+k] + 1
 		for j := k + 1; j < n; j++ {
 			var s float64
-			for i := k; i < m; i++ {
-				s += qr.At(i, k) * qr.At(i, j)
+			for o := k * n; o < end; o += n {
+				s += d[o+k] * d[o+j]
 			}
-			s = -s / qr.At(k, k)
-			for i := k; i < m; i++ {
-				qr.Set(i, j, qr.At(i, j)+s*qr.At(i, k))
+			s = -s / d[k*n+k]
+			for o := k * n; o < end; o += n {
+				d[o+j] = d[o+j] + s*d[o+k]
 			}
 		}
 		rdiag[k] = -norm
@@ -85,27 +90,29 @@ func (f *QR) SolveLeastSquaresTo(x, scratch, b []float64) error {
 	}
 	y := scratch
 	copy(y, b)
+	qr := f.qr.data
 	// Apply Qᵀ to b by applying each Householder reflector in order.
 	for k := 0; k < n; k++ {
-		vk := f.qr.At(k, k)
+		vk := qr[k*n+k]
 		if IsZero(f.rdiag[k]) || IsZero(vk) {
 			continue
 		}
 		var s float64
 		for i := k; i < m; i++ {
-			s += f.qr.At(i, k) * y[i]
+			s += qr[i*n+k] * y[i]
 		}
 		s = -s / vk
 		for i := k; i < m; i++ {
-			y[i] += s * f.qr.At(i, k)
+			y[i] += s * qr[i*n+k]
 		}
 	}
 	// Back-substitute R·x = y[:n].
 	scale := f.maxRDiag()
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
+		ri := qr[i*n : (i+1)*n]
 		for j := i + 1; j < n; j++ {
-			s -= f.qr.At(i, j) * x[j]
+			s -= ri[j] * x[j]
 		}
 		d := f.rdiag[i]
 		if math.Abs(d) < 1e-13*scale || IsZero(d) {

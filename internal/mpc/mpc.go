@@ -108,7 +108,7 @@ type Controller struct {
 	cmat  *mat.Dense // least-squares stack C; only d changes per period
 	lsi   *qp.LSI    // caches CᵀC + Cholesky, scratch, warm-start set
 	aFull *mat.Dense // rate box + output constraints (output part empty when disabled)
-	aBox  *mat.Dense // rate box only: aFull's leading rows (the relaxation fallback)
+	aBox  *mat.Dense // rate box only: a view of aFull's leading rows (the relaxation fallback)
 
 	// Tikhonov fallback solver: the stack [C; √λ·I] against the rate box,
 	// used when the nominal solve fails numerically (see solveIterative's
@@ -324,7 +324,10 @@ func New(f *mat.Dense, setPoints, rmin, rmax []float64, cfg Config) (*Controller
 	c.lsi = lsi
 	nz := m * cfg.ControlHorizon
 	c.aFull = c.buildConstraintMatrix()
-	c.aBox = c.aFull.Slice(0, 2*nz, 0, nz)
+	// A view, not a copy: the solver keys what it caches per constraint row
+	// on the matrix storage, so both variants share one table under aFull's
+	// row numbers and a relaxed period costs the nominal solve nothing.
+	c.aBox = c.aFull.RowPrefix(2 * nz)
 	c.bFull = make([]float64, c.aFull.Rows())
 	c.bBox = c.bFull[:2*nz]
 	c.z0 = make([]float64, nz)

@@ -1,0 +1,40 @@
+package qp
+
+import "math"
+
+// MaxViolation is the feasibility measure Solve and mpc's start-point
+// selection share.
+var MaxViolation = maxViolation
+
+// SolveStats is what the most recent iterative solve did to its working
+// set (see solveStats).
+type SolveStats struct {
+	WarmOffered, WarmAdmitted, Seeded, Adds, Drops int
+}
+
+// LastSolveStats reports the working-set counters of the receiver's most
+// recent Solve (zero after a solve that never reached the active-set loop).
+func (s *LSI) LastSolveStats() SolveStats {
+	st := s.ws.stats
+	return SolveStats{st.warmOffered, st.warmAdmitted, st.seeded, st.adds, st.drops}
+}
+
+// DropCaches forgets every remembered H⁻¹·aᵢ and Gram entry, so the next
+// solve derives each one again the way a fresh LSI would.
+func (s *LSI) DropCaches() { s.ws.cache = kktCache{} }
+
+// CachedRows reports how many rows of the bound constraint storage have a
+// remembered H⁻¹·aᵢ, and the table's row capacity (0, 0 before the first
+// iterative solve that needed one).
+func (s *LSI) CachedRows() (set, rows int) {
+	c := &s.ws.cache
+	if c.hinv == nil {
+		return 0, 0
+	}
+	for i := 0; i < c.m; i++ {
+		if !math.IsNaN(c.hinv[i*c.n]) {
+			set++
+		}
+	}
+	return set, c.m
+}

@@ -22,8 +22,11 @@ const lsiRegularization = 1e-8
 // H = 2·(CᵀC + εI), its Cholesky factorization, and Cᵀ across solves, and
 // reuses all solver scratch buffers — the MPC controller's steady-state
 // hot path. An LSI additionally warm-starts each solve from the previous
-// solve's active set. It is not safe for concurrent use; independent
-// goroutines must each own an LSI.
+// solve's active set, and its iterative solves share a kktCache: what an
+// active-set iteration derives from H and a constraint row alone is
+// computed the first time that row is in a working set and looked up
+// afterwards. It is not safe for concurrent use; independent goroutines
+// must each own an LSI.
 type LSI struct {
 	c     *mat.Dense // retained to report the true least-squares objective
 	ct    *mat.Dense
@@ -87,6 +90,13 @@ func NewLSI(c *mat.Dense, opts Options) (*LSI, error) {
 // solve). The constraint matrix may differ between calls; the warm-start
 // active set is only reused when it stays meaningful for the caller's
 // constraint ordering.
+//
+// Like C, a constraint matrix is captured by reference and must not be
+// mutated after it has been passed in: the solver remembers H⁻¹·aᵢ and
+// aᵢ·H⁻¹·aⱼ for the rows that have entered a working set, keyed on the
+// matrix storage, and reuses them for as long as the same storage (or a
+// mat.Dense.RowPrefix view of it, under the same row numbers) keeps being
+// passed. Handing in a different matrix drops what was remembered.
 func (s *LSI) Solve(d []float64, a *mat.Dense, b []float64, x0 []float64) (*Result, error) {
 	n := s.c.Cols()
 	if len(d) != s.c.Rows() {

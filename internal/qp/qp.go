@@ -20,9 +20,13 @@
 // (u(k) > B makes Δr = 0 infeasible for the output constraints).
 //
 // Internally each active-set iteration solves the equality-constrained
-// subproblem through the Schur complement Aw·H⁻¹·Awᵀ of the cached H
+// subproblem through the Schur complement S = Aw·H⁻¹·Awᵀ of the cached H
 // factorization, so the per-iteration dense solve is k×k (k = working-set
-// size, at most the variable count) instead of (n+k)×(n+k).
+// size, at most the variable count) instead of (n+k)×(n+k). H and A do not
+// change between iterations — through an LSI, not between solves either —
+// so the columns H⁻¹·aᵢ and the entries aᵢ·H⁻¹·aⱼ are each derived once
+// (kktCache) and an iteration assembles S by lookup: what it still pays for
+// is the LU solve of S and the QR independence test of a candidate row.
 package qp
 
 import (
@@ -140,13 +144,25 @@ type Result struct {
 }
 
 // workspace holds the per-solve scratch buffers so repeated solves through
-// an LSI allocate (almost) nothing. A zero workspace is ready for use;
-// ensure sizes it on demand.
+// an LSI allocate (almost) nothing, and the kktCache that outlives them. A
+// zero workspace is ready for use; ensure sizes it on demand.
 type workspace struct {
 	x, g, hg, p []float64
-	hat         [][]float64 // H⁻¹·a_w for each working constraint
 	working     []int
 	inWorking   []bool
+	cache       kktCache
+	stats       solveStats
+}
+
+// solveStats counts what one solveActiveSet call did to its working set.
+// The counters are diagnostics read through export_test.go; nothing on the
+// solve path depends on them.
+type solveStats struct {
+	warmOffered  int // in-range warm-start rows tried at the start point
+	warmAdmitted int // of those, rows active there and admitted
+	seeded       int // working-set size at entry, admitted warm rows included
+	adds         int // blocking rows added by the line search
+	drops        int // rows dropped: negative multiplier or degenerate KKT system
 }
 
 func (ws *workspace) ensure(n, m int) {
@@ -155,10 +171,6 @@ func (ws *workspace) ensure(n, m int) {
 		ws.g = make([]float64, n)
 		ws.hg = make([]float64, n)
 		ws.p = make([]float64, n)
-		ws.hat = make([][]float64, n)
-		for i := range ws.hat {
-			ws.hat[i] = make([]float64, n)
-		}
 	}
 	ws.x = ws.x[:n]
 	ws.g = ws.g[:n]
@@ -175,6 +187,7 @@ func (ws *workspace) ensure(n, m int) {
 		ws.working = make([]int, 0, n)
 	}
 	ws.working = ws.working[:0]
+	ws.stats = solveStats{}
 }
 
 // Solve minimizes ½xᵀHx + fᵀx subject to a·x ≤ b, starting from the
@@ -213,6 +226,8 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 	opts = opts.withDefaults(n, m)
 
 	ws.ensure(n, m)
+	ws.cache.bind(a)
+	st := &ws.stats
 	x := ws.x
 	copy(x, x0)
 	if v := maxViolation(a, b, x); v > 1e-6 {
@@ -225,25 +240,29 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 	// optimal working set.
 	working := ws.working
 	inWorking := ws.inWorking
-	seed := func(i int) {
+	seed := func(i int) bool {
 		if len(working) >= n || inWorking[i] {
-			return
+			return false
 		}
-		if math.Abs(mat.Dot(a.RowView(i), x)-b[i]) <= opts.Tol {
-			if addIfIndependent(a, working, i) {
-				working = append(working, i)
-				inWorking[i] = true
-			}
+		if math.Abs(mat.Dot(a.RowView(i), x)-b[i]) <= opts.Tol && addIfIndependent(a, working, i) {
+			working = append(working, i)
+			inWorking[i] = true
+			return true
 		}
+		return false
 	}
 	for _, i := range opts.WarmStart {
 		if i >= 0 && i < m {
-			seed(i)
+			st.warmOffered++
+			if seed(i) {
+				st.warmAdmitted++
+			}
 		}
 	}
 	for i := 0; i < m; i++ {
 		seed(i)
 	}
+	st.seeded = len(working)
 
 	iter := 0
 	stationarity := math.Inf(1) // scaled norm of the most recent KKT step
@@ -262,6 +281,7 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 			last := working[len(working)-1]
 			working = working[:len(working)-1]
 			inWorking[last] = false
+			st.drops++
 			continue
 		}
 		scale := 1 + mat.NormInf(x)
@@ -281,6 +301,7 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 			dropped := working[minIdx]
 			working = append(working[:minIdx], working[minIdx+1:]...)
 			inWorking[dropped] = false
+			st.drops++
 			continue
 		}
 		// Line search to the nearest blocking constraint.
@@ -309,6 +330,7 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 			if addIfIndependent(a, working, blocking) {
 				working = append(working, blocking)
 				inWorking[blocking] = true
+				st.adds++
 			} else if mat.IsZero(alpha) {
 				// Degenerate zero step onto a dependent constraint: give the
 				// multiplier check a chance by treating it as stationary next
@@ -363,7 +385,9 @@ func addIfIndependent(a *mat.Dense, working []int, idx int) bool {
 //
 // returning the step p and the Lagrange multipliers of the working
 // constraints. It uses the cached Cholesky factorization of H and the
-// Schur complement S = Aw·H⁻¹·Awᵀ, so the only dense solve is k×k.
+// Schur complement S = Aw·H⁻¹·Awᵀ, so the only dense solve is k×k; the
+// H⁻¹·a_w columns and the entries of S are constants of (H, A) and come
+// from ws.cache, which derives each one once.
 // Both returned slices alias workspace storage valid until the next call.
 func solveKKT(hchol *mat.SPDFactor, a *mat.Dense, working []int, g []float64, ws *workspace) (p, lambda []float64, err error) {
 	hg := ws.hg
@@ -378,30 +402,27 @@ func solveKKT(hchol *mat.SPDFactor, a *mat.Dense, working []int, g []float64, ws
 		}
 		return p, nil, nil
 	}
-	for wi, w := range working {
-		if err := hchol.SolveVecTo(ws.hat[wi], a.RowView(w)); err != nil {
-			return nil, nil, fmt.Errorf("solve KKT system: %w", err)
-		}
+	cache := &ws.cache
+	if err := cache.solveRows(hchol, a, working); err != nil {
+		return nil, nil, fmt.Errorf("solve KKT system: %w", err)
 	}
 	// S·λ = −Aw·H⁻¹·g with S[i][j] = a_i·H⁻¹·a_j.
 	s := mat.New(k, k)
 	rhs := make([]float64, k)
 	for i, w := range working {
-		ai := a.RowView(w)
-		for j := 0; j < k; j++ {
-			s.Set(i, j, mat.Dot(ai, ws.hat[j]))
-		}
-		rhs[i] = -mat.Dot(ai, hg)
+		cache.gramRow(s.RowView(i), a, w, working)
+		rhs[i] = -mat.Dot(a.RowView(w), hg)
 	}
 	lambda, err = mat.SolveVec(s, rhs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("solve KKT system: %w", err)
 	}
 	// p = −H⁻¹·g − Σ λ_j·H⁻¹·a_j.
+	hinv, n := cache.hinv, len(p)
 	for i := range p {
 		v := -hg[i]
-		for j := 0; j < k; j++ {
-			v -= lambda[j] * ws.hat[j][i]
+		for j, w := range working {
+			v -= lambda[j] * hinv[w*n+i]
 		}
 		p[i] = v
 	}

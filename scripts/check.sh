@@ -3,7 +3,8 @@
 # carry the steady-state zero-allocation gates: TestSteadyStateAllocationFree
 # and internal/sim's TestSteadyStateEventLoopAllocFree),
 # benchmark smoke, the explicit-compile determinism check, the
-# sweep/fault/LARGE-workload digest diffs against scripts/golden/, and the
+# sweep/fault/LARGE-workload golden digests (cmd/euconsim's TestGoldenDigests,
+# the same test go test ./... runs, against scripts/golden/), and the
 # chaos smoke campaigns (25 seeded fault storms on SIMPLE, 6 localized
 # fault storms at 128 processors, and 2 partition scenarios against a real
 # 8-agent TCP fleet, every robustness invariant enforced), and the
@@ -51,37 +52,8 @@ if [ -z "$digests_a" ] || [ "$digests_a" != "$digests_b" ]; then
 fi
 echo "$exp_rep_a"
 
-echo "==> fault scenario digest vs scripts/golden/ (proc2-crash-recover)"
-scratch=$(mktemp)
-trap 'rm -f "$scratch"' EXIT
-go run ./cmd/euconsim -faults proc2-crash-recover -fault-digest > "$scratch"
-if ! diff -u scripts/golden/fault-proc2-crash-recover.digest "$scratch"; then
-	echo "FAIL: faulted sweep digest moved; fault injection or degradation behaviour changed."
-	echo "If intentional, regenerate with:"
-	echo "  go run ./cmd/euconsim -faults proc2-crash-recover -fault-digest > scripts/golden/fault-proc2-crash-recover.digest"
-	exit 1
-fi
-
-echo "==> fig4/fig5 sweep digests vs scripts/golden/ (structured solver must not move the science)"
-go run ./cmd/euconsim -sweep-digest > "$scratch"
-if ! diff -u scripts/golden/sweep-fig4-fig5.digest "$scratch"; then
-	echo "FAIL: fig4/fig5 sweep digests moved; the dense and structured solver paths diverged"
-	echo "or a controller change altered the reproduced results."
-	echo "If intentional, regenerate with:"
-	echo "  go run ./cmd/euconsim -sweep-digest > scripts/golden/sweep-fig4-fig5.digest"
-	exit 1
-fi
-
-echo "==> LARGE-128 workload digests vs scripts/golden/ (localized DEUCON, workers 1/2/8)"
-go run ./cmd/euconsim -workload large128 > "$scratch"
-if ! diff -u scripts/golden/workload-large128.digest "$scratch"; then
-	echo "FAIL: LARGE-128 digests moved; the structured solver, the localized controller,"
-	echo "or the parallel merge changed behaviour (digests must match at every worker count)."
-	echo "If intentional, regenerate with:"
-	echo "  go run ./cmd/euconsim -workload large128 > scripts/golden/workload-large128.digest"
-	echo "  go run ./cmd/euconsim -workload large1024 > scripts/golden/workload-large1024.digest"
-	exit 1
-fi
+echo "==> golden digests vs scripts/golden/ (fig4/fig5 sweeps, proc2-crash-recover, LARGE-128, LARGE-1024)"
+go test ./cmd/euconsim -run TestGoldenDigests
 
 echo "==> chaos smoke (make chaos-smoke: 25 seeded fault storms + 6 localized storms at 128 procs)"
 go run ./cmd/euconfuzz -seed 1 -n 25
