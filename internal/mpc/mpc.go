@@ -128,7 +128,7 @@ type Controller struct {
 	dregBuf     []float64 // d extended with the Tikhonov zero targets
 	dbuf        []float64 // d: the leading part of dregBuf
 	bFull, bBox []float64 // bBox is bFull's rate-box prefix, so one fill serves both
-	z0          []float64 // interior solution, then the iterative solve's starting point
+	z0          []float64 // the step's stacked solution; the iterative solve's starting point while it runs
 	prevRelaxed bool      // which constraint variant the warm-start set refers to
 
 	// Explicit-MPC state. The law is the offline-compiled piecewise-affine
@@ -501,6 +501,7 @@ func (c *Controller) StepTo(out *StepResult, u, rates []float64) error {
 			c.prevRelaxed = false
 		} else {
 			x, iters, outcome, relaxed = c.solveIterative(u, rates) //eucon:alloc-ok off the interior the active-set solve and its ladder allocate
+			copy(c.z0, x)
 		}
 	}
 	if c.law != nil {

@@ -6,6 +6,7 @@ import (
 
 	"github.com/rtsyslab/eucon/internal/empc"
 	"github.com/rtsyslab/eucon/internal/experiments"
+	"github.com/rtsyslab/eucon/internal/mat"
 	"github.com/rtsyslab/eucon/internal/mpc"
 	"github.com/rtsyslab/eucon/internal/qp"
 	"github.com/rtsyslab/eucon/internal/workload"
@@ -236,5 +237,115 @@ func TestInteriorSolveMatchesIterativeBitwise(t *testing.T) {
 	t.Logf("%d interior rows compared (%d right after a constrained solve), %d rows off the interior", hits, warmed, misses)
 	if hits == 0 || misses == 0 || warmed == 0 {
 		t.Fatalf("comparison is thin: %d interior rows, %d after a constrained solve, %d off the interior", hits, warmed, misses)
+	}
+}
+
+// lsiForm rebuilds the quadratic form qp.LSI solves for the stack C,
+// operation for operation: H = 2·(CᵀC + εI) with ε = 1e-8·max(1, ‖2CᵀC‖max)
+// on the diagonal, and f = −2·Cᵀd.
+func lsiForm(cmat *mat.Dense) (h *mat.Dense, f func(d []float64) []float64) {
+	ct := cmat.T()
+	h = ct.Mul(cmat).Scale(2)
+	scale := math.Max(1, h.MaxAbs())
+	for i := 0; i < h.Rows(); i++ {
+		h.Set(i, i, h.At(i, i)+1e-8*scale)
+	}
+	fv := make([]float64, cmat.Cols())
+	return h, func(d []float64) []float64 {
+		ct.MulVecTo(fv, d)
+		for i := range fv {
+			fv[i] *= -2
+		}
+		return fv
+	}
+}
+
+// scaledCertificate is qp.Certify with each residual divided by the size
+// of the terms it is made of: stationarity and dual feasibility by
+// ‖H‖max·(1 + ‖x‖∞), primal feasibility by 1 + ‖b‖∞, complementarity by
+// both. worst is the largest of the four.
+func scaledCertificate(h *mat.Dense, f []float64, a *mat.Dense, b, x, lambda []float64) (c qp.Certificate, worst float64) {
+	c = qp.Certify(h, f, a, b, x, lambda)
+	hs, bs := h.MaxAbs()*(1+mat.NormInf(x)), 1+mat.NormInf(b)
+	c.Primal /= bs
+	c.Dual /= hs
+	c.Complementarity /= hs * bs
+	c.Stationarity /= hs
+	return c, math.Max(math.Max(c.Primal, c.Dual), math.Max(c.Complementarity, c.Stationarity))
+}
+
+// TestRecordedStepsCertify runs the KKT certificate on every step of the
+// recorded MEDIUM dynamic-etf run (Experiment II), on the controller's own
+// stacked solution and multipliers: an interior step certifies with λ = 0,
+// an iterative one with the nominal solver's multipliers against the
+// constraint variant it solved. Converged steps must certify to 1e-8
+// (scaled); with the solver capped at 6 iterations the best-iterate steps
+// report their residuals and are not asserted.
+func TestRecordedStepsCertify(t *testing.T) {
+	tr, err := experiments.RunMediumDynamic(experiments.KindEUCON, experiments.DefaultPeriods, experiments.DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		solver qp.Options
+	}{
+		{"nominal", qp.Options{}},
+		{"capped at 6 iterations", qp.Options{MaxIter: 6}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctrl := mediumMPC(t, tc.solver)
+			cmat, d, a, b := ctrl.NominalProblem()
+			h, lsiF := lsiForm(cmat)
+			// probe tells interior steps apart: SolveInteriorTo is a pure
+			// function of the right-hand sides.
+			probe, err := qp.NewLSI(cmat, tc.solver)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nz := cmat.Cols()
+			aBox := a.RowPrefix(2 * nz)
+			xi, zero := make([]float64, nz), make([]float64, a.Rows())
+			out := ctrl.NewStepResult()
+			var worst, worstCapped float64
+			seen := map[string]int{}
+			for k := range tr.Utilization {
+				if err := ctrl.StepTo(out, tr.Utilization[k], tr.Rates[k]); err != nil {
+					t.Fatal(err)
+				}
+				_, interior := probe.SolveInteriorTo(xi, d, a, b)
+				x, lambda := ctrl.LastSolution()
+				ak, bk := a, b
+				switch {
+				case interior:
+					lambda = zero
+					seen["interior"]++
+				case out.Outcome == mpc.SolveOK || out.Outcome == mpc.SolveRelaxed || out.Outcome == mpc.SolveBestIterate:
+					if out.OutputConstraintsRelaxed {
+						ak, bk = aBox, b[:2*nz]
+					}
+					seen[out.Outcome.String()]++
+				default: // another solver's problem, or no solve at all
+					seen[out.Outcome.String()]++
+					continue
+				}
+				if len(lambda) != ak.Rows() {
+					t.Fatalf("step %d: %d multipliers for %d constraint rows", k, len(lambda), ak.Rows())
+				}
+				c, w := scaledCertificate(h, lsiF(d), ak, bk, x, lambda)
+				if out.Outcome == mpc.SolveBestIterate {
+					worstCapped = math.Max(worstCapped, w)
+					continue
+				}
+				if !(w <= 1e-8) {
+					t.Fatalf("step %d (%v, %d iterations): scaled certificate %+v exceeds 1e-8", k, out.Outcome, out.SolverIterations, c)
+				}
+				worst = math.Max(worst, w)
+			}
+			t.Logf("steps by kind %v; worst scaled residual %.3g converged, %.3g iteration-capped", seen, worst, worstCapped)
+			if iterative := seen[mpc.SolveOK.String()] + seen[mpc.SolveRelaxed.String()] + seen[mpc.SolveBestIterate.String()]; seen["interior"] == 0 || iterative == 0 {
+				t.Fatalf("comparison is thin: %v", seen)
+			}
+		})
 	}
 }

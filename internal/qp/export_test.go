@@ -1,6 +1,10 @@
 package qp
 
-import "math"
+import (
+	"math"
+
+	"github.com/rtsyslab/eucon/internal/mat"
+)
 
 // MaxViolation is the feasibility measure Solve and mpc's start-point
 // selection share.
@@ -38,3 +42,7 @@ func (s *LSI) CachedRows() (set, rows int) {
 	}
 	return set, c.m
 }
+
+// QP returns the receiver's quadratic form: H = 2·(CᵀC + εI) and f = −2·Cᵀd
+// for the d of the most recent Solve or SolveInteriorTo.
+func (s *LSI) QP() (h *mat.Dense, f []float64) { return s.h, s.f }

@@ -77,6 +77,7 @@ func NewLSI(c *mat.Dense, opts Options) (*LSI, error) {
 		f:     make([]float64, n),
 		start: make([]float64, n),
 		resid: make([]float64, c.Rows()),
+		ws:    workspace{keepLambda: true},
 		opts:  opts,
 		ix:    make([]float64, n),
 		ig:    make([]float64, n),
@@ -135,6 +136,17 @@ func (s *LSI) Solve(d []float64, a *mat.Dense, b []float64, x0 []float64) (*Resu
 	res.Objective = obj
 	return res, nil
 }
+
+// Multipliers returns the Lagrange multipliers of the most recent Solve's
+// last KKT solve, one per row of the constraint matrix that Solve was
+// handed and zero off its working set, in Certify's sign convention
+// (H·x + f + Aᵀλ = 0 at a converged solution). The slice aliases the
+// receiver's storage and is overwritten by the next Solve. SolveInteriorTo
+// leaves it alone: its solution has no active constraint, so its
+// multipliers are zero.
+//
+//eucon:noalloc
+func (s *LSI) Multipliers() []float64 { return s.ws.lambda }
 
 // ResetWarmStart drops the remembered active set (e.g. when the caller
 // switches to a constraint system with different row meaning).

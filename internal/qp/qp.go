@@ -27,6 +27,10 @@
 // so the columns H⁻¹·aᵢ and the entries aᵢ·H⁻¹·aⱼ are each derived once
 // (kktCache) and an iteration assembles S by lookup: what it still pays for
 // is the LU solve of S and the QR independence test of a candidate row.
+//
+// Certify checks a solution independently of how it was found: with the
+// multipliers an LSI keeps (LSI.Multipliers), four KKT residuals that all
+// vanish at the optimum and nowhere else.
 package qp
 
 import (
@@ -152,6 +156,13 @@ type workspace struct {
 	inWorking   []bool
 	cache       kktCache
 	stats       solveStats
+
+	// lambda holds the multipliers of the last KKT solve scattered by
+	// constraint row (zero off the working set). Only an LSI keeps them
+	// (keepLambda): its buffer is sized once, while a one-shot Solve would
+	// allocate it per call.
+	lambda     []float64
+	keepLambda bool
 }
 
 // solveStats counts what one solveActiveSet call did to its working set.
@@ -188,6 +199,13 @@ func (ws *workspace) ensure(n, m int) {
 	}
 	ws.working = ws.working[:0]
 	ws.stats = solveStats{}
+	if ws.keepLambda {
+		if cap(ws.lambda) < m {
+			ws.lambda = make([]float64, m)
+		}
+		ws.lambda = ws.lambda[:m]
+		clear(ws.lambda)
+	}
 }
 
 // Solve minimizes ½xᵀHx + fᵀx subject to a·x ≤ b, starting from the
@@ -283,6 +301,12 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 			inWorking[last] = false
 			st.drops++
 			continue
+		}
+		if ws.keepLambda {
+			clear(ws.lambda)
+			for wi, w := range working {
+				ws.lambda[w] = lambda[wi]
+			}
 		}
 		scale := 1 + mat.NormInf(x)
 		stationarity = mat.NormInf(p) / scale

@@ -474,13 +474,8 @@ func (s *Simulator) RunContext(ctx context.Context) (*Trace, error) {
 	for i := range s.sys.Tasks {
 		s.scheduleFirstRelease(i, 0)
 	}
-	// Sampling boundaries at k·Ts.
-	for k := 1; k <= s.cfg.Periods; k++ {
-		e := s.newEvent()
-		e.at = float64(k) * s.cfg.SamplingPeriod
-		e.kind = evSampling
-		s.push(e)
-	}
+	// Sampling boundary 1 at Ts; each handled boundary queues the next.
+	s.scheduleSampling(1)
 
 	end := float64(s.cfg.Periods) * s.cfg.SamplingPeriod
 	for s.events.len() > 0 {
@@ -519,6 +514,10 @@ func (s *Simulator) RunContext(ctx context.Context) (*Trace, error) {
 				s.putEvent(e)
 				return nil, err
 			}
+			// handleSampling appended boundary k's trace row.
+			if k := len(s.trace.Utilization); k < s.cfg.Periods {
+				s.scheduleSampling(k + 1)
+			}
 		}
 		// Handlers take ownership of e.job; the event itself is done.
 		s.putEvent(e)
@@ -540,6 +539,21 @@ func (s *Simulator) push(e *event) *event {
 	e.seq = s.seq
 	s.events.push(e)
 	return e
+}
+
+// scheduleSampling queues sampling boundary k at k·Ts. Only the next
+// boundary is ever queued — the run loop queues k+1 once k is handled — so
+// the heap holds one sampling event instead of one per remaining period.
+// Queuing late cannot move a boundary in the pop order: boundaries never
+// share a time, and one that ties with a release or completion is ordered
+// by kind, so the seq it gets when queued never decides an order.
+//
+//eucon:noalloc
+func (s *Simulator) scheduleSampling(k int) {
+	e := s.newEvent()
+	e.at = float64(k) * s.cfg.SamplingPeriod
+	e.kind = evSampling
+	s.push(e)
 }
 
 // period returns task i's current period 1/r_i.
