@@ -44,12 +44,12 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 ## chaos-smoke: the CI chaos gate — 25 seeded fault-storm scenarios against
-## the canonical SIMPLE campaign, plus 6 crash/feedback-drop scenarios
-## against localized DEUCON on LARGE-128 (each run at 1 and 8 workers and
-## required bit-identical). Fails on any violation.
+## the canonical SIMPLE campaign, 6 crash/feedback-drop scenarios against
+## localized DEUCON on LARGE-128 (each run at 1 and 8 workers and required
+## bit-identical), and 2 partition scenarios against a real 8-agent TCP
+## fleet. Fails on any violation; `make test` runs the same test.
 chaos-smoke:
-	$(GO) run ./cmd/euconfuzz -seed 1 -n 25
-	$(GO) run ./cmd/euconfuzz -campaign large128 -seed 1 -n 6 -periods 100
+	$(GO) test -count=1 -run TestCampaignSmokeClean ./internal/chaos
 
 ## chaos: a deeper campaign for local soak testing (hundreds of scenarios,
 ## wider clause compositions).

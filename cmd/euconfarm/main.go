@@ -1,9 +1,8 @@
 // Command euconfarm is the scale harness for the distributed runtime: it
-// launches one controller Server and a fleet of in-process node agents
-// (1000+ by default) over loopback TCP, drives the feedback loop for a
-// fixed number of sampling periods while injecting agent crashes and
-// rejoins, and reports end-to-end sampling-period latency (p50/p99) and
-// frame throughput.
+// runs an agent.Fleet — one controller Server and a fleet of in-process
+// node agents (1000+ by default) over loopback TCP — for a fixed number of
+// sampling periods while injecting agent crashes and rejoins, and reports
+// end-to-end sampling-period latency (p50/p99) and frame throughput.
 //
 // The workload is the deterministic LARGE family (one processor per
 // agent, banded coupling), the controller is localized DEUCON — the
@@ -37,10 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"net"
 	"os"
-	"sort"
-	"sync"
 	"time"
 
 	"github.com/rtsyslab/eucon/internal/agent"
@@ -53,37 +49,33 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	agents := flag.Int("agents", 1000, "number of node agents (one processor each)")
-	periods := flag.Int("periods", 200, "sampling periods to run")
-	crashes := flag.Int("crashes", 8, "agent crash/rejoin cycles to inject across the run")
-	queue := flag.Int("queue", lane.DefaultQueueDepth, "per-peer send-queue depth (frames)")
-	codecName := flag.String("codec", "binary", "wire codec: binary, binary2 (delta-compacted rates), or json")
-	ctrlName := flag.String("controller", "deucon", "controller: deucon (localized, scales) or eucon (centralized MPC)")
-	periodTimeout := flag.Duration("period-timeout", 10*time.Second, "server step deadline per period")
-	interval := flag.Duration("interval", 0, "free-running sampling period pace (0 = lockstep, as fast as the lanes allow)")
-	faultSpec := flag.String("transport-faults", "", "per-lane transport fault plan, e.g. drop=0.05,delayprob=0.5,delay=20ms,dup=0.01,reorder=0.01,seed=7 (reseeded per agent and direction)")
-	skew := flag.Float64("skew", 0, "per-agent clock drift amplitude (free-running only): agent p drifts by a deterministic rate in ±skew")
-	partitions := flag.Int("partitions", 0, "partition/heal cycles: each isolates a 1/16 slice of the fleet for ~5 periods, then heals it")
-	smoke := flag.Bool("smoke", false, "CI smoke: 64 agents, 50 periods, 2 crash cycles")
-	jsonOut := flag.Bool("json", false, "emit one JSON result line")
-	flag.Parse()
+func run(args []string) int {
+	fs := flag.NewFlagSet("euconfarm", flag.ContinueOnError)
+	agents := fs.Int("agents", 1000, "number of node agents (one processor each)")
+	periods := fs.Int("periods", 200, "sampling periods to run")
+	crashes := fs.Int("crashes", 8, "agent crash/rejoin cycles to inject across the run")
+	queue := fs.Int("queue", lane.DefaultQueueDepth, "per-peer send-queue depth (frames)")
+	codecName := fs.String("codec", "binary", "wire codec: binary, binary2 (delta-compacted rates), or json")
+	ctrlName := fs.String("controller", "deucon", "controller: deucon (localized, scales) or eucon (centralized MPC)")
+	periodTimeout := fs.Duration("period-timeout", 10*time.Second, "server step deadline per period")
+	interval := fs.Duration("interval", 0, "free-running sampling period pace (0 = lockstep, as fast as the lanes allow)")
+	faultSpec := fs.String("transport-faults", "", "per-lane transport fault plan, e.g. drop=0.05,delayprob=0.5,delay=20ms,dup=0.01,reorder=0.01,seed=7 (reseeded per agent and direction)")
+	skew := fs.Float64("skew", 0, "per-agent clock drift amplitude (free-running only): agent p drifts by a deterministic rate in ±skew")
+	partitions := fs.Int("partitions", 0, "partition/heal cycles: each isolates a 1/16 slice of the fleet for ~5 periods, then heals it")
+	smoke := fs.Bool("smoke", false, "CI smoke: 64 agents, 50 periods, 2 crash cycles")
+	jsonOut := fs.Bool("json", false, "emit one JSON result line")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *smoke {
 		*agents, *periods, *crashes = 64, 50, 2
 	}
-	var codec lane.Codec
-	switch *codecName {
-	case "binary":
-		codec = lane.Binary
-	case "binary2":
-		codec = lane.BinaryV2
-	case "json":
-		codec = lane.JSONv0
-	default:
+	codec, ok := map[string]lane.Codec{"binary": lane.Binary, "binary2": lane.BinaryV2, "json": lane.JSONv0}[*codecName]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "euconfarm: unknown codec %q\n", *codecName)
 		return 2
 	}
@@ -113,171 +105,56 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "euconfarm: %v\n", err)
 		return 1
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "euconfarm: %v\n", err)
-		return 1
-	}
-	srvOpts := []agent.Option{
-		agent.WithPeriods(*periods),
-		agent.WithCodec(codec),
-		agent.WithSendQueue(*queue),
-		agent.WithPeriodTimeout(*periodTimeout),
-		agent.WithInterval(*interval),
-		// Tracing is what the re-convergence assertion reads; only pay for
-		// it on degraded runs.
-		agent.WithTrace(lossy),
+	fleet := &agent.Fleet{
+		Sys:  sys,
+		Ctrl: ctrl,
+		Server: []agent.Option{
+			agent.WithPeriods(*periods),
+			agent.WithCodec(codec),
+			agent.WithSendQueue(*queue),
+			agent.WithPeriodTimeout(*periodTimeout),
+			agent.WithInterval(*interval),
+			// Tracing is what the re-convergence assertion reads; only pay for
+			// it on degraded runs.
+			agent.WithTrace(lossy),
+		},
+		Agent: func(p int) []agent.Option {
+			opts := []agent.Option{
+				agent.WithETF(sim.ConstantETF(1)),
+				agent.WithSamplingPeriod(workload.SamplingPeriod),
+				agent.WithSeed(int64(p) + 1),
+				agent.WithCodec(codec),
+				agent.WithSendQueue(*queue),
+				agent.WithInterval(*interval),
+				agent.WithNodeName(fmt.Sprintf("farm-P%d", p+1)),
+			}
+			if *skew != 0 { //eucon:float-exact flag sentinel: exactly zero means no skew injection
+				opts = append(opts, agent.WithClock(agent.NewSkewedClock(0, driftOf(p, *skew))))
+			}
+			return opts
+		},
+		Outages: outages(*agents, *periods, *crashes, *partitions),
 	}
 	if !plan.Zero() {
 		// Each direction of each agent's lane draws a decorrelated loss
 		// pattern from the one template (odd salts outbound, even inbound).
-		srvOpts = append(srvOpts, agent.WithTransportFaults(func(p int) lane.Plan {
+		fleet.Faults = func(p int, inbound bool, _ func() int) lane.Plan {
+			if inbound {
+				return plan.Reseed(int64(2 * p))
+			}
 			return plan.Reseed(int64(2*p + 1))
-		}))
+		}
 	}
-	srv, err := agent.NewServer(sys, ctrl, ln, srvOpts...)
+
+	start := time.Now() //eucon:wallclock-ok harness wall-time measurement, never feeds control output
+	res, err := fleet.Run(context.Background())
+	elapsed := time.Since(start) //eucon:wallclock-ok harness wall-time measurement, never feeds control output
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "euconfarm: %v\n", err)
 		return 1
 	}
-	addr := ln.Addr().String()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	type outcome struct {
-		res *agent.ServerResult
-		err error
-	}
-	done := make(chan outcome, 1)
-	start := time.Now() //eucon:wallclock-ok harness wall-time measurement, never feeds control output
-	go func() {         //eucon:goroutine-ok joined by the main goroutine's blocking receive on done
-		res, err := srv.Run(ctx)
-		done <- outcome{res, err}
-	}()
-
-	// Latency collector shared by every agent's sink. One mutex is fine:
-	// the farm is I/O-bound and single-boxed.
-	var latMu sync.Mutex
-	lats := make([]time.Duration, 0, (*agents)*(*periods))
-	sink := func(_ int, rtt time.Duration) {
-		latMu.Lock()
-		lats = append(lats, rtt)
-		latMu.Unlock()
-	}
-
-	// launch starts one agent under its own cancel, so the crash injector
-	// can kill exactly the incumbent (context cancel — the lane just dies,
-	// no goodbye frame, which the server books as a crash).
-	var wg sync.WaitGroup
-	var killMu sync.Mutex
-	kills := make([]context.CancelFunc, *agents)
-	launch := func(p int) {
-		actx, acancel := context.WithCancel(ctx)
-		killMu.Lock()
-		kills[p] = acancel
-		killMu.Unlock()
-		aopts := []agent.Option{
-			agent.WithETF(sim.ConstantETF(1)),
-			agent.WithSamplingPeriod(workload.SamplingPeriod),
-			agent.WithSeed(int64(p) + 1),
-			agent.WithCodec(codec),
-			agent.WithSendQueue(*queue),
-			agent.WithLatencySink(sink),
-			agent.WithInterval(*interval),
-			agent.WithNodeName(fmt.Sprintf("farm-P%d", p+1)),
-		}
-		if !plan.Zero() {
-			aopts = append(aopts, agent.WithSendFaults(plan.Reseed(int64(2*p))))
-		}
-		if *skew != 0 { //eucon:float-exact flag sentinel: exactly zero means no skew injection
-			aopts = append(aopts, agent.WithClock(agent.NewSkewedClock(0, driftOf(p, *skew))))
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := agent.RunAgent(actx, sys, p, addr, aopts...)
-			if err != nil && actx.Err() == nil {
-				fmt.Fprintf(os.Stderr, "euconfarm: agent P%d: %v\n", p+1, err)
-			}
-		}()
-	}
-	for p := 0; p < *agents; p++ {
-		launch(p)
-	}
-
-	// Crash injector: spread the cycles across the run. Each cycle kills
-	// one agent, waits for the server to step onward without it, and
-	// relaunches the same processor — which must rejoin the live loop.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 1; i <= *crashes; i++ {
-			target := i * *periods / (*crashes + 1)
-			if !waitPeriod(ctx, srv, target, *periodTimeout) {
-				return
-			}
-			p := i % *agents
-			killMu.Lock()
-			kills[p]()
-			killMu.Unlock()
-			if !waitPeriod(ctx, srv, target+2, *periodTimeout) {
-				return
-			}
-			launch(p) // rejoin
-		}
-	}()
-
-	// Partition injector: each cycle isolates a contiguous 1/16 slice of
-	// the fleet at once — the whole slice goes dark, the controller rides
-	// it out on hold-last substitution, and the slice rejoins together (a
-	// rejoin storm, which the seeded retry jitter is there to spread out).
-	if *partitions > 0 {
-		slice := *agents / 16
-		if slice < 1 {
-			slice = 1
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 1; i <= *partitions; i++ {
-				target := i * *periods / (*partitions + 1)
-				if !waitPeriod(ctx, srv, target, *periodTimeout) {
-					return
-				}
-				lo := (i * slice) % *agents
-				killMu.Lock()
-				for j := 0; j < slice; j++ {
-					kills[(lo+j)%*agents]()
-				}
-				killMu.Unlock()
-				if !waitPeriod(ctx, srv, target+5, *periodTimeout) {
-					return
-				}
-				for j := 0; j < slice; j++ {
-					launch((lo + j) % *agents) // heal
-				}
-			}
-		}()
-	}
-
-	out := <-done
-	elapsed := time.Since(start) //eucon:wallclock-ok harness wall-time measurement, never feeds control output
-	cancel()
-	wg.Wait()
-	if out.err != nil {
-		fmt.Fprintf(os.Stderr, "euconfarm: %v\n", out.err)
-		return 1
-	}
-	res := out.res
-
-	latMu.Lock()
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	p50, p99 := percentile(lats, 0.50), percentile(lats, 0.99)
-	samples := len(lats)
-	latMu.Unlock()
-	frames := res.FramesIn + res.FramesOut
-	fps := float64(frames) / elapsed.Seconds()
+	p50, p99 := res.Quantile(0.50), res.Quantile(0.99)
+	fps := float64(res.FramesIn+res.FramesOut) / elapsed.Seconds()
 
 	if res.Periods != *periods {
 		fmt.Fprintf(os.Stderr, "euconfarm: FAIL — server stepped %d of %d periods\n", res.Periods, *periods)
@@ -301,15 +178,22 @@ func run() int {
 	// Re-convergence under loss: over the final tail the fleet must sit
 	// back at its set points (bound documented in EXPERIMENTS.md,
 	// "Lossy-network robustness").
-	reconvK := -1
 	tailErr := 0.0
 	if lossy && len(res.Utilization) > 0 {
-		reconvK, tailErr = reconvergence(res.Utilization, sys.DefaultSetPoints())
+		sp := sys.DefaultSetPoints()
+		means := agent.TailMeans(res.Utilization, farmReconvergeTail)
+		for p := range means {
+			tailErr = max(tailErr, math.Abs(means[p]-sp[p]))
+		}
 		if tailErr > farmReconvergeTol {
 			fmt.Fprintf(os.Stderr, "euconfarm: FAIL — no re-convergence: max tail set-point error %.3f > %.2f\n", tailErr, farmReconvergeTol)
-			for _, w := range worstTailProcs(res.Utilization, sys.DefaultSetPoints(), 8) {
-				fmt.Fprintf(os.Stderr, "euconfarm:   P%d tail mean %.3f vs set point %.3f (last %.3f)\n",
-					w.p+1, w.mean, w.setpoint, w.last)
+			// Name the processors that never came back: a contiguous block
+			// points at a partition slice, scattered ones at the transport.
+			last := res.Utilization[len(res.Utilization)-1]
+			for p := range means {
+				if math.Abs(means[p]-sp[p]) > farmReconvergeTol {
+					fmt.Fprintf(os.Stderr, "euconfarm:   P%d tail mean %.3f vs set point %.3f (last %.3f)\n", p+1, means[p], sp[p], last[p])
+				}
 			}
 			return 1
 		}
@@ -318,7 +202,6 @@ func run() int {
 	var qs lane.QueueStats
 	for _, st := range res.PeerQueues {
 		qs.Sent += st.Sent
-		qs.DroppedSamples += st.DroppedSamples
 		qs.Coalesced += st.Coalesced
 		qs.SupersededRates += st.SupersededRates
 	}
@@ -328,16 +211,16 @@ func run() int {
 		if lossy {
 			name += "Lossy"
 		}
-		fmt.Printf(`{"bench":%q,"agents":%d,"periods":%d,"wall_ms":%d,"p50_us":%d,"p99_us":%d,"latency_samples":%d,"frames_per_sec":%.0f,"frames_in":%d,"frames_out":%d,"joins":%d,"rejoins":%d,"crashes":%d,"missed":%d,"stale":%d,"dropped_samples":%d,"injected_drops":%d,"superseded_rates":%d,"live_at_end":%d,"reconverged_at":%d,"tail_err":%.3f}`+"\n",
-			name, *agents, *periods, elapsed.Milliseconds(), p50.Microseconds(), p99.Microseconds(), samples,
+		fmt.Printf(`{"bench":%q,"agents":%d,"periods":%d,"wall_ms":%d,"p50_us":%d,"p99_us":%d,"latency_samples":%d,"frames_per_sec":%.0f,"frames_in":%d,"frames_out":%d,"joins":%d,"rejoins":%d,"crashes":%d,"missed":%d,"stale":%d,"dropped_samples":%d,"injected_drops":%d,"superseded_rates":%d,"live_at_end":%d,"tail_err":%.3f}`+"\n",
+			name, *agents, *periods, elapsed.Milliseconds(), p50.Microseconds(), p99.Microseconds(), len(res.Latency),
 			fps, res.FramesIn, res.FramesOut, res.Joins, res.Rejoins, res.Crashes,
 			res.MissedReports, res.StaleSamples, res.DroppedSamples, res.InjectedDrops, qs.SupersededRates,
-			res.LiveAtEnd, reconvK, tailErr)
+			res.LiveAtEnd, tailErr)
 		return 0
 	}
 	fmt.Printf("euconfarm: %d agents × %d periods on %s in %v (zero controller restarts)\n",
 		*agents, *periods, sys.Name, elapsed.Round(time.Millisecond))
-	fmt.Printf("  period latency: p50 %v, p99 %v (%d samples)\n", p50.Round(time.Microsecond), p99.Round(time.Microsecond), samples)
+	fmt.Printf("  period latency: p50 %v, p99 %v (%d samples)\n", p50.Round(time.Microsecond), p99.Round(time.Microsecond), len(res.Latency))
 	fmt.Printf("  frames: %d in, %d out, %.0f frames/s\n", res.FramesIn, res.FramesOut, fps)
 	fmt.Printf("  membership: %d joins, %d rejoins, %d crashes, %d leaves, %d live at end (ledger balanced)\n",
 		res.Joins, res.Rejoins, res.Crashes, res.Leaves, res.LiveAtEnd)
@@ -345,12 +228,7 @@ func run() int {
 		res.MissedReports, res.StaleSamples, res.DroppedSamples, res.InjectedDrops)
 	fmt.Printf("  peer queues: %d sent, %d coalesced, %d superseded rates\n", qs.Sent, qs.Coalesced, qs.SupersededRates)
 	if lossy {
-		if reconvK >= 0 {
-			fmt.Printf("  re-convergence: within set-point tolerance %.2f from period %d on (max tail error %.3f)\n",
-				farmReconvergeTol, reconvK, tailErr)
-		} else {
-			fmt.Printf("  re-convergence: max tail error %.3f within %.2f\n", tailErr, farmReconvergeTol)
-		}
+		fmt.Printf("  re-convergence: max tail error %.3f within %.2f\n", tailErr, farmReconvergeTol)
 	}
 	return 0
 }
@@ -365,73 +243,26 @@ const (
 	farmReconvergeTail = 20
 )
 
-// reconvergence reports the first period from which every later period's
-// max set-point error stays within farmReconvergeTol (-1 if the run ends
-// outside it), plus the max per-processor |mean - setpoint| over the final
-// farmReconvergeTail periods.
-func reconvergence(u [][]float64, setpoints []float64) (from int, tailErr float64) {
-	from = -1
-	for k := len(u) - 1; k >= 0; k-- {
-		worst := 0.0
-		for p, v := range u[k] {
-			if d := math.Abs(v - setpoints[p]); d > worst {
-				worst = d
-			}
+// outages spreads the injected churn across the run: crash cycle i kills
+// agent i for two periods; partition cycle i isolates a contiguous 1/16
+// slice of the fleet for five, riding on hold-last substitution, and heals
+// it at once — a rejoin storm the seeded retry jitter spreads out.
+func outages(agents, periods, crashes, partitions int) []agent.Outage {
+	var out []agent.Outage
+	for i := 1; i <= crashes; i++ {
+		at := i * periods / (crashes + 1)
+		out = append(out, agent.Outage{Procs: []int{i % agents}, At: at, Rejoin: at + 2})
+	}
+	slice := max(agents/16, 1)
+	for i := 1; i <= partitions; i++ {
+		at := i * periods / (partitions + 1)
+		procs := make([]int, slice)
+		for j := range procs {
+			procs[j] = (i*slice + j) % agents
 		}
-		if worst > farmReconvergeTol {
-			break
-		}
-		from = k
+		out = append(out, agent.Outage{Procs: procs, At: at, Rejoin: at + 5})
 	}
-	tail := farmReconvergeTail
-	if tail > len(u) {
-		tail = len(u)
-	}
-	for p := range setpoints {
-		sum := 0.0
-		for k := len(u) - tail; k < len(u); k++ {
-			sum += u[k][p]
-		}
-		if d := math.Abs(sum/float64(tail) - setpoints[p]); d > tailErr {
-			tailErr = d
-		}
-	}
-	return from, tailErr
-}
-
-// worstTailProcs ranks processors by tail-mean set-point error — the
-// diagnostic printed when the re-convergence gate trips, so a failed run
-// says which part of the fleet never came back (a contiguous block points
-// at a partition slice, scattered processors at the transport layer).
-type tailDiag struct {
-	p              int
-	mean, setpoint float64
-	last           float64
-}
-
-func worstTailProcs(u [][]float64, setpoints []float64, top int) []tailDiag {
-	tail := farmReconvergeTail
-	if tail > len(u) {
-		tail = len(u)
-	}
-	if tail == 0 {
-		return nil
-	}
-	diags := make([]tailDiag, len(setpoints))
-	for p := range setpoints {
-		sum := 0.0
-		for k := len(u) - tail; k < len(u); k++ {
-			sum += u[k][p]
-		}
-		diags[p] = tailDiag{p: p, mean: sum / float64(tail), setpoint: setpoints[p], last: u[len(u)-1][p]}
-	}
-	sort.Slice(diags, func(i, j int) bool {
-		return math.Abs(diags[i].mean-diags[i].setpoint) > math.Abs(diags[j].mean-diags[j].setpoint)
-	})
-	if top > len(diags) {
-		top = len(diags)
-	}
-	return diags[:top]
+	return out
 }
 
 // driftOf derives agent p's deterministic clock drift rate in ±amp.
@@ -442,26 +273,4 @@ func driftOf(p int, amp float64) float64 {
 	z ^= z >> 27
 	unit := float64(z>>11) / (1 << 53) // [0, 1)
 	return amp * (2*unit - 1)
-}
-
-// waitPeriod polls until the server reaches period k; false on cancel or
-// if progress stalls past patience.
-func waitPeriod(ctx context.Context, srv *agent.Server, k int, patience time.Duration) bool {
-	deadline := time.Now().Add(patience + time.Minute) //eucon:wallclock-ok harness stall guard
-	for srv.Period() < k {
-		if ctx.Err() != nil || time.Now().After(deadline) { //eucon:wallclock-ok harness stall guard
-			return false
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return true
-}
-
-// percentile reads the q-quantile from an ascending-sorted slice.
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
 }

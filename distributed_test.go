@@ -43,11 +43,7 @@ func TestServeControllerFacade(t *testing.T) {
 		}()
 	}
 
-	// A lockstep daemon steps whoever has joined, at socket speed: the run
-	// is long enough that the first joiner's head start (a few periods) is
-	// a vanishing part of it and both agents are members well before the
-	// tail the assertions read.
-	const periods = 2000
+	const periods = 100
 	res, err := eucon.ServeController(ctx, sys, ctrl, ln,
 		eucon.DistributedPeriods(periods), eucon.DistributedTrace(true))
 	wg.Wait()

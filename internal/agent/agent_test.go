@@ -2,10 +2,11 @@ package agent
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"net"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,103 +18,55 @@ import (
 	"github.com/rtsyslab/eucon/internal/workload"
 )
 
-// gateListener makes a lockstep fleet's trajectory independent of join
-// order. The Server steps as soon as every live member has reported, so
-// without the gate the first agent to join is stepped alone for however
-// many periods the scheduler gives it. The gate holds each accepted
-// connection's first server write — the join-ack — until n connections
-// have one pending; from then on every lockstep period has all n reports.
-type gateListener struct {
-	net.Listener
-	n       int32
-	pending atomic.Int32
-	once    sync.Once
-	open    chan struct{}
-}
-
-// release opens the gate; it also runs on Close and test timeout, so a
-// fleet that failed to assemble cannot park the server's queue writers.
-func (l *gateListener) release() { l.once.Do(func() { close(l.open) }) }
-
-func (l *gateListener) Accept() (net.Conn, error) {
-	nc, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return &gateConn{Conn: nc, gate: l}, nil
-}
-
-func (l *gateListener) Close() error {
-	l.release()
-	return l.Listener.Close()
-}
-
-type gateConn struct {
-	net.Conn
-	gate  *gateListener
-	first sync.Once
-}
-
-func (c *gateConn) Write(p []byte) (int, error) {
-	c.first.Do(func() {
-		if c.gate.pending.Add(1) == c.gate.n {
-			c.gate.release()
-		}
-		<-c.gate.open
-	})
-	return c.Conn.Write(p)
-}
-
-// runFleet runs a Server against one lockstep RunAgent per processor,
-// started together through a gateListener, and returns the server's
-// result once the run and every agent have ended without error.
-func runFleet(t *testing.T, sys *task.System, ctrl sim.Controller, serverOpts []Option, agentOpts func(p int) []Option) *ServerResult {
+// runOK runs f under a one-minute deadline and fails the test on error.
+func runOK(t *testing.T, f *Fleet) *FleetResult {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate := &gateListener{Listener: ln, n: int32(sys.Processors), open: make(chan struct{})}
-	srv, err := NewServer(sys, ctrl, gate, serverOpts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	context.AfterFunc(ctx, gate.release)
-
-	var wg sync.WaitGroup
-	for p := 0; p < sys.Processors; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := RunAgent(ctx, sys, p, ln.Addr().String(), agentOpts(p)...); err != nil {
-				t.Errorf("agent P%d: %v", p+1, err)
-				cancel() // a fleet that lost an agent cannot finish: fail now, not at the timeout
-			}
-		}()
-	}
-	res, err := srv.Run(ctx)
-	wg.Wait()
+	res, err := f.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-// tailMeans averages each processor's traced utilization over periods
-// [from, len).
-func tailMeans(res *ServerResult, from int) []float64 {
-	means := make([]float64, len(res.Utilization[0]))
-	for _, row := range res.Utilization[from:] {
-		for p, u := range row {
-			means[p] += u
-		}
+// joinOrderDigest pins the lockstep SIMPLE fleet of
+// TestLockstepTrajectoryIndependentOfJoinOrder: FNV-1a over the float bits
+// of every traced utilization and rate row.
+const joinOrderDigest = "61e771888fde0369"
+
+// TestLockstepTrajectoryIndependentOfJoinOrder launches one seeded
+// lockstep fleet three ways — in order, reversed, and with P2 ~100 ms
+// late — and requires one pinned digest. Quorum start makes the run a
+// pure function of its seeds: the first agent to join is never stepped
+// alone while the other is still connecting.
+func TestLockstepTrajectoryIndependentOfJoinOrder(t *testing.T) {
+	sys := workload.Simple()
+	for _, tc := range []struct {
+		name  string
+		delay [2]time.Duration // launch delay of P1, P2
+	}{
+		{"in-order", [2]time.Duration{}},
+		{"reversed", [2]time.Duration{20 * time.Millisecond, 0}},
+		{"second-late", [2]time.Duration{0, 100 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := runOK(t, &Fleet{Sys: sys, Ctrl: simpleController(t, sys),
+				Server: []Option{WithPeriods(60), WithTrace(true), WithPeriodTimeout(5 * time.Second)},
+				Agent: func(p int) []Option {
+					time.Sleep(tc.delay[p])
+					return []Option{WithETF(sim.ConstantETF(1)), WithJitter(0.02), WithSeed(int64(p + 1))}
+				}})
+			h := fnv.New64a()
+			for k := range res.Utilization {
+				_ = binary.Write(h, binary.LittleEndian, res.Utilization[k])
+				_ = binary.Write(h, binary.LittleEndian, res.Rates[k])
+			}
+			if got := fmt.Sprintf("%016x", h.Sum64()); res.Periods != 60 || got != joinOrderDigest {
+				t.Errorf("periods=%d digest %s, want 60 and %s", res.Periods, got, joinOrderDigest)
+			}
+		})
 	}
-	for p := range means {
-		means[p] /= float64(len(res.Utilization) - from)
-	}
-	return means
 }
 
 // TestClusterConvergesToSetPoints is the paper's claim over real lanes:
@@ -121,15 +74,15 @@ func tailMeans(res *ServerResult, from int) []float64 {
 // settles both processors on their set points.
 func TestClusterConvergesToSetPoints(t *testing.T) {
 	sys := workload.Simple()
-	res := runFleet(t, sys, simpleController(t, sys),
-		[]Option{WithPeriods(80), WithTrace(true), WithPeriodTimeout(5 * time.Second)},
-		func(int) []Option {
+	res := runOK(t, &Fleet{Sys: sys, Ctrl: simpleController(t, sys),
+		Server: []Option{WithPeriods(80), WithTrace(true), WithPeriodTimeout(5 * time.Second)},
+		Agent: func(int) []Option {
 			return []Option{WithETF(sim.ConstantETF(0.5)), WithSamplingPeriod(workload.SamplingPeriod)}
-		})
+		}})
 	if res.Periods != 80 || res.MissedReports != 0 {
 		t.Fatalf("periods=%d missed=%d, want 80 full-fleet periods", res.Periods, res.MissedReports)
 	}
-	for p, mean := range tailMeans(res, 40) {
+	for p, mean := range TailMeans(res.Utilization, 40) {
 		if math.Abs(mean-0.828) > 0.02 {
 			t.Errorf("P%d tail mean over lanes = %v, want ≈ 0.828", p+1, mean)
 		}
@@ -142,16 +95,16 @@ func TestClusterMediumWithJitter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runFleet(t, sys, ctrl,
-		[]Option{WithPeriods(60), WithTrace(true), WithPeriodTimeout(5 * time.Second)},
-		func(p int) []Option {
+	res := runOK(t, &Fleet{Sys: sys, Ctrl: ctrl,
+		Server: []Option{WithPeriods(60), WithTrace(true), WithPeriodTimeout(5 * time.Second)},
+		Agent: func(p int) []Option {
 			return []Option{WithETF(sim.ConstantETF(1)), WithJitter(0.02), WithSeed(int64(p + 1))}
-		})
+		}})
 	if res.Periods != 60 {
 		t.Fatalf("Periods = %d, want 60", res.Periods)
 	}
 	b := sys.DefaultSetPoints()
-	for p, mean := range tailMeans(res, 30) {
+	for p, mean := range TailMeans(res.Utilization, 30) {
 		if math.Abs(mean-b[p]) > 0.03 {
 			t.Errorf("P%d tail mean = %v, want ≈ %v", p+1, mean, b[p])
 		}
@@ -175,12 +128,12 @@ func TestServerDegradesAroundLostReport(t *testing.T) {
 	// report lane (initial send plus two retries); dropping all three
 	// loses it for good. P1 runs fault-free.
 	plans := []lane.Plan{nil, dropRange{2, 5}}
-	res := runFleet(t, sys, simpleController(t, sys),
-		[]Option{WithPeriods(6), WithTrace(true), WithPeriodTimeout(200 * time.Millisecond)},
-		func(p int) []Option {
+	res := runOK(t, &Fleet{Sys: sys, Ctrl: simpleController(t, sys),
+		Server: []Option{WithPeriods(6), WithTrace(true), WithPeriodTimeout(200 * time.Millisecond)},
+		Agent: func(p int) []Option {
 			return []Option{WithETF(sim.ConstantETF(0.5)), WithSamplingPeriod(workload.SamplingPeriod),
 				WithSendFaults(plans[p]), WithRetry(retry)}
-		})
+		}})
 	if res.Periods != 6 {
 		t.Fatalf("run covered %d periods, want 6 despite the lost report", res.Periods)
 	}
@@ -210,17 +163,17 @@ func TestClusterLossyTransportConverges(t *testing.T) {
 		fault.TransportPlan{DropProb: 0.05, Seed: 1},
 		fault.TransportPlan{DropProb: 0.05, DelayProb: 0.1, Delay: time.Millisecond, Seed: 2},
 	}
-	res := runFleet(t, sys, simpleController(t, sys),
-		[]Option{WithPeriods(80), WithTrace(true), WithPeriodTimeout(200 * time.Millisecond)},
-		func(p int) []Option {
+	res := runOK(t, &Fleet{Sys: sys, Ctrl: simpleController(t, sys),
+		Server: []Option{WithPeriods(80), WithTrace(true), WithPeriodTimeout(200 * time.Millisecond)},
+		Agent: func(p int) []Option {
 			return []Option{WithETF(sim.ConstantETF(0.5)), WithSamplingPeriod(workload.SamplingPeriod),
 				WithSendFaults(plans[p]), WithRetry(retry)}
-		})
+		}})
 	if res.Periods != 80 {
 		t.Fatalf("run covered %d periods, want 80", res.Periods)
 	}
 	b := sys.DefaultSetPoints()
-	for p, mean := range tailMeans(res, 40) {
+	for p, mean := range TailMeans(res.Utilization, 40) {
 		if math.Abs(mean-b[p]) > 0.03 {
 			t.Errorf("P%d tail mean %v over a lossy transport, want ≈ %v", p+1, mean, b[p])
 		}

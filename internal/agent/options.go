@@ -116,8 +116,9 @@ func WithIOTimeout(d time.Duration) Option {
 }
 
 // WithPeriodTimeout bounds how long the Server waits for the current
-// period's reports before stepping with NaN substitutes for the missing
-// members; zero or negative selects DefaultPeriodTimeout.
+// period's reports before stepping with what it has: a missing member is
+// substituted by its last report (its set point if it never reported);
+// zero or negative selects DefaultPeriodTimeout.
 func WithPeriodTimeout(d time.Duration) Option {
 	return func(o *Options) {
 		if d > 0 {
@@ -130,8 +131,9 @@ func WithPeriodTimeout(d time.Duration) Option {
 
 // WithInterval sets the real-time duration of one sampling period. Zero
 // (the default) runs in lockstep: the Server steps as soon as every
-// member has reported, and agents wait for each period's rates before
-// sampling again — as fast as the lanes allow.
+// member has reported (period 0 once every processor has joined), and
+// agents wait for each period's rates before sampling again — as fast as
+// the lanes allow.
 func WithInterval(d time.Duration) Option {
 	return func(o *Options) { o.interval = d }
 }
@@ -185,8 +187,8 @@ func WithRetry(p lane.RetryPolicy) Option {
 
 // WithSendFaults injects transport faults (drops, delays — e.g.
 // fault.TransportPlan) into a node agent's outbound reports. A report
-// still lost after retries is abandoned; the Server substitutes NaN and
-// holds the last sample.
+// still lost after retries is abandoned; the Server holds the member's
+// last report in its place.
 func WithSendFaults(p lane.Plan) Option {
 	return func(o *Options) { o.sendFaults = p }
 }

@@ -3,7 +3,6 @@ package agent
 import (
 	"context"
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -120,39 +119,18 @@ func TestServerV2CodecNegotiation(t *testing.T) {
 func TestServerV2DeltaConvergesUnderDupAndReorder(t *testing.T) {
 	sys := workload.Simple()
 	template := fault.TransportPlan{DupProb: 0.15, ReorderProb: 0.08, Seed: 11}
-	srv, addr, done := startServer(t, sys, simpleController(t, sys),
-		WithPeriods(80), WithTrace(true), WithPeriodTimeout(150*time.Millisecond),
-		WithCodec(lane.BinaryV2),
-		WithTransportFaults(func(p int) lane.Plan { return template.Reseed(int64(2*p + 1)) }))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		res, err := srv.Run(ctx)
-		done <- serverOutcome{res, err}
-	}()
-	var wg sync.WaitGroup
-	for p := 0; p < sys.Processors; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := RunAgent(ctx, sys, p, addr,
-				WithETF(sim.ConstantETF(1)),
-				WithCodec(lane.BinaryV2),
-				WithSeed(int64(p+1)),
-				WithSendFaults(fault.TransportPlan{DropProb: 0.05, Seed: 1}.Reseed(int64(2*p))),
-				WithRetry(lane.RetryPolicy{Attempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}))
-			if err != nil {
-				t.Errorf("agent P%d: %v", p+1, err)
-				cancel() // a dead fleet fails now instead of hanging the server
+	res := runOK(t, &Fleet{Sys: sys, Ctrl: simpleController(t, sys),
+		Server: []Option{WithPeriods(80), WithTrace(true), WithPeriodTimeout(150 * time.Millisecond), WithCodec(lane.BinaryV2)},
+		Agent: func(p int) []Option {
+			return []Option{WithETF(sim.ConstantETF(1)), WithCodec(lane.BinaryV2), WithSeed(int64(p + 1)),
+				WithRetry(lane.RetryPolicy{Attempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond})}
+		},
+		Faults: func(p int, inbound bool, _ func() int) lane.Plan {
+			if inbound {
+				return fault.TransportPlan{DropProb: 0.05, Seed: 1}.Reseed(int64(2 * p))
 			}
-		}()
-	}
-	out := <-done
-	wg.Wait()
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	res := out.res
+			return template.Reseed(int64(2*p + 1))
+		}})
 	if res.Periods != 80 {
 		t.Fatalf("Periods = %d, want 80", res.Periods)
 	}
@@ -185,11 +163,11 @@ func TestServerV2DeltaConvergesUnderDupAndReorder(t *testing.T) {
 func TestServerMixedCodecFleetConverges(t *testing.T) {
 	sys := workload.Simple()
 	codecs := []lane.Codec{lane.BinaryV2, lane.JSONv0}
-	res := runFleet(t, sys, simpleController(t, sys),
-		[]Option{WithPeriods(60), WithTrace(true), WithPeriodTimeout(5 * time.Second)},
-		func(p int) []Option {
+	res := runOK(t, &Fleet{Sys: sys, Ctrl: simpleController(t, sys),
+		Server: []Option{WithPeriods(60), WithTrace(true), WithPeriodTimeout(5 * time.Second)},
+		Agent: func(p int) []Option {
 			return []Option{WithETF(sim.ConstantETF(1)), WithCodec(codecs[p%len(codecs)])}
-		})
+		}})
 	if res.Periods != 60 || res.Joins != sys.Processors {
 		t.Fatalf("periods=%d joins=%d, want 60 and %d", res.Periods, res.Joins, sys.Processors)
 	}
@@ -211,38 +189,16 @@ func TestServerMixedCodecFleetConverges(t *testing.T) {
 func TestServerToleratesSkewedFreeRunningAgents(t *testing.T) {
 	sys := workload.Simple()
 	const interval = 5 * time.Millisecond
-	srv, addr, done := startServer(t, sys, simpleController(t, sys),
-		WithPeriods(60), WithInterval(interval),
-		WithMembershipTimeout(2*time.Second), WithPeriodTimeout(100*time.Millisecond))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		res, err := srv.Run(ctx)
-		done <- serverOutcome{res, err}
-	}()
 	clocks := []Clock{
 		NewSkewedClock(interval, 0.4),   // one period ahead, 40% fast
 		NewSkewedClock(-interval, -0.3), // one period behind, 30% slow
 	}
-	var wg sync.WaitGroup
-	for p := 0; p < sys.Processors; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := RunAgent(ctx, sys, p, addr,
-				WithETF(sim.ConstantETF(1)), WithInterval(interval), WithClock(clocks[p]))
-			if err != nil {
-				t.Errorf("agent P%d: %v", p+1, err)
-				cancel() // a dead fleet fails now instead of hanging the server
-			}
-		}()
-	}
-	out := <-done
-	wg.Wait()
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	res := out.res
+	res := runOK(t, &Fleet{Sys: sys, Ctrl: simpleController(t, sys),
+		Server: []Option{WithPeriods(60), WithInterval(interval),
+			WithMembershipTimeout(2 * time.Second), WithPeriodTimeout(100 * time.Millisecond)},
+		Agent: func(p int) []Option {
+			return []Option{WithETF(sim.ConstantETF(1)), WithInterval(interval), WithClock(clocks[p])}
+		}})
 	if res.Periods != 60 {
 		t.Fatalf("Periods = %d, want 60", res.Periods)
 	}
@@ -275,12 +231,12 @@ func (w reorderWindow) FateOf(n uint64) (bool, time.Duration, bool, bool) {
 func TestServerLockstepRecoversWhenEveryRatesFrameIsHeld(t *testing.T) {
 	sys := workload.Simple()
 	const periods = 60
-	res := runFleet(t, sys, simpleController(t, sys),
-		[]Option{WithPeriods(periods), WithTrace(true), WithPeriodTimeout(100 * time.Millisecond),
+	res := runOK(t, &Fleet{Sys: sys, Ctrl: simpleController(t, sys),
+		Server: []Option{WithPeriods(periods), WithTrace(true), WithPeriodTimeout(100 * time.Millisecond),
 			WithTransportFaults(func(int) lane.Plan { return reorderWindow{10, 20} })},
-		func(p int) []Option {
+		Agent: func(p int) []Option {
 			return []Option{WithETF(sim.ConstantETF(1)), WithSeed(int64(p + 1)), WithIOTimeout(5 * time.Second)}
-		})
+		}})
 	if res.Periods != periods || res.LiveAtEnd != sys.Processors || res.ControllerErrors != 0 {
 		t.Fatalf("periods=%d live=%d controller errors=%d, want %d, %d and 0",
 			res.Periods, res.LiveAtEnd, res.ControllerErrors, periods, sys.Processors)

@@ -211,10 +211,11 @@ type Server struct {
 	ln   net.Listener
 	opt  Options
 
-	period  atomic.Int64
-	events  chan srvEvent
-	stopped chan struct{}
-	wg      sync.WaitGroup
+	period   atomic.Int64
+	stopping atomic.Bool // set once the control loop starts shutting lanes down
+	events   chan srvEvent
+	stopped  chan struct{}
+	wg       sync.WaitGroup
 }
 
 // NewServer validates the pieces and builds a Server listening on ln
@@ -373,6 +374,7 @@ func (s *Server) control(ctx context.Context) (*ServerResult, error) {
 	}
 
 	shutdownAll := func(reason string) {
+		s.stopping.Store(true)
 		res.LiveAtEnd = live
 		for p, mb := range members {
 			if mb == nil {
@@ -451,8 +453,10 @@ func (s *Server) control(ctx context.Context) (*ServerResult, error) {
 			shutdownAll("run complete")
 			return res, nil
 		}
-		// Lockstep: step the moment every live member has reported.
-		if s.opt.interval <= 0 && live > 0 && reported == live {
+		// Lockstep: step the moment every live member has reported. Period
+		// 0 waits for a quorum (every processor live), so a clean run never
+		// depends on join order; the period timer still steps whoever is in.
+		if s.opt.interval <= 0 && live > 0 && reported == live && (res.Periods > 0 || live == n) {
 			step()
 			if !timer.Stop() {
 				select {

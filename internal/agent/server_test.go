@@ -45,9 +45,9 @@ func simpleController(t *testing.T, sys *task.System) sim.Controller {
 
 func TestServerConvergesWithFullFleet(t *testing.T) {
 	sys := workload.Simple()
-	res := runFleet(t, sys, simpleController(t, sys),
-		[]Option{WithPeriods(60), WithTrace(true), WithPeriodTimeout(5 * time.Second)},
-		func(int) []Option { return []Option{WithETF(sim.ConstantETF(1))} })
+	res := runOK(t, &Fleet{Sys: sys, Ctrl: simpleController(t, sys),
+		Server: []Option{WithPeriods(60), WithTrace(true), WithPeriodTimeout(5 * time.Second)},
+		Agent:  func(int) []Option { return []Option{WithETF(sim.ConstantETF(1))} }})
 	if res.Periods != 60 {
 		t.Fatalf("Periods = %d, want 60", res.Periods)
 	}
@@ -66,69 +66,13 @@ func TestServerConvergesWithFullFleet(t *testing.T) {
 
 func TestServerMembershipCrashAndRejoinWithoutRestart(t *testing.T) {
 	sys := workload.Simple()
-	// Unbounded run (no WithPeriods): cancellation is the normal stop, so
-	// the test choreographs crash and rejoin at its own pace while the
-	// lockstep loop races underneath.
-	srv, addr, done := startServer(t, sys, simpleController(t, sys),
-		WithPeriodTimeout(200*time.Millisecond), WithMembershipTimeout(2*time.Second))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		res, err := srv.Run(ctx)
-		done <- serverOutcome{res, err}
-	}()
-
-	// P1 runs the whole time.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := RunAgent(ctx, sys, 0, addr, WithETF(sim.ConstantETF(1))); err != nil {
-			t.Errorf("agent P1: %v", err)
-			cancel() // a dead fleet fails now instead of hanging the server
-		}
-	}()
-
-	// P2 joins, is crashed (context cancel ≈ kill -9 for the harness),
-	// and rejoins. The server must ride through without a restart.
-	crashCtx, crash := context.WithCancel(ctx)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = RunAgent(crashCtx, sys, 1, addr, WithETF(sim.ConstantETF(1)))
-	}()
-	waitPeriod(t, srv, 5)
-	crash()
-	waitPeriod(t, srv, srv.Period()+5) // server keeps stepping through the crash
-
-	// Rejoin: the latency sink's first callback proves the rejoined agent
-	// completed a full report→rates cycle against the live server.
-	rejoined := make(chan struct{})
-	var once sync.Once
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		err := RunAgent(ctx, sys, 1, addr, WithETF(sim.ConstantETF(1)),
-			WithLatencySink(func(int, time.Duration) { once.Do(func() { close(rejoined) }) }))
-		if err != nil {
-			t.Errorf("agent P2 rejoin: %v", err)
-			cancel() // a dead fleet fails now instead of hanging the server
-		}
-	}()
-	select {
-	case <-rejoined:
-	case <-time.After(10 * time.Second):
-		t.Fatal("rejoined agent never completed a period")
-	}
-	waitPeriod(t, srv, srv.Period()+3)
-	cancel()
-
-	out := <-done
-	wg.Wait()
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	res := out.res
+	// P2 is killed (context cancel ≈ kill -9) once the lockstep loop is
+	// past period 5 and relaunched past period 50: the server must step on
+	// through both without a restart.
+	res := runOK(t, &Fleet{Sys: sys, Ctrl: simpleController(t, sys),
+		Server:  []Option{WithPeriods(2000), WithPeriodTimeout(200 * time.Millisecond), WithMembershipTimeout(2 * time.Second)},
+		Agent:   func(int) []Option { return []Option{WithETF(sim.ConstantETF(1))} },
+		Outages: []Outage{{Procs: []int{1}, At: 5, Rejoin: 50}}})
 	if res.Periods < 10 {
 		t.Fatalf("Periods = %d, want the loop to keep running through crash and rejoin", res.Periods)
 	}
@@ -137,6 +81,12 @@ func TestServerMembershipCrashAndRejoinWithoutRestart(t *testing.T) {
 	}
 	if res.Crashes < 1 {
 		t.Fatalf("Crashes = %d, want ≥1 (the killed agent)", res.Crashes)
+	}
+	// A lockstep period after the rejoin needs the rejoined agent's report
+	// (or a 200 ms timeout), so a run that finished with it live proves it
+	// completed report→rates cycles against the live server.
+	if res.LiveAtEnd != sys.Processors {
+		t.Fatalf("LiveAtEnd = %d: the rejoined agent never completed a period", res.LiveAtEnd)
 	}
 }
 
@@ -168,11 +118,15 @@ func TestServerCleanLeave(t *testing.T) {
 	}
 	mustSend(&lane.Message{Type: lane.TypeUtilizationBatch,
 		Batch: lane.UtilizationBatch{Processor: 0, First: ack.Rates.Period, Samples: []float64{0.5}}})
+	// Half of SIMPLE has joined, so the period timer steps period 0; wait
+	// for its rates before leaving.
+	if m, err := conn.Receive(2 * time.Second); err != nil || m.Type != lane.TypeRates {
+		t.Fatalf("period 0 = %+v, %v; want rates", m, err)
+	}
 	mustSend(&lane.Message{Type: lane.TypeShutdown, Shutdown: lane.Shutdown{Reason: "done"}})
 	// The control loop closes a lane once it has booked the departure, so
-	// reading to the end of the stream (past the period's rates frame) is
-	// the proof that the leave was processed before the server is stopped;
-	// canceling as soon as the period counter moves would race it.
+	// reading to the end of the stream is the proof that the leave was
+	// processed before the server is stopped.
 	for {
 		if _, err := conn.Receive(2 * time.Second); err != nil {
 			break
@@ -297,11 +251,6 @@ func TestServerBackpressureSlowReaderNeverBlocksControl(t *testing.T) {
 	if out.res.Periods != 40 {
 		t.Fatalf("Periods = %d, want 40 — the slow reader stalled the control loop", out.res.Periods)
 	}
-}
-
-func waitPeriod(t *testing.T, srv *Server, k int) {
-	t.Helper()
-	waitFor(t, func() bool { return srv.Period() >= k })
 }
 
 func waitFor(t *testing.T, cond func() bool) {

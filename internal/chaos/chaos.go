@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/rtsyslab/eucon/internal/agent"
 	"github.com/rtsyslab/eucon/internal/core"
 	"github.com/rtsyslab/eucon/internal/deucon"
 	"github.com/rtsyslab/eucon/internal/fault"
@@ -372,80 +373,78 @@ func traceDivergence(a, b *sim.Trace) string {
 	return ""
 }
 
+// findings collects violated invariants, capped at maxProblemsPerRun.
+type findings []string
+
+// add records one finding unless the cap is reached.
+func (f *findings) add(format string, args ...any) {
+	if len(*f) < maxProblemsPerRun {
+		*f = append(*f, fmt.Sprintf(format, args...))
+	}
+}
+
 // inspect checks a finished run's trace against the invariant set; tol is
 // the campaign's re-convergence bound.
 func inspect(tr *sim.Trace, sys *task.System, periods int, tol float64) []string {
-	var problems []string
-	add := func(format string, args ...any) bool {
-		if len(problems) >= maxProblemsPerRun {
-			return false
-		}
-		problems = append(problems, fmt.Sprintf(format, args...))
-		return true
-	}
-
+	var f findings
 	// A complete run: the simulator's NaN termination safety net truncates
 	// a run whose clock was poisoned, so a short trace is itself a
 	// violation (and the only way one can happen).
 	if len(tr.Utilization) != periods {
-		add("run truncated: %d of %d sampling periods recorded (poisoned event clock)", len(tr.Utilization), periods)
-	}
-	// Finite, sane utilizations: the monitor reports a busy fraction.
-	for k, row := range tr.Utilization {
-		for p, v := range row {
-			if !(v >= 0 && v <= 1) {
-				if !add("utilization[k=%d][P%d] = %g outside [0, 1]", k, p+1, v) {
-					return problems
-				}
-			}
-		}
-	}
-	// Finite, in-bounds rates: no controller or fault path may push a task
-	// outside its box.
-	rmin, rmax := sys.RateBounds()
-	for k, row := range tr.Rates {
-		for i, r := range row {
-			if !(r >= rmin[i] && r <= rmax[i]) {
-				if !add("rate[k=%d][T%d] = %g outside [%g, %g]", k, i+1, r, rmin[i], rmax[i]) {
-					return problems
-				}
-			}
-		}
+		f.add("run truncated: %d of %d sampling periods recorded (poisoned event clock)", len(tr.Utilization), periods)
 	}
 	// The controller must never error out of a storm, and the runtime
 	// guards and pool audit must never fire: a firing is a contained
 	// controller bug, and containment is supposed to start one layer down.
 	st := tr.Stats
 	if st.ControllerErrors > 0 {
-		add("controller returned errors in %d periods", st.ControllerErrors)
+		f.add("controller returned errors in %d periods", st.ControllerErrors)
 	}
 	if st.GuardRateFirings > 0 {
-		add("rate guard fired %d times (controller emitted non-finite or out-of-bounds rates)", st.GuardRateFirings)
+		f.add("rate guard fired %d times (controller emitted non-finite or out-of-bounds rates)", st.GuardRateFirings)
 	}
 	if st.GuardUtilFirings > 0 {
-		add("utilization guard fired %d times (non-finite or negative samples)", st.GuardUtilFirings)
+		f.add("utilization guard fired %d times (non-finite or negative samples)", st.GuardUtilFirings)
 	}
 	if st.GuardPoolFirings > 0 {
-		add("pool audit failed at %d sampling boundaries (event/job leak or double-recycle)", st.GuardPoolFirings)
+		f.add("pool audit failed at %d sampling boundaries (event/job leak or double-recycle)", st.GuardPoolFirings)
 	}
-	// Re-convergence: the generator closes every fault window by 3/4 of
-	// the run, so over the final tail each processor must have returned to
-	// its set point neighborhood.
-	if n := len(tr.Utilization); n >= reconvergeTail {
-		b := sys.DefaultSetPoints()
-		for p := range b {
-			sum := 0.0
-			for k := n - reconvergeTail; k < n; k++ {
-				sum += tr.Utilization[k][p]
-			}
-			mean := sum / reconvergeTail
-			if d := math.Abs(mean - b[p]); !(d <= tol) {
-				add("no re-convergence: P%d mean utilization %.4f over final %d periods, set point %.4f (|Δ| %.4f > %g)",
-					p+1, mean, reconvergeTail, b[p], d, tol)
+	f.addTrace(tr.Utilization, tr.Rates, sys, tol)
+	return f
+}
+
+// addTrace checks the trace invariants every campaign shares: finite,
+// in-bounds utilizations (the monitor reports a busy fraction) and rates
+// (no controller or fault path may push a task outside its box), and
+// re-convergence — the generator closes every fault window by 3/4 of the
+// run, so over the final reconvergeTail periods each processor's mean
+// utilization must be within tol of its set point.
+func (f *findings) addTrace(u, rates [][]float64, sys *task.System, tol float64) {
+	for k, row := range u {
+		for p, v := range row {
+			if !(v >= 0 && v <= 1) {
+				f.add("utilization[k=%d][P%d] = %g outside [0, 1]", k, p+1, v)
 			}
 		}
 	}
-	return problems
+	rmin, rmax := sys.RateBounds()
+	for k, row := range rates {
+		for i, r := range row {
+			if !(r >= rmin[i] && r <= rmax[i]) {
+				f.add("rate[k=%d][T%d] = %g outside [%g, %g]", k, i+1, r, rmin[i], rmax[i])
+			}
+		}
+	}
+	if len(u) < reconvergeTail {
+		return
+	}
+	b := sys.DefaultSetPoints()
+	for p, mean := range agent.TailMeans(u, reconvergeTail) {
+		if d := math.Abs(mean - b[p]); !(d <= tol) {
+			f.add("no re-convergence: P%d mean utilization %.4f over final %d periods, set point %.4f (|Δ| %.4f > %g)",
+				p+1, mean, reconvergeTail, b[p], d, tol)
+		}
+	}
 }
 
 // bugController is the planted-bug shim for harness self-tests: inside

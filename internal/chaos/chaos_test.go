@@ -23,19 +23,36 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// TestGeneratedScenariosValid pins that every generated clause list
-// compiles against the SIMPLE shape (windows in range, targets valid) by
-// checking a campaign's worth of scenarios end to end.
+// TestCampaignSmokeClean runs the three CI smoke campaigns — 25 seeded
+// storms on SIMPLE, 6 localized storms at 128 processors, and 2 partition
+// scenarios against a real 8-agent TCP fleet — and requires zero
+// violations and zero guard firings, exactly what `euconfuzz` exits 0 on.
+// Every generated clause list must also compile against its campaign's
+// shape. The last two skip under -short.
 func TestCampaignSmokeClean(t *testing.T) {
-	rep, err := Run(context.Background(), Options{Seed: 1, Scenarios: 10})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !rep.Ok() {
-		t.Fatalf("clean campaign reported violations: %+v", rep.Violations)
-	}
-	if rep.GuardFirings != 0 {
-		t.Fatalf("guards fired %d times on a clean campaign", rep.GuardFirings)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"simple", Options{Seed: 1, Scenarios: 25}},
+		{"large128", Options{Campaign: CampaignLarge128, Seed: 1, Scenarios: 6, Periods: 100}},
+		{"partition", Options{Campaign: CampaignPartition, Seed: 1, Scenarios: 2, Periods: 100}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && tc.opts.Campaign != CampaignSimple {
+				t.Skip("full LARGE-128 simulations or a TCP fleet")
+			}
+			rep, err := Run(context.Background(), tc.opts)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if !rep.Ok() {
+				t.Fatalf("clean campaign reported violations: %+v", rep.Violations)
+			}
+			if rep.GuardFirings != 0 {
+				t.Fatalf("guards fired %d times on a clean campaign", rep.GuardFirings)
+			}
+		})
 	}
 }
 

@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/rtsyslab/eucon/internal/agent"
@@ -39,14 +36,14 @@ const (
 	partitionJitter = 0.02
 )
 
-// checkPartition runs one scenario of the partition campaign. Clause
-// mapping: ProcCrash isolates the clause's processor from its Start period
-// (the agent's context is canceled — the lane just dies, no goodbye) and
-// heals it at Stop (a fresh agent rejoins); FeedbackDrop installs seeded
-// probabilistic loss on the processor's lanes — both directions, so report
-// loss exercises hold-last substitution and rate loss exercises the
-// agents' stale-frame tolerance and the v2 delta resync — active only
-// while the server's period is inside the window.
+// checkPartition runs one scenario of the partition campaign on an
+// agent.Fleet. Clause mapping: ProcCrash isolates the clause's processor
+// from its Start period (the agent is killed — the lane just dies, no
+// goodbye) and heals it at Stop (a fresh agent rejoins); FeedbackDrop
+// installs seeded probabilistic loss on the processor's lanes — both
+// directions, so report loss exercises hold-last substitution and rate
+// loss exercises the agents' stale-frame tolerance and the v2 delta
+// resync — active only while the server's period is inside the window.
 //
 // The invariant set: the run completes without a server error (a
 // controller restart would surface exactly there), the membership ledger
@@ -71,212 +68,76 @@ func checkPartition(ctx context.Context, specs []fault.Spec, opts Options) (prob
 			rc = bug
 		}
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return []string{fmt.Sprintf("listen: %v", err)}, stats
-	}
-
-	// The loss plans consult the live server's period to gate their
-	// windows, but the plans must exist before the server does (they are
-	// construction options), so they read it through an atomic pointer
-	// filled in below — before any agent can connect.
-	var srvRef atomic.Pointer[agent.Server]
-	periodNow := func() int {
-		if s := srvRef.Load(); s != nil {
-			return s.Period()
+	var outages []agent.Outage
+	minCrashLen := math.Inf(1)
+	for _, sp := range specs {
+		if sp.Kind == fault.ProcCrash {
+			outages = append(outages, agent.Outage{Procs: []int{sp.Proc}, At: int(sp.Start), Rejoin: int(sp.Stop)})
+			minCrashLen = math.Min(minCrashLen, sp.Stop-sp.Start)
 		}
-		return 0
 	}
-	lossFor := func(p int, inbound bool) lane.Plan {
-		w := buildWindowPlan(specs, p, inbound, periodNow)
-		if w == nil {
-			return nil
-		}
-		return w
-	}
-
-	srv, err := agent.NewServer(sys, rc, ln,
-		agent.WithPeriods(opts.Periods),
-		agent.WithInterval(partitionInterval),
-		agent.WithMembershipTimeout(partitionMembershipTimeout),
-		agent.WithIOTimeout(partitionIOTimeout),
-		agent.WithTrace(true),
-		agent.WithTransportFaults(func(p int) lane.Plan { return lossFor(p, false) }),
-	)
-	if err != nil {
-		_ = ln.Close()
-		return []string{fmt.Sprintf("build server: %v", err)}, stats
-	}
-	srvRef.Store(srv)
-	addr := ln.Addr().String()
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type outcome struct {
-		res *agent.ServerResult
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() { //eucon:goroutine-ok joined by the blocking receive on done below
-		res, err := srv.Run(runCtx)
-		done <- outcome{res, err}
-	}()
-
-	// One kill switch per processor so a partition clause isolates exactly
-	// the incumbent agent.
-	var wg sync.WaitGroup
-	var killMu sync.Mutex
-	kills := make([]context.CancelFunc, partitionProcs)
-	launch := func(p int) {
-		actx, acancel := context.WithCancel(runCtx)
-		killMu.Lock()
-		kills[p] = acancel
-		killMu.Unlock()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Agents speak binary v2, so the negotiated delta-compacted
-			// rate path runs under the injected loss, not just on clean
-			// lanes.
-			_ = agent.RunAgent(actx, sys, p, addr,
+	fleet := &agent.Fleet{
+		Sys:  sys,
+		Ctrl: rc,
+		Server: []agent.Option{
+			agent.WithPeriods(opts.Periods),
+			agent.WithInterval(partitionInterval),
+			agent.WithMembershipTimeout(partitionMembershipTimeout),
+			agent.WithIOTimeout(partitionIOTimeout),
+			agent.WithTrace(true),
+		},
+		Agent: func(p int) []agent.Option {
+			// Binary v2: the delta-compacted rate path runs under the loss.
+			return []agent.Option{
 				agent.WithETF(sim.ConstantETF(1)),
 				agent.WithSamplingPeriod(workload.SamplingPeriod),
 				agent.WithInterval(partitionInterval),
 				agent.WithJitter(partitionJitter),
-				agent.WithSeed(int64(p)+1),
+				agent.WithSeed(int64(p) + 1),
 				agent.WithCodec(lane.BinaryV2),
-				agent.WithSendFaults(lossFor(p, true)),
 				agent.WithNodeName(fmt.Sprintf("part-P%d", p+1)),
-			)
-		}()
-	}
-	for p := 0; p < partitionProcs; p++ {
-		launch(p)
-	}
-
-	// One scheduler goroutine per partition clause: wait for the window to
-	// open, isolate the processor, wait for it to close, heal.
-	crashClauses := 0
-	minCrashLen := math.Inf(1)
-	for _, sp := range specs {
-		if sp.Kind != fault.ProcCrash {
-			continue
-		}
-		crashClauses++
-		if l := sp.Stop - sp.Start; l < minCrashLen {
-			minCrashLen = l
-		}
-		sp := sp
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if !waitPeriod(runCtx, srv, int(sp.Start)) {
-				return
 			}
-			killMu.Lock()
-			kills[sp.Proc]()
-			killMu.Unlock()
-			if !waitPeriod(runCtx, srv, int(sp.Stop)) {
-				return
-			}
-			launch(sp.Proc) // heal: a fresh agent rejoins the same slot
-		}()
+		},
+		Faults: func(p int, inbound bool, period func() int) lane.Plan {
+			return buildWindowPlan(specs, p, inbound, period)
+		},
+		Outages: outages,
 	}
-
-	out := <-done
-	cancel()
-	wg.Wait()
-
-	add := func(format string, args ...any) {
-		if len(problems) < maxProblemsPerRun {
-			problems = append(problems, fmt.Sprintf(format, args...))
-		}
+	res, err := fleet.Run(ctx)
+	var f findings
+	if err != nil {
+		f.add("fleet run failed (a server error is controller restart territory): %v", err)
+		return f, stats
 	}
-	if out.err != nil {
-		add("server run failed (controller restart territory): %v", out.err)
-		return problems, stats
-	}
-	res := out.res
 	stats.heldSamples = res.MissedReports
 
 	if res.Periods != opts.Periods {
-		add("run truncated: server stepped %d of %d periods", res.Periods, opts.Periods)
+		f.add("run truncated: server stepped %d of %d periods", res.Periods, opts.Periods)
 	}
 	if got, want := res.Joins+res.Rejoins, res.Leaves+res.Crashes+res.LiveAtEnd; got != want {
-		add("membership ledger unbalanced: %d joins + %d rejoins != %d leaves + %d crashes + %d live at end",
+		f.add("membership ledger unbalanced: %d joins + %d rejoins != %d leaves + %d crashes + %d live at end",
 			res.Joins, res.Rejoins, res.Leaves, res.Crashes, res.LiveAtEnd)
 	}
 	if res.LiveAtEnd != partitionProcs {
-		add("fleet did not heal: %d of %d agents live at end", res.LiveAtEnd, partitionProcs)
+		f.add("fleet did not heal: %d of %d agents live at end", res.LiveAtEnd, partitionProcs)
 	}
-	if res.Crashes < crashClauses {
-		add("injected %d partitions but the server booked only %d crashes", crashClauses, res.Crashes)
+	if res.Crashes < len(outages) {
+		f.add("injected %d partitions but the server booked only %d crashes", len(outages), res.Crashes)
 	}
-	if res.Rejoins < crashClauses {
-		add("injected %d partitions but only %d rejoins were booked", crashClauses, res.Rejoins)
+	if res.Rejoins < len(outages) {
+		f.add("injected %d partitions but only %d rejoins were booked", len(outages), res.Rejoins)
 	}
 	if res.ControllerErrors > 0 {
-		add("controller returned errors in %d periods", res.ControllerErrors)
+		f.add("controller returned errors in %d periods", res.ControllerErrors)
 	}
 	// Hold-last must actually have engaged while a member was isolated: a
 	// partition of ≥ 5 periods leaves the server stepping without that
 	// member's reports well before eviction or rejoin.
-	if crashClauses > 0 && minCrashLen >= 5 && res.MissedReports == 0 {
-		add("partitions isolated members for ≥ %g periods yet no report was ever substituted", minCrashLen)
+	if len(outages) > 0 && minCrashLen >= 5 && res.MissedReports == 0 {
+		f.add("partitions isolated members for ≥ %g periods yet no report was ever substituted", minCrashLen)
 	}
-	problems = appendTraceProblems(problems, res, sys, opts.Periods)
-	return problems, stats
-}
-
-// appendTraceProblems checks a server-run trace against the shared finite/
-// in-bounds/re-convergence invariants, mirroring inspect for the simulator
-// campaigns.
-func appendTraceProblems(problems []string, res *agent.ServerResult, sys interface {
-	RateBounds() ([]float64, []float64)
-	DefaultSetPoints() []float64
-}, periods int) []string {
-	add := func(format string, args ...any) bool {
-		if len(problems) >= maxProblemsPerRun {
-			return false
-		}
-		problems = append(problems, fmt.Sprintf(format, args...))
-		return true
-	}
-	for k, row := range res.Utilization {
-		for p, v := range row {
-			if !(v >= 0 && v <= 1) {
-				if !add("utilization[k=%d][P%d] = %g outside [0, 1]", k, p+1, v) {
-					return problems
-				}
-			}
-		}
-	}
-	rmin, rmax := sys.RateBounds()
-	for k, row := range res.Rates {
-		for i, r := range row {
-			if !(r >= rmin[i] && r <= rmax[i]) {
-				if !add("rate[k=%d][T%d] = %g outside [%g, %g]", k, i+1, r, rmin[i], rmax[i]) {
-					return problems
-				}
-			}
-		}
-	}
-	if n := len(res.Utilization); n >= reconvergeTail {
-		b := sys.DefaultSetPoints()
-		for p := range b {
-			sum := 0.0
-			for k := n - reconvergeTail; k < n; k++ {
-				sum += res.Utilization[k][p]
-			}
-			mean := sum / reconvergeTail
-			if d := math.Abs(mean - b[p]); !(d <= partitionReconvergeTol) {
-				add("no re-convergence: P%d mean utilization %.4f over final %d periods, set point %.4f (|Δ| %.4f > %g)",
-					p+1, mean, reconvergeTail, b[p], d, partitionReconvergeTol)
-			}
-		}
-	}
-	return problems
+	f.addTrace(res.Utilization, res.Rates, sys, partitionReconvergeTol)
+	return f, stats
 }
 
 // lossWindow is one FeedbackDrop clause compiled for one lane direction.
@@ -314,7 +175,7 @@ func (w *windowPlan) Outcome(n uint64) (drop bool, delay time.Duration) {
 // applies. The two directions draw decorrelated loss patterns from the
 // clause seed, so "drop 20%" does not mean "every lost report also loses
 // its rate frame".
-func buildWindowPlan(specs []fault.Spec, p int, inbound bool, period func() int) *windowPlan {
+func buildWindowPlan(specs []fault.Spec, p int, inbound bool, period func() int) lane.Plan {
 	var wins []lossWindow
 	for _, sp := range specs {
 		if sp.Kind != fault.FeedbackDrop || (sp.Proc != fault.All && sp.Proc != p) {
@@ -331,15 +192,4 @@ func buildWindowPlan(specs []fault.Spec, p int, inbound bool, period func() int)
 		return nil
 	}
 	return &windowPlan{period: period, windows: wins}
-}
-
-// waitPeriod polls until the server reaches period k; false on cancel.
-func waitPeriod(ctx context.Context, srv *agent.Server, k int) bool {
-	for srv.Period() < k {
-		if ctx.Err() != nil {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return true
 }
