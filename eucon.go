@@ -18,8 +18,8 @@
 // defaults above every processor's utilization converges to its
 // Liu–Layland set point even though execution times are mis-estimated by
 // 2×. For custom workloads or controller tuning, build a controller with
-// NewControllerOpts and run it through an ExperimentSpec with System and
-// Custom set.
+// NewController and a ControllerConfig and run it through an
+// ExperimentSpec with System and Custom set.
 //
 // The package is a facade: implementations live in internal/ packages and
 // are re-exported here as type aliases, so the types below are the same
@@ -32,6 +32,7 @@ import (
 
 	"github.com/rtsyslab/eucon/internal/baseline"
 	"github.com/rtsyslab/eucon/internal/core"
+	"github.com/rtsyslab/eucon/internal/empc"
 	"github.com/rtsyslab/eucon/internal/metrics"
 	"github.com/rtsyslab/eucon/internal/sim"
 	"github.com/rtsyslab/eucon/internal/task"
@@ -65,6 +66,10 @@ type (
 	// ControllerConfig tunes the MPC controller; the zero value selects
 	// the paper's SIMPLE parameters (P=2, M=1, Tref/Ts=4).
 	ControllerConfig = core.Config
+	// ExplicitCompileReport is the offline-compile report of an explicit
+	// MPC law: region and exploration counts plus the deterministic build
+	// digest.
+	ExplicitCompileReport = empc.Report
 )
 
 // Simulation types (see internal/sim).
@@ -90,8 +95,15 @@ type Summary = metrics.Summary
 // NewController builds an EUCON MPC controller for a system. setPoints
 // gives the desired utilization per processor; nil selects each
 // processor's Liu–Layland schedulable bound, which makes utilization
-// control enforce all subtask deadlines (paper eq. 13). It is a thin
-// wrapper over NewControllerOpts for callers who prefer a config struct.
+// control enforce all subtask deadlines (paper eq. 13). The zero
+// ControllerConfig selects the paper's SIMPLE parameters; set its fields
+// to tune the controller:
+//
+//	ctrl, err := eucon.NewController(sys, nil, eucon.ControllerConfig{
+//		PredictionHorizon: 4, // P
+//		ControlHorizon:    2, // M
+//		TrefOverTs:        4,
+//	})
 func NewController(sys *System, setPoints []float64, cfg ControllerConfig) (*MPCController, error) {
 	return core.New(sys, setPoints, cfg)
 }

@@ -78,14 +78,16 @@ func run() error {
 	}
 
 	// nil set points → Liu–Layland bounds per processor: holding them
-	// guarantees every subtask deadline under RMS. WithExplicit compiles
-	// the control law offline so each in-flight decision is a table lookup
+	// guarantees every subtask deadline under RMS. Explicit compiles the
+	// control law offline so each in-flight decision is a table lookup
 	// (rates are bit-identical to the iterative solver either way).
-	ctrl, err := eucon.NewControllerOpts(sys, nil,
-		eucon.WithHorizons(4, 2),
-		eucon.WithTrefOverTs(4),
-		eucon.WithExplicit(64),
-	)
+	ctrl, err := eucon.NewController(sys, nil, eucon.ControllerConfig{
+		PredictionHorizon:  4,
+		ControlHorizon:     2,
+		TrefOverTs:         4,
+		Explicit:           true,
+		ExplicitMaxRegions: 64,
+	})
 	if err != nil {
 		return err
 	}

@@ -77,10 +77,11 @@ func run() error {
 	}
 
 	// Keep every tier at or below 70% to preserve latency headroom.
-	ctrl, err := eucon.NewControllerOpts(sys, []float64{0.7, 0.7, 0.7},
-		eucon.WithHorizons(4, 2),
-		eucon.WithTrefOverTs(4),
-	)
+	ctrl, err := eucon.NewController(sys, []float64{0.7, 0.7, 0.7}, eucon.ControllerConfig{
+		PredictionHorizon: 4,
+		ControlHorizon:    2,
+		TrefOverTs:        4,
+	})
 	if err != nil {
 		return err
 	}

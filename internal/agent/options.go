@@ -15,8 +15,8 @@ const DefaultMembershipTimeout = 30 * time.Second
 const DefaultPeriodTimeout = 2 * time.Second
 
 // Options collects the tunables shared by Server and RunAgent, set
-// through functional options mirroring core.NewControllerOpts. The zero
-// value (normalized by newOptions) is a working configuration.
+// through functional options (Option). The zero value (normalized by
+// newOptions) is a working configuration.
 type Options struct {
 	codec             lane.Codec
 	queueDepth        int

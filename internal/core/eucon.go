@@ -140,13 +140,8 @@ func New(sys *task.System, setPoints []float64, cfg Config) (*Controller, error)
 	if setPoints == nil {
 		setPoints = sys.DefaultSetPoints()
 	}
-	if len(setPoints) != sys.Processors {
-		return nil, fmt.Errorf("eucon: %d set points for %d processors", len(setPoints), sys.Processors)
-	}
-	for p, b := range setPoints {
-		if b <= 0 || b > 1 {
-			return nil, fmt.Errorf("eucon: set point %g for processor %d outside (0, 1]", b, p)
-		}
+	if err := checkSetPoints(setPoints, sys.Processors); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	if cfg.MeasurementFilter < 0 || cfg.MeasurementFilter > 1 {
@@ -191,6 +186,19 @@ func New(sys *task.System, setPoints []float64, cfg Config) (*Controller, error)
 	return c, nil
 }
 
+// checkSetPoints requires one set point per processor, each in (0, 1].
+func checkSetPoints(b []float64, processors int) error {
+	if len(b) != processors {
+		return fmt.Errorf("eucon: %d set points for %d processors", len(b), processors)
+	}
+	for p, v := range b {
+		if !(v > 0 && v <= 1) {
+			return fmt.Errorf("eucon: set point %g for processor %d outside (0, 1]", v, p)
+		}
+	}
+	return nil
+}
+
 // Name implements sim.Controller.
 func (c *Controller) Name() string { return "EUCON" }
 
@@ -204,6 +212,12 @@ func (c *Controller) Name() string { return "EUCON" }
 // is controller memory the next Step overwrites; it may be passed back as
 // that Step's rates.
 func (c *Controller) Step(_ int, u, rates []float64) ([]float64, error) {
+	if len(u) != c.sys.Processors {
+		return nil, fmt.Errorf("eucon: utilization vector has length %d, want %d", len(u), c.sys.Processors)
+	}
+	if len(rates) != len(c.sys.Tasks) {
+		return nil, fmt.Errorf("eucon: rate vector has length %d, want %d", len(rates), len(c.sys.Tasks))
+	}
 	u, ok := c.degradeFeedback(u)
 	if !ok {
 		// Skip-and-saturate: no trustworthy utilization picture exists, so
@@ -326,8 +340,12 @@ func (c *Controller) SetPoints() []float64 { return c.mpc.SetPoints() }
 // the piecewise-affine offsets bake them in — so the law and its counters
 // survive overload-protection transitions. Recompilation is an
 // offline-scale cost (tens of milliseconds) paid only on genuine set-point
-// changes.
+// changes. The set points are validated as New validates them; on an error
+// nothing changes.
 func (c *Controller) UpdateSetPoints(b []float64) error {
+	if err := checkSetPoints(b, c.sys.Processors); err != nil {
+		return err
+	}
 	if err := c.mpc.UpdateSetPoints(b); err != nil {
 		return fmt.Errorf("eucon: %w", err)
 	}

@@ -147,6 +147,75 @@ func TestUpdateSetPointsOnline(t *testing.T) {
 	}
 }
 
+// TestUpdateSetPointsValidatesLikeNew: set points New rejects are rejected
+// online too, and a rejected update changes nothing — the next Step is the
+// one a controller that never saw it takes.
+func TestUpdateSetPointsValidatesLikeNew(t *testing.T) {
+	bad := []float64{1.7, -0.2}
+	if _, err := New(simpleSystem(), bad, Config{}); err == nil {
+		t.Fatal("New accepted set points outside (0, 1]")
+	}
+	c, err := New(simpleSystem(), nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(simpleSystem(), nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]float64{bad, {0.5, math.NaN()}, {0.5, 0.5, 0.5}} {
+		if err := c.UpdateSetPoints(b); err == nil {
+			t.Errorf("UpdateSetPoints(%v) accepted", b)
+		}
+	}
+	if got, want := c.SetPoints(), twin.SetPoints(); got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("rejected updates moved the set points to %v, want %v", got, want)
+	}
+	u, rates := []float64{0.6, 0.7}, simpleSystem().InitialRates()
+	got, err := c.Step(0, u, rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := twin.Step(0, u, rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("after rejected updates the step commands %v, want %v", got, want)
+		}
+	}
+}
+
+// TestStepRejectsMisSizedVectors: a utilization or rate vector of the wrong
+// length is an error, also after a good step has sized the hold-last state.
+func TestStepRejectsMisSizedVectors(t *testing.T) {
+	c, err := New(simpleSystem(), nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates := simpleSystem().InitialRates()
+	if _, err := c.Step(0, []float64{0.5, 0.5}, rates); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		u, rates []float64
+	}{
+		{"longer u", []float64{0.5, 0.5, 0.5}, rates},
+		{"shorter u", []float64{0.5}, rates},
+		{"longer rates", []float64{0.5, 0.5}, append(rates[:3:3], 0.01)},
+		{"shorter rates", []float64{0.5, 0.5}, rates[:2]},
+	} {
+		if _, err := c.Step(1, tc.u, tc.rates); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+	if _, err := c.Step(2, []float64{0.5, 0.5}, rates); err != nil {
+		t.Fatalf("good step after rejected ones: %v", err)
+	}
+}
+
 func TestCriticalGainSimple(t *testing.T) {
 	c, err := New(simpleSystem(), []float64{0.828, 0.828}, Config{})
 	if err != nil {

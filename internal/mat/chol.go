@@ -100,6 +100,3 @@ func (c *Cholesky) SolveVecTo(dst, b []float64) error {
 	}
 	return nil
 }
-
-// L returns a copy of the lower-triangular factor.
-func (c *Cholesky) L() *Dense { return c.l.Clone() }

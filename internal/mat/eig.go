@@ -1,152 +1,12 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-	"math/cmplx"
-	"sort"
-)
+import "math/cmplx"
 
-// Eigenvalue computation for small real matrices.
-//
-// The stability analysis in EUCON (paper §6.2) requires the eigenvalues of
-// the closed-loop state matrix, which for the systems of interest is small
-// (state dimension = processors + tasks, typically < 40). We compute the
-// characteristic polynomial with the Faddeev–LeVerrier recurrence and find
-// its roots with the Durand–Kerner simultaneous iteration. This is
-// numerically adequate for small, well-scaled matrices and keeps the
-// implementation self-contained; it is not intended for large n.
-
-// CharPoly returns the coefficients of the characteristic polynomial
-// det(λI − A) = λⁿ + c[1]·λⁿ⁻¹ + … + c[n], as [1, c1, …, cn].
-func CharPoly(a *Dense) ([]float64, error) {
-	n := a.rows
-	if a.cols != n {
-		return nil, fmt.Errorf("mat: CharPoly requires a square matrix, got %dx%d", a.rows, a.cols)
-	}
-	coeffs := make([]float64, n+1)
-	coeffs[0] = 1
-	m := New(n, n) // M_0 = 0
-	for k := 1; k <= n; k++ {
-		// M_k = A·M_{k−1} + c_{k−1}·I
-		m = a.Mul(m)
-		for i := 0; i < n; i++ {
-			m.Set(i, i, m.At(i, i)+coeffs[k-1])
-		}
-		// c_k = −trace(A·M_k)/k
-		am := a.Mul(m)
-		var tr float64
-		for i := 0; i < n; i++ {
-			tr += am.At(i, i)
-		}
-		coeffs[k] = -tr / float64(k)
-	}
-	return coeffs, nil
-}
-
-// PolyRoots returns all (complex) roots of the real polynomial with
-// coefficients coeffs = [a0, a1, …, an] representing
-// a0·xⁿ + a1·xⁿ⁻¹ + … + an, using Durand–Kerner iteration. Leading zero
-// coefficients are stripped. An empty or constant polynomial yields no
-// roots.
-func PolyRoots(coeffs []float64) []complex128 {
-	// Strip leading zeros.
-	for len(coeffs) > 0 && IsZero(coeffs[0]) {
-		coeffs = coeffs[1:]
-	}
-	n := len(coeffs) - 1
-	if n < 1 {
-		return nil
-	}
-	// Normalize to a monic polynomial in complex arithmetic.
-	c := make([]complex128, n+1)
-	lead := coeffs[0]
-	for i, v := range coeffs {
-		c[i] = complex(v/lead, 0)
-	}
-	eval := func(x complex128) complex128 {
-		r := c[0]
-		for _, ci := range c[1:] {
-			r = r*x + ci
-		}
-		return r
-	}
-	// Initial guesses on a circle of radius based on the Cauchy bound, with
-	// an irrational angle offset so no guess starts on the real axis.
-	radius := 0.0
-	for _, v := range coeffs[1:] {
-		radius = math.Max(radius, math.Abs(v/lead))
-	}
-	radius = math.Max(1, 1+radius)
-	roots := make([]complex128, n)
-	for i := range roots {
-		theta := 2*math.Pi*float64(i)/float64(n) + 0.4
-		roots[i] = cmplx.Rect(radius*0.8, theta)
-	}
-	const (
-		maxIter = 500
-		tol     = 1e-12
-	)
-	for iter := 0; iter < maxIter; iter++ {
-		var maxDelta float64
-		for i := range roots {
-			num := eval(roots[i])
-			den := complex(1, 0)
-			for j := range roots {
-				if j != i {
-					den *= roots[i] - roots[j]
-				}
-			}
-			if den == 0 {
-				// Perturb coincident estimates and continue.
-				roots[i] += complex(1e-8, 1e-8)
-				continue
-			}
-			delta := num / den
-			roots[i] -= delta
-			if d := cmplx.Abs(delta); d > maxDelta {
-				maxDelta = d
-			}
-		}
-		if maxDelta < tol {
-			break
-		}
-	}
-	// Snap conjugate-pair noise: tiny imaginary parts on effectively real
-	// roots are zeroed for caller convenience.
-	for i, r := range roots {
-		if math.Abs(imag(r)) < 1e-9*(1+math.Abs(real(r))) {
-			roots[i] = complex(real(r), 0)
-		}
-	}
-	sort.Slice(roots, func(i, j int) bool {
-		if real(roots[i]) != real(roots[j]) { //eucon:float-exact total-order tie-break for a stable sort
-			return real(roots[i]) < real(roots[j])
-		}
-		return imag(roots[i]) < imag(roots[j])
-	})
-	return roots
-}
-
-// Eigenvalues returns the eigenvalues of a small square real matrix as
-// complex numbers (conjugate pairs for complex eigenvalues).
-func Eigenvalues(a *Dense) ([]complex128, error) {
-	coeffs, err := CharPoly(a)
-	if err != nil {
-		return nil, err
-	}
-	return PolyRoots(coeffs), nil
-}
-
-// SpectralRadius returns max|λᵢ| over the eigenvalues of a. Small matrices
-// use the characteristic-polynomial route; larger ones the Hessenberg QR
-// iteration, which stays accurate where polynomial root finding degrades.
+// SpectralRadius returns max|λᵢ| over the eigenvalues of a, computed by the
+// Hessenberg QR iteration (EigenvaluesQR) at every size. It is the one
+// eigensolver behind the stability analysis (paper §6.2).
 func SpectralRadius(a *Dense) (float64, error) {
-	eig := Eigenvalues
-	if a.rows > 10 {
-		eig = EigenvaluesQR
-	}
-	eigs, err := eig(a)
+	eigs, err := EigenvaluesQR(a)
 	if err != nil {
 		return 0, err
 	}

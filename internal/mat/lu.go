@@ -108,25 +108,6 @@ func (f *LU) SolveVec(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Solve solves A·X = B for a matrix right-hand side.
-func (f *LU) Solve(b *Dense) (*Dense, error) {
-	n := f.lu.rows
-	if b.rows != n {
-		return nil, fmt.Errorf("mat: LU solve row mismatch: %d vs %d", b.rows, n)
-	}
-	out := New(n, b.cols)
-	for j := 0; j < b.cols; j++ {
-		col, err := f.SolveVec(b.Col(j))
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range col {
-			out.Set(i, j, v)
-		}
-	}
-	return out, nil
-}
-
 // Det returns the determinant of the factored matrix.
 func (f *LU) Det() float64 {
 	d := float64(f.sign)
@@ -143,15 +124,6 @@ func SolveVec(a *Dense, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.SolveVec(b)
-}
-
-// Inverse returns A⁻¹, or ErrSingular.
-func Inverse(a *Dense) (*Dense, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(Identity(a.rows))
 }
 
 // Det returns the determinant of a square matrix (0 when singular).

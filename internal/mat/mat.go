@@ -121,20 +121,9 @@ func (m *Dense) Clone() *Dense {
 	return out
 }
 
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of bounds for %dx%d matrix", i, m.rows, m.cols))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // RowView returns row i as a slice aliasing the matrix storage: no copy is
 // made, and writes through the slice mutate the matrix. Intended for
-// read-mostly hot loops (dot products against constraint rows); use Row
-// when the caller may outlive or mutate independently of m.
+// read-mostly hot loops (dot products against constraint rows).
 //
 //eucon:noalloc
 func (m *Dense) RowView(i int) []float64 {
@@ -168,17 +157,6 @@ func (m *Dense) Col(j int) []float64 {
 	return out
 }
 
-// SetRow copies v into row i. len(v) must equal the column count.
-func (m *Dense) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("mat: SetRow length %d != %d columns", len(v), m.cols))
-	}
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of bounds", i))
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], v)
-}
-
 // T returns the transpose of m as a new matrix.
 func (m *Dense) T() *Dense {
 	out := New(m.cols, m.rows)
@@ -196,16 +174,6 @@ func (m *Dense) Add(b *Dense) *Dense {
 	out := m.Clone()
 	for i := range out.data {
 		out.data[i] += b.data[i]
-	}
-	return out
-}
-
-// Sub returns m − b. Dimensions must match.
-func (m *Dense) Sub(b *Dense) *Dense {
-	m.checkSameDims(b, "Sub")
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
 	}
 	return out
 }
@@ -323,30 +291,6 @@ func StackV(ms ...*Dense) *Dense {
 	return out
 }
 
-// StackH horizontally stacks matrices with equal row counts.
-func StackH(ms ...*Dense) *Dense {
-	if len(ms) == 0 {
-		return New(0, 0)
-	}
-	rows := ms[0].rows
-	cols := 0
-	for _, m := range ms {
-		if m.rows != rows {
-			panic(fmt.Sprintf("mat: StackH row mismatch: %d vs %d", rows, m.rows))
-		}
-		cols += m.cols
-	}
-	out := New(rows, cols)
-	for i := 0; i < rows; i++ {
-		at := i * cols
-		for _, m := range ms {
-			copy(out.data[at:at+m.cols], m.data[i*m.cols:(i+1)*m.cols])
-			at += m.cols
-		}
-	}
-	return out
-}
-
 // MaxAbs returns the largest absolute element value, or 0 for an empty
 // matrix.
 func (m *Dense) MaxAbs() float64 {
@@ -357,15 +301,6 @@ func (m *Dense) MaxAbs() float64 {
 		}
 	}
 	return max
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Dense) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // Equal reports whether m and b have the same shape and all elements within

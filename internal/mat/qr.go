@@ -59,25 +59,10 @@ func FactorQR(a *Dense) (*QR, error) {
 	return &QR{qr: qr, rdiag: rdiag}, nil
 }
 
-// SolveLeastSquares returns argmin‖Ax − b‖₂ via the factorization. It
-// returns ErrSingular when R is rank-deficient to working precision.
-func (f *QR) SolveLeastSquares(b []float64) ([]float64, error) {
-	m, n := f.qr.Dims()
-	if len(b) != m {
-		return nil, fmt.Errorf("mat: QR solve length mismatch: %d vs %d", len(b), m)
-	}
-	x := make([]float64, n)
-	if err := f.SolveLeastSquaresTo(x, make([]float64, m), b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
 // SolveLeastSquaresTo computes argmin‖Ax − b‖₂ into x (length cols) using
-// scratch (length rows) for the Qᵀ·b product: the allocation-free variant
-// of SolveLeastSquares for analysis loops that re-solve against one
-// factorization. The arithmetic is identical to SolveLeastSquares, so both
-// produce bit-identical solutions.
+// scratch (length rows) for the Qᵀ·b product, without allocating, so
+// analysis loops can re-solve against one factorization. It returns
+// ErrSingular when R is rank-deficient to working precision.
 //
 //eucon:noalloc
 func (f *QR) SolveLeastSquaresTo(x, scratch, b []float64) error {
@@ -140,5 +125,10 @@ func LeastSquares(a *Dense, b []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f.SolveLeastSquares(b)
+	m, n := a.Dims()
+	x := make([]float64, n)
+	if err := f.SolveLeastSquaresTo(x, make([]float64, m), b); err != nil {
+		return nil, err
+	}
+	return x, nil
 }

@@ -7,10 +7,9 @@ import (
 
 // EigenvaluesQR computes the eigenvalues of a real square matrix with the
 // implicitly-shifted Hessenberg QR iteration (Wilkinson shifts, real
-// arithmetic, 2×2 trailing-block deflation). It is slower to write but far
-// more robust than the characteristic-polynomial route for matrices beyond
-// a few tens of rows, and is used by the stability analysis for large
-// decentralized systems.
+// arithmetic, 2×2 trailing-block deflation). It is the eigensolver behind
+// SpectralRadius at every size; a characteristic-polynomial route survives
+// only as its differential oracle in the tests.
 func EigenvaluesQR(a *Dense) ([]complex128, error) {
 	n := a.rows
 	if a.cols != n {

@@ -62,17 +62,6 @@ func TestLUDet(t *testing.T) {
 	}
 }
 
-func TestInverse(t *testing.T) {
-	a := MustFromRows([][]float64{{4, 7}, {2, 6}})
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Mul(inv); !got.Equal(Identity(2), 1e-12) {
-		t.Fatalf("A·A⁻¹ = %v, want I", got)
-	}
-}
-
 func TestLUNonSquare(t *testing.T) {
 	if _, err := FactorLU(New(2, 3)); err == nil {
 		t.Fatal("FactorLU on non-square matrix returned nil error")
@@ -86,7 +75,7 @@ func TestCholeskySolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := f.L()
+	l := f.l
 	if got := l.Mul(l.T()); !got.Equal(a, 1e-12) {
 		t.Fatalf("L·Lᵀ = %v, want %v", got, a)
 	}
@@ -191,51 +180,6 @@ func TestQRRankDeficient(t *testing.T) {
 	}
 }
 
-func TestCharPolyKnown(t *testing.T) {
-	// A = [[2,0],[0,3]] → λ² − 5λ + 6.
-	a := Diag([]float64{2, 3})
-	c, err := CharPoly(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !VecEqual(c, []float64{1, -5, 6}, 1e-10) {
-		t.Fatalf("CharPoly = %v, want [1 -5 6]", c)
-	}
-}
-
-func TestEigenvaluesDiagonal(t *testing.T) {
-	eigs, err := Eigenvalues(Diag([]float64{1, 4, 9}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 4, 9}
-	if len(eigs) != 3 {
-		t.Fatalf("got %d eigenvalues, want 3", len(eigs))
-	}
-	for i, e := range eigs {
-		if !almostEqual(real(e), want[i], 1e-8) || math.Abs(imag(e)) > 1e-8 {
-			t.Errorf("eig[%d] = %v, want %v", i, e, want[i])
-		}
-	}
-}
-
-func TestEigenvaluesComplexPair(t *testing.T) {
-	// Rotation-like matrix [[0,-1],[1,0]] has eigenvalues ±i.
-	a := MustFromRows([][]float64{{0, -1}, {1, 0}})
-	eigs, err := Eigenvalues(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eigs) != 2 {
-		t.Fatalf("got %d eigenvalues, want 2", len(eigs))
-	}
-	for _, e := range eigs {
-		if !almostEqual(real(e), 0, 1e-8) || !almostEqual(math.Abs(imag(e)), 1, 1e-8) {
-			t.Errorf("eigenvalue %v, want ±i", e)
-		}
-	}
-}
-
 func TestSpectralRadius(t *testing.T) {
 	a := MustFromRows([][]float64{{0.5, 0.2}, {0, -0.9}})
 	rho, err := SpectralRadius(a)
@@ -248,19 +192,29 @@ func TestSpectralRadius(t *testing.T) {
 }
 
 func TestSpectralRadiusSimilarityInvariant(t *testing.T) {
-	// ρ(P·A·P⁻¹) == ρ(A).
+	// ρ(P·A·P⁻¹) == ρ(A), with P = D·Q for a positive diagonal D and a
+	// Householder reflector Q = I − 2vvᵀ/(vᵀv), so P⁻¹ = Q·D⁻¹ exactly.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(4)
 		a := randomDense(rng, n, n)
-		p := randomDense(rng, n, n)
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		q := Identity(n)
+		vv := Dot(v, v)
 		for i := 0; i < n; i++ {
-			p.Set(i, i, p.At(i, i)+float64(n)+1)
+			for j := 0; j < n; j++ {
+				q.Set(i, j, q.At(i, j)-2*v[i]*v[j]/vv)
+			}
 		}
-		pinv, err := Inverse(p)
-		if err != nil {
-			return true // skip ill-conditioned draws
+		d, dinv := make([]float64, n), make([]float64, n)
+		for i := range d {
+			d[i] = 0.5 + rng.Float64()
+			dinv[i] = 1 / d[i]
 		}
+		p, pinv := Diag(d).Mul(q), q.Mul(Diag(dinv))
 		r1, err1 := SpectralRadius(a)
 		r2, err2 := SpectralRadius(p.Mul(a).Mul(pinv))
 		if err1 != nil || err2 != nil {
@@ -270,29 +224,6 @@ func TestSpectralRadiusSimilarityInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPolyRootsQuadratic(t *testing.T) {
-	// x² − 3x + 2 = (x−1)(x−2).
-	roots := PolyRoots([]float64{1, -3, 2})
-	if len(roots) != 2 {
-		t.Fatalf("got %d roots, want 2", len(roots))
-	}
-	if !almostEqual(real(roots[0]), 1, 1e-9) || !almostEqual(real(roots[1]), 2, 1e-9) {
-		t.Fatalf("roots = %v, want [1 2]", roots)
-	}
-}
-
-func TestPolyRootsDegenerate(t *testing.T) {
-	if r := PolyRoots(nil); r != nil {
-		t.Errorf("PolyRoots(nil) = %v, want nil", r)
-	}
-	if r := PolyRoots([]float64{5}); r != nil {
-		t.Errorf("PolyRoots(constant) = %v, want nil", r)
-	}
-	if r := PolyRoots([]float64{0, 0, 1, -2}); len(r) != 1 || !almostEqual(real(r[0]), 2, 1e-9) {
-		t.Errorf("PolyRoots with leading zeros = %v, want [2]", r)
 	}
 }
 
@@ -324,9 +255,5 @@ func TestVecHelpers(t *testing.T) {
 	c[0] = 99
 	if a[0] != 1 {
 		t.Error("VecClone did not copy")
-	}
-	cv := ColVec([]float64{1, 2})
-	if r, cc := cv.Dims(); r != 2 || cc != 1 {
-		t.Errorf("ColVec dims = (%d,%d), want (2,1)", r, cc)
 	}
 }

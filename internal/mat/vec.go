@@ -98,13 +98,6 @@ func VecEqual(a, b []float64, tol float64) bool {
 	return true
 }
 
-// ColVec returns a as an n×1 matrix (copying the data).
-func ColVec(a []float64) *Dense {
-	m := New(len(a), 1)
-	copy(m.data, a)
-	return m
-}
-
 //eucon:noalloc
 func checkVecLen(a, b []float64, op string) {
 	if len(a) != len(b) {

@@ -470,8 +470,8 @@ func (c *Controller) NewStepResult() *StepResult {
 // StepTo contains every numerical failure of the underlying QP solve and
 // never lets one escape: the returned error is non-nil only for caller
 // bugs (wrong vector lengths), and NewRates is always finite and inside
-// the rate box. A non-finite measurement vector short-circuits to the hold
-// rung — steering the plant on NaN would poison the move memory.
+// the rate box. A non-finite measurement or rate vector short-circuits to
+// the hold rung — steering the plant on NaN would poison the move memory.
 //
 // An attached explicit law does not change the path: it is bookkeeping.
 // Every step with a law attached counts as a hit (the interior solve
@@ -485,10 +485,10 @@ func (c *Controller) StepTo(out *StepResult, u, rates []float64) error {
 	}
 	var x []float64 // stacked solution; nil selects the hold rung
 	iters, outcome, relaxed, interior := 0, SolveHeld, false, false
-	// A NaN/Inf measurement reached the solver layer (the EUCON
+	// A NaN/Inf measurement or rate reached the solver layer (the EUCON
 	// controller's hold-last policy normally substitutes upstream): no
 	// trustworthy solve is possible, so hold the applied rates.
-	if finiteVec(u) {
+	if finiteVec(u) && finiteVec(rates) {
 		c.fillLeastSquaresRHS(u, c.dbuf)
 		c.fillConstraintRHS(u, rates)
 		iters, interior = c.lsi.SolveInteriorTo(c.z0, c.dbuf, c.aFull, c.bFull)
@@ -500,7 +500,7 @@ func (c *Controller) StepTo(out *StepResult, u, rates []float64) error {
 			x, outcome = c.z0, SolveOK
 			c.prevRelaxed = false
 		} else {
-			x, iters, outcome, relaxed = c.solveIterative(u, rates) //eucon:alloc-ok off the interior the active-set solve and its ladder allocate
+			x, iters, outcome, relaxed = c.solveIterative(rates) //eucon:alloc-ok off the interior the active-set solve and its ladder allocate
 			copy(c.z0, x)
 		}
 	}
@@ -556,40 +556,15 @@ func (c *Controller) pre(u, rates []float64) error {
 // its iteration count, the ladder rung that produced it, and whether the
 // move was solved without the output constraints; a nil solution selects
 // the hold rung.
-func (c *Controller) solveIterative(u, rates []float64) (x []float64, iters int, outcome SolveOutcome, relaxed bool) {
-	// Pick a feasible starting point analytically instead of relying on the
-	// solver's generic (and expensive) phase-1. Δr = 0 is feasible unless a
-	// processor is over its set point; in that case "all rates to R_min" is
-	// the most aggressive recovery available — F is non-negative, so if even
-	// that violates the output constraints, the constraint set is infeasible
-	// and the hard utilization constraints must be relaxed for this period.
-	a, b := c.aFull, c.bFull
+func (c *Controller) solveIterative(rates []float64) (x []float64, iters int, outcome SolveOutcome, relaxed bool) {
 	z0 := c.z0
-	clear(z0)
-	if maxViolation(a, b, z0) > 1e-9 {
-		for j := 0; j < c.m; j++ {
-			z0[j] = c.rmin[j] - rates[j]
-		}
-		if maxViolation(a, b, z0) > 1e-9 && !c.cfg.DisableOutputConstraints {
-			relaxed = true
-			a, b = c.aBox, c.bBox
-			clear(z0)
-		}
-	}
+	a, b, relaxed := c.start(z0, rates)
 	// The warm-start set indexes constraint rows, so it is only meaningful
 	// while the constraint variant is unchanged.
 	if relaxed != c.prevRelaxed {
 		c.lsi.ResetWarmStart()
 	}
 	res, err := c.lsi.Solve(c.dbuf, a, b, z0)
-	if err != nil && errors.Is(err, qp.ErrInfeasible) && !relaxed && !c.cfg.DisableOutputConstraints {
-		// Belt and braces: fall back to the always-feasible rate box.
-		relaxed = true
-		a, b = c.aBox, c.bBox
-		clear(z0)
-		c.lsi.ResetWarmStart()
-		res, err = c.lsi.Solve(c.dbuf, a, b, z0)
-	}
 	c.prevRelaxed = relaxed
 	outcome = SolveOK
 	if relaxed {
@@ -616,7 +591,7 @@ func (c *Controller) solveIterative(u, rates []float64) (x []float64, iters int,
 	// Rung 2: Tikhonov-regularized re-solve against the always-feasible rate
 	// box, biasing the move toward Δr = 0.
 	if c.lsiReg != nil {
-		clear(z0)
+		c.boxStart(z0, rates)
 		reg, regErr := c.lsiReg.Solve(c.dregBuf, c.aBox, c.bBox, z0)
 		if reg != nil && finiteVec(reg.X) &&
 			(regErr == nil || (errors.Is(regErr, qp.ErrMaxIterations) && reg.Stationarity <= bestIterateResidualBound)) {
@@ -630,6 +605,39 @@ func (c *Controller) solveIterative(u, rates []float64) (x []float64, iters int,
 	}
 	// Rung 3: hold the applied rates.
 	return nil, 0, SolveHeld, false
+}
+
+// start picks the iterative solve's starting point into z0 and the
+// constraint variant it is feasible for, analytically: the solver has no
+// phase-1. Δr = 0 is feasible unless a processor is over its set point (or a
+// rate is outside its box); then "all rates to R_min" is the most
+// aggressive recovery available — F is non-negative, so if even that
+// violates the output constraints, the constraint set is infeasible and
+// the hard utilization constraints are relaxed for this period, starting
+// inside the rate box (boxStart).
+func (c *Controller) start(z0, rates []float64) (a *mat.Dense, b []float64, relaxed bool) {
+	clear(z0)
+	if maxViolation(c.aFull, c.bFull, z0) <= 1e-9 {
+		return c.aFull, c.bFull, false
+	}
+	for j := 0; j < c.m; j++ {
+		z0[j] = c.rmin[j] - rates[j]
+	}
+	if maxViolation(c.aFull, c.bFull, z0) <= 1e-9 || c.cfg.DisableOutputConstraints {
+		return c.aFull, c.bFull, false
+	}
+	c.boxStart(z0, rates)
+	return c.aBox, c.bBox, true
+}
+
+// boxStart writes the move clamp(r) − r into z0's first block and zeroes
+// the rest: a point inside the rate box for any finite rates, and exactly
+// Δr = +0 when every rate is already inside it.
+func (c *Controller) boxStart(z0, rates []float64) {
+	clear(z0)
+	for j := 0; j < c.m; j++ {
+		z0[j] = math.Max(c.rmin[j], math.Min(c.rmax[j], rates[j])) - rates[j]
+	}
 }
 
 // finish is the one epilogue of a control step: it turns the stacked

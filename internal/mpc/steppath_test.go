@@ -1,14 +1,17 @@
 package mpc_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"github.com/rtsyslab/eucon/internal/core"
 	"github.com/rtsyslab/eucon/internal/empc"
 	"github.com/rtsyslab/eucon/internal/experiments"
 	"github.com/rtsyslab/eucon/internal/mat"
 	"github.com/rtsyslab/eucon/internal/mpc"
 	"github.com/rtsyslab/eucon/internal/qp"
+	"github.com/rtsyslab/eucon/internal/task"
 	"github.com/rtsyslab/eucon/internal/workload"
 )
 
@@ -186,26 +189,28 @@ func TestInteriorSolveMatchesIterativeBitwise(t *testing.T) {
 	}
 	n := cmat.Cols()
 	x, zero, start := make([]float64, n), make([]float64, n), make([]float64, n)
-	rmin, _ := workload.Medium().RateBounds()
+	applied := make([]float64, len(workload.Medium().Tasks))
 	out := ctrl.NewStepResult()
 	hits, misses, warmed := 0, 0, 0
 	warm := false // the iterative side's last solve ended with active constraints
 	step := func(k int, u, rates []float64) {
 		t.Helper()
+		// rates may be out.NewRates, which StepTo overwrites.
+		copy(applied, rates)
 		if err := ctrl.StepTo(out, u, rates); err != nil { // fills d and b for this period
 			t.Fatalf("row %d: %v", k, err)
 		}
 		iters, ok := interior.SolveInteriorTo(x, d, a, b)
 		if !ok {
 			misses++
-			// Off the interior, start where the controller does (all rates to
-			// R_min) so overloaded rows skip the generic phase-1.
-			clear(start)
-			for j := range rates {
-				start[j] = rmin[j] - rates[j]
+			// Off the interior, start where the controller does, on the
+			// constraint variant that start is feasible for.
+			sa, sb := ctrl.IterativeStart(start, applied)
+			res, err := iterative.Solve(d, sa, sb, start)
+			if err != nil {
+				t.Fatalf("row %d: iterative solve from the controller's start: %v", k, err)
 			}
-			res, err := iterative.Solve(d, a, b, start)
-			warm = err == nil && len(res.Active) > 0
+			warm = len(res.Active) > 0
 			return
 		}
 		res, err := iterative.Solve(d, a, b, zero)
@@ -347,5 +352,88 @@ func TestRecordedStepsCertify(t *testing.T) {
 				t.Fatalf("comparison is thin: %v", seen)
 			}
 		})
+	}
+}
+
+// TestOutOfBoxRatesStayContained hands the controller rates outside their
+// box — 1.5·R_max, then 0.5·R_min — with every processor one unit above
+// what those rates explain, so even the R_min corner violates the output
+// constraints and the relaxed branch starts from inside the rate box. On
+// SIMPLE and MEDIUM, with and without output constraints, the step must be
+// a nominal solve (SolveOK or SolveRelaxed) whose rates are finite and in
+// the box. Non-finite rates must stay contained the same way.
+func TestOutOfBoxRatesStayContained(t *testing.T) {
+	for _, w := range []struct {
+		name string
+		sys  *task.System
+		cfg  core.Config
+	}{
+		{"SIMPLE", workload.Simple(), workload.SimpleController()},
+		{"MEDIUM", workload.Medium(), workload.MediumController()},
+	} {
+		for _, disable := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/output-constraints-disabled=%v", w.name, disable), func(t *testing.T) {
+				f := w.sys.AllocationMatrix()
+				rmin, rmax := w.sys.RateBounds()
+				c, err := mpc.New(f, w.sys.DefaultSetPoints(), rmin, rmax, mpc.Config{
+					PredictionHorizon:        w.cfg.PredictionHorizon,
+					ControlHorizon:           w.cfg.ControlHorizon,
+					TrefOverTs:               w.cfg.TrefOverTs,
+					DisableOutputConstraints: disable,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// above returns u one unit above what the rates explain: above
+				// B ≤ 1, and above B even at the R_min corner.
+				above := func(rates []float64) []float64 {
+					u := f.MulVec(rates)
+					for i := range u {
+						u[i]++
+					}
+					return u
+				}
+				check := func(label string, u, rates []float64, nominal bool) {
+					t.Helper()
+					res, err := c.Step(u, rates)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					for j, r := range res.NewRates {
+						if !(r >= rmin[j] && r <= rmax[j]) {
+							t.Fatalf("%s: NewRates[%d] = %g outside [%g, %g] (%v)", label, j, r, rmin[j], rmax[j], res.Outcome)
+						}
+					}
+					if !nominal {
+						return
+					}
+					if res.Outcome != mpc.SolveOK && res.Outcome != mpc.SolveRelaxed {
+						t.Fatalf("%s: outcome %v, want a nominal solve", label, res.Outcome)
+					}
+					if res.OutputConstraintsRelaxed == disable {
+						t.Fatalf("%s: relaxed = %v with output constraints disabled = %v", label, res.OutputConstraintsRelaxed, disable)
+					}
+				}
+				for _, k := range []struct {
+					bound []float64
+					scale float64
+				}{{rmax, 1.5}, {rmin, 0.5}} {
+					rates := make([]float64, len(k.bound))
+					for j, v := range k.bound {
+						rates[j] = k.scale * v
+					}
+					check(fmt.Sprintf("%g·bound", k.scale), above(rates), rates, true)
+				}
+				u := above(rmin)
+				for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+					rates := make([]float64, len(rmin))
+					for j := range rates {
+						rates[j] = v
+					}
+					check(fmt.Sprintf("rates %g", v), u, rates, false)
+					check(fmt.Sprintf("R_min after rates %g", v), u, mat.VecClone(rmin), false)
+				}
+			})
+		}
 	}
 }

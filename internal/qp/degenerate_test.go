@@ -63,8 +63,9 @@ func TestIterationCappedCarriesBestIterate(t *testing.T) {
 }
 
 // TestLSIInfeasibleConstraintsSentinel pins that the reusable LSI path
-// (the controller's hot path) reports contradictory constraints as
-// ErrInfeasible — the sentinel the controller's relaxation step keys on.
+// (the controller's hot path) rejects a start outside contradictory
+// constraints with ErrInfeasible and no Result: the solver has no phase-1,
+// so the start is the caller's to make feasible.
 func TestLSIInfeasibleConstraintsSentinel(t *testing.T) {
 	s, err := NewLSI(mat.Identity(1), Options{})
 	if err != nil {

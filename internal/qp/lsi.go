@@ -34,7 +34,6 @@ type LSI struct {
 	hchol *mat.SPDFactor
 
 	f     []float64 // −2·Cᵀd scratch
-	start []float64 // feasible starting point scratch
 	resid []float64 // C·x − d scratch
 	warm  []int     // previous solve's active set
 	ws    workspace
@@ -75,7 +74,6 @@ func NewLSI(c *mat.Dense, opts Options) (*LSI, error) {
 		h:     h,
 		hchol: hchol,
 		f:     make([]float64, n),
-		start: make([]float64, n),
 		resid: make([]float64, c.Rows()),
 		ws:    workspace{keepLambda: true},
 		opts:  opts,
@@ -87,10 +85,11 @@ func NewLSI(c *mat.Dense, opts Options) (*LSI, error) {
 }
 
 // Solve minimizes ‖C·x − d‖² subject to A·x ≤ b from the starting point
-// x0, which need not be feasible (an infeasible start triggers a phase-1
-// solve). The constraint matrix may differ between calls; the warm-start
-// active set is only reused when it stays meaningful for the caller's
-// constraint ordering.
+// x0, which must be feasible: a start that violates the constraints by
+// more than feasTol (1e-9) returns ErrInfeasible and a nil Result. The
+// constraint matrix may differ between calls; the warm-start active set is
+// only reused when it stays meaningful for the caller's constraint
+// ordering.
 //
 // Like C, a constraint matrix is captured by reference and must not be
 // mutated after it has been passed in: the solver remembers H⁻¹·aᵢ and
@@ -110,18 +109,9 @@ func (s *LSI) Solve(d []float64, a *mat.Dense, b []float64, x0 []float64) (*Resu
 	for i := range s.f {
 		s.f[i] *= -2
 	}
-	start := s.start
-	copy(start, x0)
-	if a != nil && maxViolation(a, b, start) > 1e-9 {
-		feasible, err := FindFeasible(a, b, start, s.opts)
-		if err != nil {
-			return nil, fmt.Errorf("phase-1 for constrained least squares: %w", err)
-		}
-		copy(start, feasible)
-	}
 	opts := s.opts
 	opts.WarmStart = s.warm
-	res, err := solveActiveSet(s.h, s.hchol, s.f, a, b, start, opts, &s.ws)
+	res, err := solveActiveSet(s.h, s.hchol, s.f, a, b, x0, opts, &s.ws)
 	if err != nil {
 		return res, err
 	}
@@ -182,7 +172,7 @@ func (s *LSI) Structured() (banded bool, bandwidth int) {
 //     (IEEE: +0 + ±0 = +0), so Dot is exactly +0, the row-i violation is
 //     exactly −b_i, and the seeding activity test is exactly |b_i| ≤ Tol.
 //     Requiring b_i > Tol for every row therefore reproduces "feasible
-//     start (hard-coded 1e-9 bound, Tol ≥ 1e-9 by default) and nothing
+//     start (feasTol = 1e-9, Tol ≥ 1e-9 by default) and nothing
 //     seeds the working set" without touching the matrix; a NaN b_i fails
 //     the test and falls back conservatively.
 //  2. With an empty working set, iteration 0 computes g = H·0 + f. Each
@@ -288,89 +278,13 @@ func (s *LSI) SolveInteriorTo(x []float64, d []float64, a *mat.Dense, b []float6
 //	minimize  ‖C·x − d‖₂²
 //	subject to A·x ≤ b
 //
-// the same problem MATLAB's lsqlin solves. x0 is a starting point that need
-// not be feasible: an infeasible start triggers a phase-1 solve. When the
-// constraint set itself is infeasible, ErrInfeasible is returned. Callers
-// solving the same C repeatedly should build an LSI instead.
+// the same problem MATLAB's lsqlin solves, from the feasible starting point
+// x0 (ErrInfeasible otherwise; see LSI.Solve). Callers solving the same C
+// repeatedly should build an LSI instead.
 func SolveLSI(c *mat.Dense, d []float64, a *mat.Dense, b []float64, x0 []float64, opts Options) (*Result, error) {
 	s, err := NewLSI(c, opts)
 	if err != nil {
 		return nil, err
 	}
 	return s.Solve(d, a, b, x0)
-}
-
-// FindFeasible returns a point satisfying A·x ≤ b, obtained by solving the
-// phase-1 slack program
-//
-//	minimize  ½‖s‖² + ½ε‖x − x0‖²
-//	subject to A·x − s ≤ b,  −s ≤ 0
-//
-// starting from the trivially feasible (x0, max(0, A·x0 − b)). If the
-// minimal slack is positive the constraints are infeasible and
-// ErrInfeasible is returned.
-func FindFeasible(a *mat.Dense, b, x0 []float64, opts Options) ([]float64, error) {
-	if a == nil || a.Rows() == 0 {
-		return mat.VecClone(x0), nil
-	}
-	n := a.Cols()
-	m := a.Rows()
-	if len(x0) != n {
-		return nil, fmt.Errorf("qp: x0 has length %d, want %d", len(x0), n)
-	}
-	// The ε-regularization on x leaves a residual violation of roughly
-	// ε·(initial violation); keep ε small and refine with a second pass when
-	// needed.
-	const eps = 1e-10
-	// Variables z = (x, s).
-	h := mat.New(n+m, n+m)
-	for i := 0; i < n; i++ {
-		h.Set(i, i, eps)
-	}
-	for i := 0; i < m; i++ {
-		h.Set(n+i, n+i, 1)
-	}
-	f := make([]float64, n+m)
-	// Constraints: [A −I]·z ≤ b and [0 −I]·z ≤ 0.
-	cons := mat.New(2*m, n+m)
-	rhs := make([]float64, 2*m)
-	for i := 0; i < m; i++ {
-		row := a.RowView(i)
-		for j := 0; j < n; j++ {
-			cons.Set(i, j, row[j])
-		}
-		cons.Set(i, n+i, -1)
-		rhs[i] = b[i]
-		cons.Set(m+i, n+i, -1)
-		rhs[m+i] = 0
-	}
-	z0 := make([]float64, n+m)
-	x := mat.VecClone(x0)
-	// Phase-1 is the cold path, so clear any caller warm start: its indices
-	// refer to the original constraint system, not the slack program.
-	opts.WarmStart = nil
-	for pass := 0; pass < 3; pass++ {
-		copy(z0, x)
-		for i := 0; i < n; i++ {
-			f[i] = -eps * x[i] // anchor the regularizer at the current point
-		}
-		for i := 0; i < m; i++ {
-			z0[n+i] = 0
-			if v := mat.Dot(a.RowView(i), x) - b[i]; v > 0 {
-				z0[n+i] = v
-			}
-		}
-		res, err := Solve(h, f, cons, rhs, z0, opts)
-		if err != nil {
-			return nil, fmt.Errorf("phase-1 QP: %w", err)
-		}
-		copy(x, res.X[:n])
-		if maxViolation(a, b, x) <= 1e-9 {
-			return x, nil
-		}
-	}
-	if v := maxViolation(a, b, x); v > 1e-6 {
-		return nil, fmt.Errorf("qp: minimal constraint violation %g after phase-1: %w", v, ErrInfeasible)
-	}
-	return x, nil
 }

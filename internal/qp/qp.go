@@ -14,10 +14,11 @@
 // H = CᵀC + εI to guarantee strict convexity; callers that solve the same
 // C against many right-hand sides (the MPC hot path) should build an LSI
 // once and reuse it, which caches H and its Cholesky factorization and
-// keeps per-solve work allocation-light. A phase-1 slack program is
-// used to recover a feasible start when the caller's initial point violates
-// the constraints, which happens in EUCON whenever a processor is overloaded
-// (u(k) > B makes Δr = 0 infeasible for the output constraints).
+// keeps per-solve work allocation-light. Every solve starts from a
+// caller-supplied feasible point and never leaves the feasible region; a
+// start that violates A·x ≤ b by more than feasTol is rejected with
+// ErrInfeasible. There is no phase-1: the EUCON controller constructs its
+// starts analytically (internal/mpc).
 //
 // Internally each active-set iteration solves the equality-constrained
 // subproblem through the Schur complement S = Aw·H⁻¹·Awᵀ of the cached H
@@ -41,9 +42,12 @@ import (
 	"github.com/rtsyslab/eucon/internal/mat"
 )
 
-// ErrInfeasible is returned when no point satisfies the constraints to
-// within tolerance.
-var ErrInfeasible = errors.New("qp: constraints are infeasible")
+// ErrInfeasible is returned when the starting point violates the
+// constraints by more than feasTol.
+var ErrInfeasible = errors.New("qp: infeasible starting point")
+
+// feasTol is how far a starting point may violate A·x ≤ b.
+const feasTol = 1e-9
 
 // ErrMaxIterations is returned when the active-set loop fails to converge;
 // the best iterate found so far accompanies the error in Result.X.
@@ -56,11 +60,10 @@ var ErrMaxIterations = errors.New("qp: active-set iteration limit reached")
 // and fall back to a regularized problem or hold their previous output.
 var ErrSingular = errors.New("qp: numerically singular system")
 
-// Status classifies a solve outcome for callers that must stay alive
-// through solver failures (see Result.Status). It mirrors the error
-// identities above but travels with the Result, so the best iterate and
-// the failure class arrive together on the hot path without error
-// unwrapping.
+// Status classifies a solve that produced an iterate (see Result.Status),
+// so the best iterate and the failure class arrive together on the hot path
+// without error unwrapping. The other failures (ErrInfeasible, ErrSingular)
+// have no iterate and return a nil Result.
 //
 //eucon:exhaustive
 type Status int
@@ -71,11 +74,6 @@ const (
 	// StatusIterationCapped: the iteration limit was hit; Result.X holds
 	// the best iterate and Result.Stationarity its convergence measure.
 	StatusIterationCapped
-	// StatusInfeasible: no point satisfies the constraints.
-	StatusInfeasible
-	// StatusSingular: a Hessian factorization or empty-working-set KKT
-	// system was numerically singular.
-	StatusSingular
 )
 
 // String implements fmt.Stringer.
@@ -85,10 +83,6 @@ func (s Status) String() string {
 		return "ok"
 	case StatusIterationCapped:
 		return "iteration-capped"
-	case StatusInfeasible:
-		return "infeasible"
-	case StatusSingular:
-		return "singular"
 	default:
 		return fmt.Sprintf("Status(%d)", int(s))
 	}
@@ -208,9 +202,9 @@ func (ws *workspace) ensure(n, m int) {
 	}
 }
 
-// Solve minimizes ½xᵀHx + fᵀx subject to a·x ≤ b, starting from the
-// feasible point x0. H must be symmetric positive definite and x0 must
-// satisfy the constraints (use FindFeasible otherwise).
+// Solve minimizes ½xᵀHx + fᵀx subject to a·x ≤ b, starting from x0. H must
+// be symmetric positive definite and x0 feasible: a start that violates the
+// constraints by more than feasTol returns ErrInfeasible.
 func Solve(h *mat.Dense, f []float64, a *mat.Dense, b []float64, x0 []float64, opts Options) (*Result, error) {
 	n := len(f)
 	if h.Rows() != n || h.Cols() != n {
@@ -248,7 +242,7 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 	st := &ws.stats
 	x := ws.x
 	copy(x, x0)
-	if v := maxViolation(a, b, x); v > 1e-6 {
+	if v := maxViolation(a, b, x); v > feasTol {
 		return nil, fmt.Errorf("qp: x0 violates constraints by %g: %w", v, ErrInfeasible)
 	}
 

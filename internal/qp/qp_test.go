@@ -254,37 +254,6 @@ func TestSolveKKTConditionsProperty(t *testing.T) {
 	}
 }
 
-func TestFindFeasibleRecovers(t *testing.T) {
-	// x ≤ −1 from x0 = 0 (infeasible start, feasible set nonempty).
-	a := mat.MustFromRows([][]float64{{1}})
-	x, err := FindFeasible(a, []float64{-1}, []float64{0}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x[0] > -1+1e-6 {
-		t.Fatalf("FindFeasible returned %v, want x ≤ -1", x)
-	}
-}
-
-func TestFindFeasibleDetectsInfeasible(t *testing.T) {
-	// x ≤ 0 and −x ≤ −1 (x ≥ 1): empty set.
-	a := mat.MustFromRows([][]float64{{1}, {-1}})
-	_, err := FindFeasible(a, []float64{0, -1}, []float64{0.5}, Options{})
-	if !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("err = %v, want ErrInfeasible", err)
-	}
-}
-
-func TestFindFeasibleNoConstraints(t *testing.T) {
-	x, err := FindFeasible(nil, nil, []float64{3, 4}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mat.VecEqual(x, []float64{3, 4}, 0) {
-		t.Fatalf("x = %v, want [3 4]", x)
-	}
-}
-
 func TestSolveLSIUnconstrainedMatchesLeastSquares(t *testing.T) {
 	c := mat.MustFromRows([][]float64{{1, 0}, {1, 1}, {1, 2}})
 	d := []float64{1, 2, 3}
@@ -312,15 +281,23 @@ func TestSolveLSIBoundActive(t *testing.T) {
 	}
 }
 
-func TestSolveLSIInfeasibleStartRecovered(t *testing.T) {
-	// Constraints x ≥ 5 (−x ≤ −5); start at 0 (infeasible). min (x−3)² → 5.
-	c := mat.Identity(1)
-	a := mat.MustFromRows([][]float64{{-1}})
-	res, err := SolveLSI(c, []float64{3}, a, []float64{-5}, []float64{0}, Options{})
+func TestSolveLSIInfeasibleStartRejected(t *testing.T) {
+	// Constraint x ≥ 5 (−x ≤ −5), min (x−3)². A start 1e-6 short of the bound
+	// is rejected, not repaired; the bound itself is a valid start.
+	s, err := NewLSI(mat.Identity(1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mat.VecEqual(res.X, []float64{5}, 1e-5) {
+	a := mat.MustFromRows([][]float64{{-1}})
+	res, err := s.Solve([]float64{3}, a, []float64{-5}, []float64{5 - 1e-6})
+	if !errors.Is(err, ErrInfeasible) || res != nil {
+		t.Fatalf("start violating by 1e-6: res = %+v, err = %v; want nil, ErrInfeasible", res, err)
+	}
+	res, err = s.Solve([]float64{3}, a, []float64{-5}, []float64{5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mat.VecEqual(res.X, []float64{5}, 1e-9) {
 		t.Fatalf("X = %v, want [5]", res.X)
 	}
 }

@@ -217,6 +217,9 @@ func (s *side) solve(r *replayer, rates []float64) solved {
 			out.relaxed, out.fromCorner = true, false
 			out.a, out.b = r.aBox, r.b[:r.aBox.Rows()]
 			clear(s.z0)
+			for j := 0; j < r.m; j++ { // clamp(r) − r: inside the rate box
+				s.z0[j] = math.Max(r.rmin[j], math.Min(r.rmax[j], rates[j])) - rates[j]
+			}
 		}
 	}
 	if out.relaxed != s.prevRelaxed {

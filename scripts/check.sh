@@ -1,7 +1,8 @@
 #!/bin/sh
-# Tier-1 check: gofmt -s, vet, euconlint, build, race-enabled tests, a
-# benchmark smoke, the explicit-compile determinism check, and the golden
-# digests once more without -race. The race-enabled tests carry the
+# Tier-1 check: gofmt -s, vet, euconlint, build, race-enabled tests, vet
+# and -short tests of bench/ (so a deletion that breaks a name the
+# benchmark uses fails here), a benchmark smoke, the explicit-compile
+# determinism check, and the golden digests once more without -race. The race-enabled tests carry the
 # steady-state zero-allocation gates (TestSteadyStateAllocationFree and
 # internal/sim's TestSteadyStateEventLoopAllocFree) and the smoke runs
 # that used to be shell steps: the chaos campaigns (25 seeded fault storms
@@ -34,6 +35,9 @@ go build ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> bench/ (its own module): vet and -short tests against this tree"
+(cd bench && go vet ./... && go test -short ./...)
 
 echo "==> benchmark smoke (1 iteration, -short)"
 go test -short -run '^$' -bench . -benchtime 1x ./...
