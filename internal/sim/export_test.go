@@ -1,6 +1,9 @@
 package sim
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // QueuedSamplingEvents counts the sampling boundaries pending in s's event
 // queue.
@@ -12,6 +15,33 @@ func QueuedSamplingEvents(s *Simulator) int {
 		}
 	}
 	return n
+}
+
+// CheckLiveEvents checks that s's event queue holds only live events: every
+// queued completion is its processor's one completion, for a running job;
+// every queued first-subtask release is its task's only one; and every
+// event's index is its heap slot. It returns the first violation, and how
+// many completions and first releases it checked.
+func CheckLiveEvents(s *Simulator) (completions, firsts int, err error) {
+	perTask := make([]int, len(s.sys.Tasks))
+	for i, e := range s.events.ev {
+		if e.idx != i {
+			return 0, 0, fmt.Errorf("event at t=%v sits in slot %d but records index %d", e.at, i, e.idx)
+		}
+		switch {
+		case e.kind == evCompletion:
+			completions++
+			if p := &s.procs[e.proc]; p.running == nil || p.comp != e {
+				return 0, 0, fmt.Errorf("completion at t=%v on P%d is not its running job's", e.at, e.proc+1)
+			}
+		case e.kind == evRelease && e.job.subIdx == 0:
+			firsts++
+			if perTask[e.job.taskIdx]++; perTask[e.job.taskIdx] > 1 {
+				return 0, 0, fmt.Errorf("task %d has %d first releases queued", e.job.taskIdx, perTask[e.job.taskIdx])
+			}
+		}
+	}
+	return completions, firsts, nil
 }
 
 // Clock is s's virtual time: the time of the event being handled.

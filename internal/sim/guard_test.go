@@ -195,6 +195,38 @@ func TestAuditPoolsDetectsLeak(t *testing.T) {
 	}
 }
 
+// TestAuditPoolsDetectsStaleBackPointers plants a first-release and a
+// completion back-pointer naming events that are not queued and expects
+// the audit to count each; the run itself keeps its real pointers.
+func TestAuditPoolsDetectsStaleBackPointers(t *testing.T) {
+	var clean, planted int
+	hc := &hookController{hook: func(k int, s *Simulator) {
+		if k != 5 {
+			return
+		}
+		rel, comp := s.firstRel[0], s.procs[0].comp
+		clean = s.auditPools()
+		s.firstRel[0], s.procs[0].comp = &event{}, &event{}
+		planted = s.auditPools()
+		s.firstRel[0], s.procs[0].comp = rel, comp
+	}}
+	s, err := New(Config{System: oneTaskSystem(10, 0.01), SamplingPeriod: 1000, Periods: 12, Controller: hc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc.s = s
+	tr, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean != 0 || planted != 2 {
+		t.Errorf("audit = %d before and %d after planting two stale back-pointers, want 0 and 2", clean, planted)
+	}
+	if tr.Stats.GuardPoolFirings != 0 {
+		t.Errorf("GuardPoolFirings = %d with the real pointers restored, want 0", tr.Stats.GuardPoolFirings)
+	}
+}
+
 // TestUtilGuardClampsPoisonedMonitor plants a NaN busy-time accumulator
 // and expects the utilization guard to zero the sample, keep the trace
 // finite, and count the firing.

@@ -7,30 +7,49 @@ import (
 )
 
 // TestEventQueuePopsInTotalOrder drives the flat 4-ary event heap with
-// random events and checks the pop sequence equals the sorted order of the
-// (at, kind, seq) total order — the property that keeps runs bit-identical
-// regardless of heap layout.
+// random events, re-keys random queued events in place to earlier and
+// later times between rounds of pops, and checks each round pops the
+// sorted order of the (at, kind, seq) total order — the property that keeps
+// runs bit-identical regardless of heap layout — and that every queued
+// event records its own slot.
 func TestEventQueuePopsInTotalOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 50; trial++ {
 		var q eventQueue
 		n := 1 + rng.Intn(200)
-		want := make([]*event, 0, n)
+		live := make([]*event, 0, n)
+		seq := uint64(0)
 		for i := 0; i < n; i++ {
+			seq++
 			e := &event{
 				at:   float64(rng.Intn(20)), // force at/kind/seq ties
 				kind: eventKind(1 + rng.Intn(3)),
-				seq:  uint64(i),
+				seq:  seq,
 			}
-			want = append(want, e)
+			live = append(live, e)
 			q.push(e)
 		}
-		sort.Slice(want, func(i, j int) bool { return eventBefore(want[i], want[j]) })
-		for i, w := range want {
-			got := q.pop()
-			if got != w {
-				t.Fatalf("trial %d: pop %d = %+v, want %+v", trial, i, got, w)
+		for round := 0; len(live) > 0; round++ {
+			for r := rng.Intn(len(live) + 1); r > 0; r-- {
+				e := live[rng.Intn(len(live))]
+				seq++
+				e.at += float64(rng.Intn(21) - 10) // earlier, later or tied
+				e.seq = seq
+				q.fix(e.idx)
 			}
+			for i, e := range q.ev {
+				if e.idx != i {
+					t.Fatalf("trial %d round %d: event in slot %d records index %d", trial, round, i, e.idx)
+				}
+			}
+			sort.Slice(live, func(i, j int) bool { return eventBefore(live[i], live[j]) })
+			pops := 1 + rng.Intn(len(live))
+			for i, w := range live[:pops] {
+				if got := q.pop(); got != w {
+					t.Fatalf("trial %d round %d: pop %d = %+v, want %+v", trial, round, i, got, w)
+				}
+			}
+			live = live[pops:]
 		}
 		if q.len() != 0 {
 			t.Fatalf("trial %d: queue not drained", trial)

@@ -10,7 +10,10 @@ package sim
 // at a time — the event queue, a processor's ready queue, a processor's
 // running slot, or a free list. Handlers must recycle an object in the same
 // step that drops the last reference to it; after putEvent/putJob the
-// pointer must not be touched again.
+// pointer must not be touched again. The back-pointers firstRel and
+// processor.comp are second references to queued events only: a superseded
+// event is re-keyed in place, never recycled, and a back-pointer is cleared
+// when its event pops.
 
 // newEvent returns a zeroed event, recycling from the free list when
 // possible. Steady state never allocates: the pool high-water mark is the
@@ -30,7 +33,7 @@ func (s *Simulator) newEvent() *event {
 	return &event{} //eucon:alloc-ok cold-path pool miss; amortized to zero in steady state
 }
 
-// putEvent recycles a handled (or stale) event. The caller must have taken
+// putEvent recycles a handled or reclaimed event. The caller must have taken
 // ownership of e.job first — putEvent does not free the job, because on the
 // release path the job outlives its carrying event.
 //
@@ -54,7 +57,7 @@ func (s *Simulator) newJob() *job {
 	return &job{} //eucon:alloc-ok cold-path pool miss; amortized to zero in steady state
 }
 
-// putJob recycles a completed, shed, or stale job.
+// putJob recycles a completed, shed, or reclaimed job.
 //
 //eucon:noalloc
 func (s *Simulator) putJob(j *job) {
@@ -63,8 +66,9 @@ func (s *Simulator) putJob(j *job) {
 
 // recycleInFlight drains every live event and job — pending events (and the
 // jobs they carry), ready queues, and running slots — back into the free
-// lists. Reset uses it so a reused Simulator re-enters its first sampling
-// period with warm pools instead of reallocating the working set.
+// lists, and clears the back-pointers into the queue. Reset uses it so a
+// reused Simulator re-enters its first sampling period with warm pools
+// instead of reallocating the working set.
 //
 //eucon:noalloc
 func (s *Simulator) recycleInFlight() {
@@ -76,8 +80,10 @@ func (s *Simulator) recycleInFlight() {
 	}
 	clear(s.events.ev)
 	s.events.ev = s.events.ev[:0]
+	clear(s.firstRel)
 	for p := range s.procs {
 		pr := &s.procs[p]
+		pr.comp = nil
 		for _, j := range pr.ready.jobs {
 			s.putJob(j)
 		}

@@ -107,8 +107,8 @@ func (c *Config) validate(validatedSys *task.System) error {
 }
 
 // job is one invocation of one subtask. Jobs are pooled: the Simulator
-// recycles them through its free list on completion, shedding, or
-// staleness, so no job pointer may be retained past those points.
+// recycles them through its free list on completion or shedding, so no job
+// pointer may be retained past those points.
 type job struct {
 	taskIdx    int
 	subIdx     int
@@ -126,7 +126,7 @@ type processor struct {
 	running  *job
 	runStart float64 // when the running job last got the CPU
 	busy     float64 // busy time accumulated in the current window
-	seq      uint64  // valid completion-event sequence for running
+	comp     *event  // running's queued completion; nil once it pops
 }
 
 // Stats aggregates counters over a run.
@@ -256,9 +256,9 @@ type Simulator struct {
 	procs []processor
 	rates []float64
 
-	// releaseSeq[i] invalidates stale first-subtask release events for task
-	// i after a rate change reschedules them.
-	releaseSeq []uint64
+	// firstRel[i] is task i's queued next first-subtask release; nil once
+	// it pops. A rate change re-times it in place.
+	firstRel []*event
 
 	// subOff[i] is task i's base index into the flat per-subtask arrays
 	// below: subtask (i, j) lives at subOff[i]+j.
@@ -331,7 +331,7 @@ func (s *Simulator) Reset(cfg Config) error {
 	var shape fault.Shape
 	if len(cfg.Faults) > 0 {
 		nTasks := len(cfg.System.Tasks)
-		s.subsBuf = growInts(s.subsBuf, nTasks)
+		s.subsBuf = growSlice(s.subsBuf, nTasks)
 		for i := range cfg.System.Tasks {
 			s.subsBuf[i] = len(cfg.System.Tasks[i].Subtasks)
 		}
@@ -368,22 +368,20 @@ func (s *Simulator) Reset(cfg Config) error {
 		pr.running = nil
 		pr.runStart = 0
 		pr.busy = 0
-		pr.seq = 0
 	}
 
 	nTasks := len(sys.Tasks)
-	s.rates = growFloats(s.rates, nTasks)
-	s.releaseSeq = growUints(s.releaseSeq, nTasks)
-	s.subOff = growInts(s.subOff, nTasks)
+	s.rates = growSlice(s.rates, nTasks)
+	s.firstRel = growSlice(s.firstRel, nTasks)
+	s.subOff = growSlice(s.subOff, nTasks)
 	nSubs := 0
 	for i := range sys.Tasks {
 		s.rates[i] = sys.Tasks[i].InitialRate
-		s.releaseSeq[i] = 0
 		s.subOff[i] = nSubs
 		nSubs += len(sys.Tasks[i].Subtasks)
 	}
-	s.lastRelease = growFloats(s.lastRelease, nSubs)
-	s.backlog = growInts(s.backlog, nSubs)
+	s.lastRelease = growSlice(s.lastRelease, nSubs)
+	s.backlog = growSlice(s.backlog, nSubs)
 	for i := 0; i < nSubs; i++ {
 		s.lastRelease[i] = -1 // never released
 		s.backlog[i] = 0
@@ -395,13 +393,13 @@ func (s *Simulator) Reset(cfg Config) error {
 	}
 	s.degrade, _ = cfg.Controller.(DegradationReporter)
 	if s.faults.Enabled() {
-		s.uDeliver = growFloats(s.uDeliver, sys.Processors)
-		s.effRates = growFloats(s.effRates, nTasks)
-		s.cmdBacking = growFloats(s.cmdBacking, cfg.Periods*nTasks)
+		s.uDeliver = growSlice(s.uDeliver, sys.Processors)
+		s.effRates = growSlice(s.effRates, nTasks)
+		s.cmdBacking = growSlice(s.cmdBacking, cfg.Periods*nTasks)
 	}
-	s.guardBuf = growFloats(s.guardBuf, nTasks)
-	s.utilBacking = growFloats(s.utilBacking, cfg.Periods*sys.Processors)
-	s.ratesBacking = growFloats(s.ratesBacking, cfg.Periods*nTasks)
+	s.guardBuf = growSlice(s.guardBuf, nTasks)
+	s.utilBacking = growSlice(s.utilBacking, cfg.Periods*sys.Processors)
+	s.ratesBacking = growSlice(s.ratesBacking, cfg.Periods*nTasks)
 	s.trace.Controller = name
 	s.trace.SamplingPeriod = cfg.SamplingPeriod
 	s.trace.Utilization = growRows(s.trace.Utilization, cfg.Periods)
@@ -411,28 +409,14 @@ func (s *Simulator) Reset(cfg Config) error {
 	return nil
 }
 
-// growFloats, growInts, growUints, growRows, and growPeriodStats return a
-// slice of the requested length, reusing the backing array when it is
-// large enough. Contents are unspecified; callers overwrite them.
-func growFloats(s []float64, n int) []float64 {
+// growSlice returns a slice of length n, and growRows and growPeriodStats
+// an empty one of capacity n, reusing the backing array when it is large
+// enough. Contents are unspecified; callers overwrite them.
+func growSlice[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]float64, n)
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int, n)
-}
-
-func growUints(s []uint64, n int) []uint64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]uint64, n)
+	return make([]T, n)
 }
 
 func growRows(s [][]float64, n int) [][]float64 {
@@ -480,6 +464,7 @@ func (s *Simulator) RunContext(ctx context.Context) (*Trace, error) {
 	end := float64(s.cfg.Periods) * s.cfg.SamplingPeriod
 	for s.events.len() > 0 {
 		e := s.events.pop()
+		s.unlink(e)
 		// Termination safety net: the negated comparison also trips on a
 		// NaN event time (identical to e.at > end+timeEps for any finite
 		// time). Without it, a NaN-poisoned clock — reachable only when
@@ -541,6 +526,34 @@ func (s *Simulator) push(e *event) *event {
 	return e
 }
 
+// rekey moves the queued event e to time at. It draws the next sequence
+// number exactly as a push at this point would, so e gets the key a fresh
+// event would, and the pop order does not depend on re-keying instead of
+// pushing anew (DESIGN.md §6).
+//
+//eucon:noalloc
+func (s *Simulator) rekey(e *event, at float64) {
+	s.seq++
+	e.seq = s.seq
+	e.at = at
+	s.events.fix(e.idx)
+}
+
+// unlink clears the back-pointer naming e, which has just been popped.
+//
+//eucon:noalloc
+func (s *Simulator) unlink(e *event) {
+	switch e.kind {
+	case evCompletion:
+		s.procs[e.proc].comp = nil
+	case evRelease:
+		if e.job.subIdx == 0 {
+			s.firstRel[e.job.taskIdx] = nil
+		}
+	case evSampling: // nothing points at a boundary
+	}
+}
+
 // scheduleSampling queues sampling boundary k at k·Ts. Only the next
 // boundary is ever queued — the run loop queues k+1 once k is handled — so
 // the heap holds one sampling event instead of one per remaining period.
@@ -579,11 +592,15 @@ func (s *Simulator) drawExecTime(estimatedCost float64, proc, taskIdx, subIdx in
 }
 
 // scheduleFirstRelease schedules the periodic release of task i's first
-// subtask at time at.
+// subtask at time at, re-timing the queued one when there is one.
 //
 //eucon:noalloc
 func (s *Simulator) scheduleFirstRelease(i int, at float64) {
-	s.releaseSeq[i]++
+	if e := s.firstRel[i]; e != nil {
+		e.job.release = at
+		s.rekey(e, at)
+		return
+	}
 	j := s.newJob()
 	j.taskIdx = i
 	j.release = at
@@ -591,8 +608,7 @@ func (s *Simulator) scheduleFirstRelease(i int, at float64) {
 	e.at = at
 	e.kind = evRelease
 	e.job = j
-	e.relSeq = s.releaseSeq[i]
-	s.push(e)
+	s.firstRel[i] = s.push(e)
 }
 
 // handleRelease admits a job to its processor's ready queue.
@@ -604,11 +620,6 @@ func (s *Simulator) handleRelease(e *event) {
 	t := &s.sys.Tasks[ti]
 	period := s.period(ti)
 	if j.subIdx == 0 {
-		// Stale periodic release (rescheduled after a rate change)?
-		if e.relSeq != s.releaseSeq[ti] {
-			s.putJob(j)
-			return
-		}
 		j.chainStart = s.now
 		j.chainDL = s.now + float64(len(t.Subtasks))*period
 		// Schedule the next periodic release.
@@ -643,15 +654,11 @@ func (s *Simulator) handleRelease(e *event) {
 	s.dispatch(j.proc)
 }
 
-// handleCompletion finishes the running job on a processor if the event is
-// still valid.
+// handleCompletion finishes the running job on a processor.
 //
 //eucon:noalloc
 func (s *Simulator) handleCompletion(e *event) {
 	p := &s.procs[e.proc]
-	if e.seq != p.seq || p.running == nil {
-		return // superseded by a preemption or rate change
-	}
 	s.accrue(e.proc)
 	j := p.running
 	if j.remaining > timeEps {
@@ -773,17 +780,23 @@ func (s *Simulator) higherPriority(a, b *job) bool {
 	return a.release < b.release
 }
 
-// scheduleCompletion schedules the tentative finish of the running job.
+// scheduleCompletion schedules the tentative finish of the running job,
+// re-timing the processor's queued completion when there is one (the job
+// it was for was just preempted).
 //
 //eucon:noalloc
 func (s *Simulator) scheduleCompletion(procIdx int) {
 	p := &s.procs[procIdx]
+	at := s.now + p.running.remaining
+	if p.comp != nil {
+		s.rekey(p.comp, at)
+		return
+	}
 	e := s.newEvent()
-	e.at = s.now + p.running.remaining
+	e.at = at
 	e.kind = evCompletion
 	e.proc = procIdx
-	s.push(e)
-	p.seq = e.seq
+	p.comp = s.push(e)
 }
 
 // handleSampling closes the current sampling window: it records
@@ -916,11 +929,13 @@ func (s *Simulator) guardRates(k int, newRates []float64) []float64 {
 // boundary: every event and job ever allocated is either in its free list
 // or accounted for in exactly one live location (the event queue, a ready
 // queue, a running slot, or — for the sampling event being handled — the
-// run loop's hands). A nonzero return is the total accounting discrepancy
-// in objects, marking a leak or double-recycle.
+// run loop's hands). A back-pointer (firstRel, processor.comp) naming an
+// event that is not queued counts one more. A nonzero return is the total
+// accounting discrepancy in objects, marking a leak or double-recycle.
 //
 //eucon:noalloc
 func (s *Simulator) auditPools() int {
+	imbalance := 0
 	carriedJobs := 0
 	for _, e := range s.events.ev {
 		if e.job != nil {
@@ -929,15 +944,23 @@ func (s *Simulator) auditPools() int {
 	}
 	liveJobs := carriedJobs
 	for p := range s.procs {
-		liveJobs += s.procs[p].ready.len()
-		if s.procs[p].running != nil {
+		pr := &s.procs[p]
+		liveJobs += pr.ready.len()
+		if pr.running != nil {
 			liveJobs++
+		}
+		if pr.comp != nil && !s.events.queued(pr.comp) {
+			imbalance++
+		}
+	}
+	for _, e := range s.firstRel {
+		if e != nil && !s.events.queued(e) {
+			imbalance++
 		}
 	}
 	// +1: the sampling event driving this call is popped but not yet
 	// recycled by the run loop.
 	liveEvents := s.events.len() + 1
-	imbalance := 0
 	if d := s.eventsMade - len(s.freeEvents) - liveEvents; d != 0 {
 		if d < 0 {
 			d = -d
