@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint lint-fixtures build test bench-smoke bench chaos-smoke chaos
+.PHONY: check fmt vet lint lint-fixtures build test bench-smoke chaos-smoke chaos
 
 ## check: the tier-1 gate — format, vet, build, race-enabled tests, and a
 ## one-iteration benchmark smoke pass. CI and pre-commit both run this.
@@ -38,10 +38,6 @@ test:
 ## broken benchmark fails fast without paying full measurement time.
 bench-smoke:
 	$(GO) test -short -run '^$$' -bench . -benchtime 1x ./...
-
-## bench: the full measured benchmark suite (minutes).
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 ## chaos-smoke: the CI chaos gate — 25 seeded fault-storm scenarios against
 ## the canonical SIMPLE campaign, 6 crash/feedback-drop scenarios against

@@ -6,7 +6,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"github.com/rtsyslab/eucon/internal/experiments"
 )
 
 // TestGoldenDigests regenerates every digest file under scripts/golden/ in
@@ -51,6 +54,56 @@ func TestGoldenDigests(t *testing.T) {
 				t.Fatalf("digests moved.\n--- scripts/golden/%s\n%s+++ this tree\n%s"+
 					"If intentional, regenerate with:\n  go run ./cmd/euconsim %s > scripts/golden/%s",
 					tc.file, want, got.Bytes(), tc.regen, tc.file)
+			}
+		})
+	}
+}
+
+// quoteFence opens an EXPERIMENTS.md block that quotes euconsim output; the
+// rest of the fence line is the experiment ID.
+const quoteFence = "```euconsim -exp "
+
+// TestExperimentsQuotes regenerates every EXPERIMENTS.md block fenced as
+// quoteFence + <id> from the registry and requires it byte for byte, so a
+// number the document quotes is a number euconsim prints. When a move is
+// intended, paste the new output over the block (the failure names the
+// command).
+func TestExperimentsQuotes(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids, bodies []string
+	var body *strings.Builder
+	for _, line := range strings.SplitAfter(string(doc), "\n") {
+		switch {
+		case body == nil && strings.HasPrefix(line, quoteFence):
+			ids = append(ids, strings.TrimSpace(strings.TrimPrefix(line, quoteFence)))
+			body = new(strings.Builder)
+		case body != nil && strings.TrimSpace(line) == "```":
+			bodies = append(bodies, body.String())
+			body = nil
+		case body != nil:
+			body.WriteString(line)
+		}
+	}
+	if len(ids) == 0 || len(bodies) != len(ids) {
+		t.Fatalf("EXPERIMENTS.md: %d quote fences, %d closed", len(ids), len(bodies))
+	}
+	for i, id := range ids {
+		t.Run(id, func(t *testing.T) {
+			e, ok := experiments.Lookup(id)
+			if !ok {
+				t.Fatalf("EXPERIMENTS.md quotes unknown experiment %q", id)
+			}
+			var got strings.Builder
+			if _, err := e.Run(context.Background(), &got); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != bodies[i] {
+				t.Fatalf("EXPERIMENTS.md's %s block is stale.\n--- EXPERIMENTS.md\n%s+++ this tree\n%s"+
+					"Replace the block's body with the output of:\n  go run ./cmd/euconsim -exp %s",
+					id, bodies[i], got.String(), id)
 			}
 		})
 	}

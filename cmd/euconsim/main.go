@@ -29,6 +29,7 @@ import (
 	"github.com/rtsyslab/eucon/internal/core"
 	"github.com/rtsyslab/eucon/internal/experiments"
 	"github.com/rtsyslab/eucon/internal/fault"
+	"github.com/rtsyslab/eucon/internal/sim"
 	"github.com/rtsyslab/eucon/internal/task"
 	"github.com/rtsyslab/eucon/internal/trace"
 	"github.com/rtsyslab/eucon/internal/workload"
@@ -113,7 +114,7 @@ func run() int {
 	case *exp == "all":
 		for _, e := range experiments.All() {
 			fmt.Printf("=== %s: %s\n", e.ID, e.Title)
-			if err := e.Run(ctx, os.Stdout); err != nil {
+			if _, err := e.Run(ctx, os.Stdout); err != nil {
 				fmt.Fprintf(os.Stderr, "euconsim: %s: %v\n", e.ID, err)
 				return 1
 			}
@@ -126,12 +127,13 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "euconsim: unknown experiment %q; available: %v\n", *exp, experiments.IDs())
 			return 2
 		}
-		if err := e.Run(ctx, os.Stdout); err != nil {
+		tr, err := e.Run(ctx, os.Stdout)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "euconsim: %s: %v\n", e.ID, err)
 			return 1
 		}
 		if *csvDir != "" {
-			if err := exportCSV(*csvDir, e.ID); err != nil {
+			if err := exportCSV(*csvDir, e.ID, tr); err != nil {
 				fmt.Fprintf(os.Stderr, "euconsim: %v\n", err)
 				return 1
 			}
@@ -316,12 +318,11 @@ func printExplicitReport(w io.Writer) error {
 	return nil
 }
 
-// exportCSV rebuilds the experiment's trace and writes the three CSV views
+// exportCSV writes the three CSV views of the trace experiment id printed
 // next to each other in dir.
-func exportCSV(dir, id string) error {
-	tr, err := experiments.TraceForExperiment(id)
-	if err != nil {
-		return err
+func exportCSV(dir, id string, tr *sim.Trace) error {
+	if tr == nil {
+		return fmt.Errorf("%q does not produce a single trace", id)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("create CSV directory: %w", err)

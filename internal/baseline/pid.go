@@ -19,7 +19,7 @@ import (
 // rate change commanded by one processor's loop perturbs every other
 // processor its tasks touch. PID exists here as that comparator — it works
 // on decoupled workloads and degrades as coupling grows (see the
-// BenchmarkAblationPIDCoupling results).
+// pid-coupling study of euconsim -exp ext-ablations).
 type PID struct {
 	sys       *task.System
 	setPoints []float64

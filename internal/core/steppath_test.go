@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -24,7 +25,7 @@ func mediumCore(t *testing.T) *core.Controller {
 // copies. Both must command the same bits over the measurements of the
 // MEDIUM dynamic-etf run, an overload burst and a lost-feedback stretch.
 func TestStepAcceptsItsOwnResultAsRates(t *testing.T) {
-	tr, err := experiments.RunMediumDynamic(experiments.KindEUCON, experiments.DefaultPeriods, experiments.DefaultSeed)
+	tr, err := experiments.Run(context.Background(), experiments.Spec{Workload: experiments.WorkloadMedium, ETF: experiments.DynamicETF(), Seed: experiments.DefaultSeed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,9 @@
 // Package experiments regenerates every table and figure of the EUCON
-// paper's evaluation (§7). Each experiment has a data function (used by
-// tests and benchmarks) and a printing wrapper used by cmd/euconsim. The
-// experiment IDs follow the paper: table1, table2, stability, fig3a,
-// fig3b, fig4, fig5, fig6, fig7, fig8.
+// paper's evaluation (§7) and the extensions. Each registry entry prints
+// what one data function computes; TestPaperClaims checks the same data.
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -107,32 +104,6 @@ func newController(kind ControllerKind, sys *task.System, cfg core.Config) (sim.
 	return e.build(sys, cfg)
 }
 
-// RunSimple simulates the SIMPLE workload under EUCON with a constant
-// execution-time factor (Figure 3 runs). SIMPLE uses deterministic
-// execution times, as in the paper. It is a thin wrapper over Run.
-func RunSimple(etf float64, periods int, seed int64) (*sim.Trace, error) {
-	return Run(context.Background(), Spec{
-		Workload: WorkloadSimple,
-		ETF:      sim.ConstantETF(etf),
-		Periods:  periods,
-		Seed:     seed,
-	})
-}
-
-// RunMediumSteady simulates the MEDIUM workload with a constant
-// execution-time factor under the chosen controller (Figure 5 runs).
-// MEDIUM uses uniform-random execution times. It is a thin wrapper over
-// Run.
-func RunMediumSteady(kind ControllerKind, etf float64, periods int, seed int64) (*sim.Trace, error) {
-	return Run(context.Background(), Spec{
-		Workload:   WorkloadMedium,
-		Controller: kind,
-		ETF:        sim.ConstantETF(etf),
-		Periods:    periods,
-		Seed:       seed,
-	})
-}
-
 // DynamicETF is the Experiment II schedule: etf = 0.5 initially, 0.9 from
 // 100Ts (an 80% execution-time increase), 0.33 from 200Ts (a 67%
 // decrease).
@@ -148,18 +119,6 @@ func DynamicETF() sim.ETFSchedule {
 		panic(err)
 	}
 	return sched
-}
-
-// RunMediumDynamic simulates MEDIUM under the Experiment II execution-time
-// steps (Figures 6–8). It is a thin wrapper over Run.
-func RunMediumDynamic(kind ControllerKind, periods int, seed int64) (*sim.Trace, error) {
-	return Run(context.Background(), Spec{
-		Workload:   WorkloadMedium,
-		Controller: kind,
-		ETF:        DynamicETF(),
-		Periods:    periods,
-		Seed:       seed,
-	})
 }
 
 // SweepPoint is one x-value of Figures 4 and 5: steady-state utilization
@@ -183,29 +142,6 @@ type SweepPoint struct {
 	Robust Robustness
 }
 
-// SweepSimple produces the Figure 4 series: SIMPLE under EUCON across
-// execution-time factors. It is a thin wrapper over SweepParallel.
-func SweepSimple(etfs []float64, seed int64) ([]SweepPoint, error) {
-	return SweepParallel(context.Background(), Spec{Workload: WorkloadSimple, Seed: seed}, etfs)
-}
-
-// SweepMedium produces the Figure 5 series: MEDIUM under EUCON across
-// execution-time factors, with the analytic OPEN expectation alongside. It
-// is a thin wrapper over SweepParallel.
-func SweepMedium(etfs []float64, seed int64) ([]SweepPoint, error) {
-	return SweepParallel(context.Background(), Spec{Workload: WorkloadMedium, Seed: seed}, etfs)
-}
-
-// SimpleCriticalGain reproduces the paper's §6.2 stability example: the
-// critical uniform utilization gain of the SIMPLE closed loop.
-func SimpleCriticalGain() (float64, error) {
-	ctrl, err := core.New(workload.Simple(), nil, workload.SimpleController())
-	if err != nil {
-		return 0, err
-	}
-	return ctrl.CriticalGain(1, 12)
-}
-
 // Fig4ETFs is the paper's Figure 4 x-axis: etf from 0.2 to 10.
 func Fig4ETFs() []float64 {
 	return []float64{0.2, 0.5, 1, 2, 3, 4, 5, 6, 6.5, 7, 8, 9, 10}
@@ -214,27 +150,6 @@ func Fig4ETFs() []float64 {
 // Fig5ETFs is the paper's Figure 5 x-axis: etf from 0.1 to 6.
 func Fig5ETFs() []float64 {
 	return []float64{0.1, 0.2, 0.5, 1, 2, 3, 4, 5, 6}
-}
-
-// TraceForExperiment returns the simulation trace behind a
-// trace-producing experiment ID (fig3a, fig3b, fig6, fig7, fig8,
-// ext-deucon), for CSV export by cmd/euconsim.
-func TraceForExperiment(id string) (*sim.Trace, error) {
-	switch id {
-	case "fig3a":
-		return RunSimple(0.5, DefaultPeriods, DefaultSeed)
-	case "fig3b":
-		return RunSimple(7, DefaultPeriods, DefaultSeed)
-	case "fig6":
-		return RunMediumDynamic(KindOPEN, DefaultPeriods, DefaultSeed)
-	case "fig7", "fig8":
-		return RunMediumDynamic(KindEUCON, DefaultPeriods, DefaultSeed)
-	case "ext-deucon":
-		tr, _, err := RunMediumDynamicDeucon(DefaultPeriods, DefaultSeed)
-		return tr, err
-	default:
-		return nil, fmt.Errorf("experiments: %q does not produce a single trace", id)
-	}
 }
 
 // printTrace writes a per-period utilization table.

@@ -209,25 +209,6 @@ func TestRunSpecDefaults(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesLegacyWrappers pins the wrappers to the unified engine:
-// SweepSimple must equal SweepParallel over the same grid.
-func TestSweepMatchesLegacyWrappers(t *testing.T) {
-	etfs := []float64{0.5, 2}
-	legacy, err := SweepSimple(etfs, DefaultSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unified, err := SweepParallel(context.Background(), Spec{Workload: WorkloadSimple, Seed: DefaultSeed}, etfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range legacy {
-		if !samePoint(legacy[i], unified[i]) {
-			t.Errorf("point %d: legacy %+v != unified %+v", i, legacy[i], unified[i])
-		}
-	}
-}
-
 // TestWorkloadKindString covers the Stringer.
 func TestWorkloadKindString(t *testing.T) {
 	if WorkloadSimple.String() != "SIMPLE" || WorkloadMedium.String() != "MEDIUM" {

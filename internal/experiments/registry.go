@@ -6,8 +6,10 @@ import (
 	"io"
 	"sort"
 
+	"github.com/rtsyslab/eucon/internal/core"
 	"github.com/rtsyslab/eucon/internal/metrics"
 	"github.com/rtsyslab/eucon/internal/sim"
+	"github.com/rtsyslab/eucon/internal/task"
 	"github.com/rtsyslab/eucon/internal/workload"
 )
 
@@ -17,30 +19,48 @@ type Experiment struct {
 	ID string
 	// Title describes what the paper artifact shows.
 	Title string
-	// Run regenerates the artifact, writing its data to w. Cancellation of
-	// ctx aborts in-flight simulations at the next sampling boundary.
-	Run func(ctx context.Context, w io.Writer) error
+	// Run regenerates the artifact, writing its data to w, and returns the
+	// trace when the artifact is one (euconsim -csv exports what was
+	// printed). Canceling ctx aborts simulations at the next sampling boundary.
+	Run func(ctx context.Context, w io.Writer) (*sim.Trace, error)
 }
 
 // All returns every experiment: the paper artifacts in paper order,
-// followed by the extensions.
+// followed by the extensions (IDs prefixed "ext-").
 func All() []Experiment {
-	return append(paperExperiments(), Extensions()...)
+	return []Experiment{
+		{ID: "table1", Title: "Table 1: SIMPLE task parameters", Run: printed(printTable1)},
+		{ID: "table2", Title: "Table 2: controller parameters", Run: printed(printTable2)},
+		{ID: "stability", Title: "Section 6.2: SIMPLE stability bound (paper: 5.95 analytic, 6.5-7 empirical)", Run: printed(printStability)},
+		{ID: "fig3a", Title: "Figure 3(a): SIMPLE utilization, etf = 0.5", Run: traced(fig3aTrace, printTrace)},
+		{ID: "fig3b", Title: "Figure 3(b): SIMPLE utilization, etf = 7 (unstable)", Run: traced(fig3bTrace, printTrace)},
+		{ID: "fig4", Title: "Figure 4: SIMPLE mean/std of u(P1) vs execution-time factor", Run: swept(fig4Points, false)},
+		{ID: "fig5", Title: "Figure 5: MEDIUM mean/std of u(P1) vs execution-time factor, with OPEN", Run: swept(fig5Points, true)},
+		{ID: "fig6", Title: "Figure 6: MEDIUM under OPEN with execution-time steps", Run: traced(fig6Trace, printTrace)},
+		{ID: "fig7", Title: "Figure 7: MEDIUM under EUCON with execution-time steps", Run: traced(fig7Trace, printFig7)},
+		{ID: "fig8", Title: "Figure 8: task rates under EUCON with execution-time steps", Run: traced(fig7Trace, printRates)},
+		{ID: "ext-deucon", Title: "Extension: decentralized control (DEUCON) under the Experiment II workload", Run: runExtDeucon},
+		{ID: "ext-missratio", Title: "Extension: per-period deadline miss ratios, EUCON vs OPEN, MEDIUM overloaded at etf = 1.5", Run: printed(printMissRatio)},
+		{ID: "ext-stability-medium", Title: "Extension: critical gain of the MEDIUM closed loop (P=4, M=2)", Run: printed(printStabilityMedium)},
+		{ID: "ext-stability-region", Title: "Extension: SIMPLE (g1, g2) stability region, 13x13 grid up to g = 12", Run: printed(printStabilityRegion)},
+		{ID: "ext-ablations", Title: "Extension: design-choice ablations (horizons, Tref/Ts, output constraints, estimates, PID coupling, DEUCON, LARGE-128)", Run: printed(printAblations)},
+	}
 }
 
-func paperExperiments() []Experiment {
-	return []Experiment{
-		{ID: "table1", Title: "Table 1: SIMPLE task parameters", Run: runTable1},
-		{ID: "table2", Title: "Table 2: controller parameters", Run: runTable2},
-		{ID: "stability", Title: "Section 6.2: SIMPLE stability bound (paper: 5.95 analytic, 6.5-7 empirical)", Run: runStability},
-		{ID: "fig3a", Title: "Figure 3(a): SIMPLE utilization, etf = 0.5", Run: runFig3a},
-		{ID: "fig3b", Title: "Figure 3(b): SIMPLE utilization, etf = 7 (unstable)", Run: runFig3b},
-		{ID: "fig4", Title: "Figure 4: SIMPLE mean/std of u(P1) vs execution-time factor", Run: runFig4},
-		{ID: "fig5", Title: "Figure 5: MEDIUM mean/std of u(P1) vs execution-time factor, with OPEN", Run: runFig5},
-		{ID: "fig6", Title: "Figure 6: MEDIUM under OPEN with execution-time steps", Run: runFig6},
-		{ID: "fig7", Title: "Figure 7: MEDIUM under EUCON with execution-time steps", Run: runFig7},
-		{ID: "fig8", Title: "Figure 8: task rates under EUCON with execution-time steps", Run: runFig8},
+// traced is the Run of a one-trace artifact: data computes it, print writes it.
+func traced(data func(context.Context) (*sim.Trace, error), print func(io.Writer, *sim.Trace)) func(context.Context, io.Writer) (*sim.Trace, error) {
+	return func(ctx context.Context, w io.Writer) (*sim.Trace, error) {
+		tr, err := data(ctx)
+		if err == nil {
+			print(w, tr)
+		}
+		return tr, err
 	}
+}
+
+// printed is the Run of an artifact that is not one trace.
+func printed(run func(context.Context, io.Writer) error) func(context.Context, io.Writer) (*sim.Trace, error) {
+	return func(ctx context.Context, w io.Writer) (*sim.Trace, error) { return nil, run(ctx, w) }
 }
 
 // Lookup finds an experiment by ID.
@@ -64,7 +84,7 @@ func IDs() []string {
 	return ids
 }
 
-func runTable1(_ context.Context, w io.Writer) error {
+func printTable1(_ context.Context, w io.Writer) error {
 	sys := workload.Simple()
 	fmt.Fprintln(w, "Tij\tProc\tcij\t1/Rmax\t1/Rmin\t1/r(0)")
 	for i := range sys.Tasks {
@@ -77,7 +97,7 @@ func runTable1(_ context.Context, w io.Writer) error {
 	return nil
 }
 
-func runTable2(_ context.Context, w io.Writer) error {
+func printTable2(_ context.Context, w io.Writer) error {
 	fmt.Fprintln(w, "System\tP\tM\tTref/Ts\tTs")
 	s := workload.SimpleController()
 	m := workload.MediumController()
@@ -86,8 +106,21 @@ func runTable2(_ context.Context, w io.Writer) error {
 	return nil
 }
 
-func runStability(_ context.Context, w io.Writer) error {
-	g, err := SimpleCriticalGain()
+// gainMax bounds every critical-gain bisection ([1, gainMax] to 1e-4).
+const gainMax = 12
+
+// criticalGain is a workload's critical uniform gain (§6.2): the
+// execution-time factor beyond which its closed loop loses stability.
+func criticalGain(sys *task.System, cfg core.Config) (float64, error) {
+	ctrl, err := core.New(sys, nil, cfg)
+	if err != nil {
+		return 0, err
+	}
+	return ctrl.CriticalGain(1, gainMax)
+}
+
+func printStability(_ context.Context, w io.Writer) error {
+	g, err := criticalGain(workload.Simple(), workload.SimpleController())
 	if err != nil {
 		return err
 	}
@@ -96,89 +129,83 @@ func runStability(_ context.Context, w io.Writer) error {
 	return nil
 }
 
-func runFig3a(ctx context.Context, w io.Writer) error {
-	tr, err := Run(ctx, Spec{Workload: WorkloadSimple, ETF: sim.ConstantETF(0.5), Seed: DefaultSeed})
-	if err != nil {
-		return err
-	}
-	printTrace(w, tr)
-	return nil
+// fig3aTrace is Figure 3(a)'s run: SIMPLE under EUCON at etf = 0.5.
+func fig3aTrace(ctx context.Context) (*sim.Trace, error) {
+	return Run(ctx, Spec{Workload: WorkloadSimple, ETF: sim.ConstantETF(0.5), Seed: DefaultSeed})
 }
 
-func runFig3b(ctx context.Context, w io.Writer) error {
-	tr, err := Run(ctx, Spec{Workload: WorkloadSimple, ETF: sim.ConstantETF(7), Seed: DefaultSeed})
-	if err != nil {
-		return err
-	}
-	printTrace(w, tr)
-	return nil
+// fig3bTrace is Figure 3(b)'s run: SIMPLE under EUCON at etf = 7.
+func fig3bTrace(ctx context.Context) (*sim.Trace, error) {
+	return Run(ctx, Spec{Workload: WorkloadSimple, ETF: sim.ConstantETF(7), Seed: DefaultSeed})
 }
 
-func printSweep(w io.Writer, points []SweepPoint, withOpen bool) {
-	fmt.Fprint(w, "etf\tmean(u1)\tstd(u1)\tset_point\tacceptable")
-	if withOpen {
-		fmt.Fprint(w, "\topen_expected")
-	}
-	fmt.Fprintln(w)
-	for _, p := range points {
-		fmt.Fprintf(w, "%.2f\t%.4f\t%.4f\t%.4f\t%v", p.ETF, p.P1.Mean, p.P1.StdDev, p.SetPoint, p.Acceptable)
+// fig4Points is the Figure 4 series: SIMPLE under EUCON across Fig4ETFs.
+func fig4Points(ctx context.Context) ([]SweepPoint, error) {
+	return SweepParallel(ctx, Spec{Workload: WorkloadSimple, Seed: DefaultSeed}, Fig4ETFs())
+}
+
+// fig5Points is the Figure 5 series: MEDIUM under EUCON across Fig5ETFs,
+// with the analytic OPEN expectation alongside.
+func fig5Points(ctx context.Context) ([]SweepPoint, error) {
+	return SweepParallel(ctx, Spec{Workload: WorkloadMedium, Seed: DefaultSeed}, Fig5ETFs())
+}
+
+// fig6Trace is Figure 6's run: MEDIUM under OPEN with the Experiment II
+// execution-time steps.
+func fig6Trace(ctx context.Context) (*sim.Trace, error) {
+	return Run(ctx, Spec{Workload: WorkloadMedium, Controller: KindOPEN, ETF: DynamicETF(), Seed: DefaultSeed})
+}
+
+// fig7Trace is the run behind Figures 7 and 8: MEDIUM under EUCON with the
+// Experiment II execution-time steps.
+func fig7Trace(ctx context.Context) (*sim.Trace, error) {
+	return Run(ctx, Spec{Workload: WorkloadMedium, ETF: DynamicETF(), Seed: DefaultSeed})
+}
+
+// swept is the Run of a sweep artifact; withOpen adds OPEN's expectation.
+func swept(data func(context.Context) ([]SweepPoint, error), withOpen bool) func(context.Context, io.Writer) (*sim.Trace, error) {
+	return printed(func(ctx context.Context, w io.Writer) error {
+		points, err := data(ctx)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, "etf\tmean(u1)\tstd(u1)\tset_point\tacceptable")
 		if withOpen {
-			fmt.Fprintf(w, "\t%.4f", p.OpenExpected)
+			fmt.Fprint(w, "\topen_expected")
 		}
 		fmt.Fprintln(w)
-	}
+		for _, p := range points {
+			fmt.Fprintf(w, "%.2f\t%.4f\t%.4f\t%.4f\t%v", p.ETF, p.P1.Mean, p.P1.StdDev, p.SetPoint, p.Acceptable)
+			if withOpen {
+				fmt.Fprintf(w, "\t%.4f", p.OpenExpected)
+			}
+			fmt.Fprintln(w)
+		}
+		return nil
+	})
 }
 
-func runFig4(ctx context.Context, w io.Writer) error {
-	points, err := SweepParallel(ctx, Spec{Workload: WorkloadSimple, Seed: DefaultSeed}, Fig4ETFs())
-	if err != nil {
-		return err
-	}
-	printSweep(w, points, false)
-	return nil
-}
-
-func runFig5(ctx context.Context, w io.Writer) error {
-	points, err := SweepParallel(ctx, Spec{Workload: WorkloadMedium, Seed: DefaultSeed}, Fig5ETFs())
-	if err != nil {
-		return err
-	}
-	printSweep(w, points, true)
-	return nil
-}
-
-func runFig6(ctx context.Context, w io.Writer) error {
-	tr, err := Run(ctx, Spec{Workload: WorkloadMedium, Controller: KindOPEN, ETF: DynamicETF(), Seed: DefaultSeed})
-	if err != nil {
-		return err
-	}
-	printTrace(w, tr)
-	return nil
-}
-
-func runFig7(ctx context.Context, w io.Writer) error {
-	tr, err := Run(ctx, Spec{Workload: WorkloadMedium, ETF: DynamicETF(), Seed: DefaultSeed})
-	if err != nil {
-		return err
-	}
-	printTrace(w, tr)
-	// Report re-convergence after each step, the paper's ~20Ts claim
-	// (measured on a 5-period moving average to suppress jitter).
+// stepSettling is each processor's settling time after the +80% step at
+// 100Ts (the paper's ~20Ts claim), on a moving average against jitter.
+func stepSettling(tr *sim.Trace) []int {
 	b := workload.Medium().DefaultSetPoints()
-	for p := 0; p < len(b); p++ {
-		series := metrics.Column(tr.Utilization, p)
-		seg := metrics.MovingAverage(metrics.Window(series, 100, 200), 5)
-		st := metrics.SettlingTime(seg, b[p], 0.05)
+	st := make([]int, len(b))
+	for p := range b {
+		seg := metrics.MovingAverage(metrics.Window(metrics.Column(tr.Utilization, p), 100, 200), settleSmooth)
+		st[p] = metrics.SettlingTime(seg, b[p], InSpecTol)
+	}
+	return st
+}
+
+func printFig7(w io.Writer, tr *sim.Trace) {
+	printTrace(w, tr)
+	for p, st := range stepSettling(tr) {
 		fmt.Fprintf(w, "# P%d settling after +80%% step: %d Ts\n", p+1, st)
 	}
-	return nil
 }
 
-func runFig8(ctx context.Context, w io.Writer) error {
-	tr, err := Run(ctx, Spec{Workload: WorkloadMedium, ETF: DynamicETF(), Seed: DefaultSeed})
-	if err != nil {
-		return err
-	}
+// printRates writes a per-period task-rate table (Figure 8).
+func printRates(w io.Writer, tr *sim.Trace) {
 	fmt.Fprint(w, "period")
 	for i := 0; i < len(tr.Rates[0]); i++ {
 		fmt.Fprintf(w, "\tr(T%d)", i+1)
@@ -191,5 +218,4 @@ func runFig8(ctx context.Context, w io.Writer) error {
 		}
 		fmt.Fprintln(w)
 	}
-	return nil
 }

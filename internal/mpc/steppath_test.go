@@ -1,6 +1,7 @@
 package mpc_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -55,7 +56,7 @@ func sameBits(a, b []float64) bool {
 // previous NewRates; an iteration-capped solver and an attached law put
 // every SolveOutcome rung under the comparison.
 func TestStepToMatchesStepBitwise(t *testing.T) {
-	tr, err := experiments.RunMediumDynamic(experiments.KindEUCON, experiments.DefaultPeriods, experiments.DefaultSeed)
+	tr, err := experiments.Run(context.Background(), experiments.Spec{Workload: experiments.WorkloadMedium, ETF: experiments.DynamicETF(), Seed: experiments.DefaultSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestStepToMatchesStepBitwise(t *testing.T) {
 // rows in between, so it reaches interior rows carrying the warm-start set
 // of a constrained solve, as the pre-single-path Step did.
 func TestInteriorSolveMatchesIterativeBitwise(t *testing.T) {
-	tr, err := experiments.RunMediumDynamic(experiments.KindEUCON, experiments.DefaultPeriods, experiments.DefaultSeed)
+	tr, err := experiments.Run(context.Background(), experiments.Spec{Workload: experiments.WorkloadMedium, ETF: experiments.DynamicETF(), Seed: experiments.DefaultSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func scaledCertificate(h *mat.Dense, f []float64, a *mat.Dense, b, x, lambda []f
 // (scaled); with the solver capped at 6 iterations the best-iterate steps
 // report their residuals and are not asserted.
 func TestRecordedStepsCertify(t *testing.T) {
-	tr, err := experiments.RunMediumDynamic(experiments.KindEUCON, experiments.DefaultPeriods, experiments.DefaultSeed)
+	tr, err := experiments.Run(context.Background(), experiments.Spec{Workload: experiments.WorkloadMedium, ETF: experiments.DynamicETF(), Seed: experiments.DefaultSeed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,11 +60,7 @@ func NewLSI(c *mat.Dense, opts Options) (*LSI, error) {
 	// its exact-zero pattern) and selects an O(n·bw²) banded factorization
 	// when it pays; small or unstructured Hessians stay on the exact dense
 	// path, so existing workloads are bit-identical by construction.
-	factor := mat.FactorSPD
-	if opts.ForceDense {
-		factor = mat.FactorSPDDense
-	}
-	hchol, err := factor(h)
+	hchol, err := mat.FactorSPD(h)
 	if err != nil {
 		return nil, fmt.Errorf("qp: factor least-squares Hessian: %v: %w", err, ErrSingular)
 	}

@@ -100,12 +100,6 @@ type Options struct {
 	// point are admitted, so warm starting changes the search order but
 	// never correctness. Out-of-range indices are ignored.
 	WarmStart []int
-	// ForceDense disables structure detection in LSI: the least-squares
-	// Hessian is factored through the exact dense Cholesky path even when a
-	// fill-reducing ordering would expose a narrow band. Used by the
-	// dense↔structured equivalence tests and benchmarks; production callers
-	// leave it false.
-	ForceDense bool
 }
 
 func (o Options) withDefaults(n, m int) Options {

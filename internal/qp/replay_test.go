@@ -35,7 +35,7 @@ type recording struct {
 
 func recordMediumDynamic(t *testing.T) recording {
 	t.Helper()
-	tr, err := experiments.RunMediumDynamic(experiments.KindEUCON, experiments.DefaultPeriods, experiments.DefaultSeed)
+	tr, err := experiments.Run(context.Background(), experiments.Spec{Workload: experiments.WorkloadMedium, ETF: experiments.DynamicETF(), Seed: experiments.DefaultSeed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ go test -race ./...
 echo "==> bench/ (its own module): vet and -short tests against this tree"
 (cd bench && go vet ./... && go test -short ./...)
 
-echo "==> benchmark smoke (1 iteration, -short)"
+echo "==> benchmark smoke (the 5 go test benchmarks, 1 iteration, -short)"
 go test -short -run '^$' -bench . -benchtime 1x ./...
 
 echo "==> explicit-MPC compile determinism (two compiles, identical digests)"
