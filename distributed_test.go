@@ -13,7 +13,7 @@ import (
 
 // TestServeControllerFacade drives the paper's SIMPLE workload through the
 // root distributed facade: one controller daemon, two node agents (one per
-// processor, deliberately on different wire codecs), lockstep loop.
+// processor), lockstep loop.
 func TestServeControllerFacade(t *testing.T) {
 	sys := eucon.SimpleWorkload()
 	ctrl, err := eucon.NewController(sys, nil, eucon.SimpleControllerConfig())
@@ -29,14 +29,11 @@ func TestServeControllerFacade(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	var wg sync.WaitGroup
-	codecs := []eucon.WireCodec{eucon.BinaryCodec, eucon.JSONCodec}
 	for p := 0; p < sys.Processors; p++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := eucon.RunNodeAgent(ctx, sys, p, addr,
-				eucon.DistributedETF(eucon.ConstantETF(1)),
-				eucon.DistributedCodec(codecs[p%len(codecs)]))
+			err := eucon.RunNodeAgent(ctx, sys, p, addr, eucon.DistributedETF(eucon.ConstantETF(1)))
 			if err != nil {
 				t.Errorf("agent P%d: %v", p+1, err)
 			}

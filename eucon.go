@@ -11,7 +11,7 @@
 //
 //	trace, err := eucon.RunExperiment(context.Background(), eucon.ExperimentSpec{
 //		Workload: eucon.WorkloadSimple,
-//		ETF:      0.5, // actual execution times are half the estimates
+//		ETF:      eucon.ConstantETF(0.5), // actual execution times are half the estimates
 //	})
 //
 // The trace holds per-sampling-period utilizations and task rates; with the
@@ -28,11 +28,8 @@ package eucon
 
 import (
 	"context"
-	"math/rand"
 
-	"github.com/rtsyslab/eucon/internal/baseline"
 	"github.com/rtsyslab/eucon/internal/core"
-	"github.com/rtsyslab/eucon/internal/empc"
 	"github.com/rtsyslab/eucon/internal/metrics"
 	"github.com/rtsyslab/eucon/internal/sim"
 	"github.com/rtsyslab/eucon/internal/task"
@@ -55,9 +52,9 @@ type (
 type (
 	// Controller is the unified rate-controller interface of the feedback
 	// loop: Name, Step, Reset, and SetPoints. Every controller in the
-	// library implements it — MPCController (iterative or explicit MPC),
-	// DecentralizedController, OpenBaseline, and PIDBaseline — and
-	// SimulationConfig.Controller accepts any implementation.
+	// library implements it — MPCController and the controllers
+	// ExperimentSpec.Controller selects — and SimulationConfig.Controller
+	// and ExperimentSpec.Custom accept any implementation.
 	Controller = sim.Controller
 	// MPCController is the EUCON model-predictive rate controller, the
 	// paper's primary contribution. (Before the unified Controller
@@ -66,10 +63,6 @@ type (
 	// ControllerConfig tunes the MPC controller; the zero value selects
 	// the paper's SIMPLE parameters (P=2, M=1, Tref/Ts=4).
 	ControllerConfig = core.Config
-	// ExplicitCompileReport is the offline-compile report of an explicit
-	// MPC law: region and exploration counts plus the deterministic build
-	// digest.
-	ExplicitCompileReport = empc.Report
 )
 
 // Simulation types (see internal/sim).
@@ -78,14 +71,10 @@ type (
 	SimulationConfig = sim.Config
 	// Trace is the per-period record of a run.
 	Trace = sim.Trace
-	// RunStats aggregates counters over a run.
-	RunStats = sim.Stats
 	// ETFSchedule is a piecewise-constant execution-time factor over time.
 	ETFSchedule = sim.ETFSchedule
 	// ETFStep is one segment of an ETFSchedule.
 	ETFStep = sim.ETFStep
-	// OpenBaseline is the paper's OPEN open-loop comparator.
-	OpenBaseline = baseline.Open
 )
 
 // Summary bundles mean/std/min/max of a utilization series (see
@@ -106,12 +95,6 @@ type Summary = metrics.Summary
 //	})
 func NewController(sys *System, setPoints []float64, cfg ControllerConfig) (*MPCController, error) {
 	return core.New(sys, setPoints, cfg)
-}
-
-// NewOpenBaseline builds the OPEN comparator: fixed rates assigned offline
-// from the estimated execution times so that B = F·r′.
-func NewOpenBaseline(sys *System, setPoints []float64) (*OpenBaseline, error) {
-	return baseline.NewOpen(sys, setPoints)
 }
 
 // SimulateContext runs the event-driven simulator on a raw
@@ -143,13 +126,6 @@ func SimpleWorkload() *System { return workload.Simple() }
 // (25 subtasks) on 4 processors, 8 end-to-end + 4 local tasks.
 func MediumWorkload() *System { return workload.Medium() }
 
-// LargeWorkload returns a deterministic scaling workload (DESIGN.md §11):
-// procs processors in a line with 4 task chains starting per processor,
-// chain fan-out bounded so the allocation matrix is block-banded. procs
-// must be at least 6; LARGE-128 and LARGE-1024 are the registered
-// instances (WorkloadLarge128/WorkloadLarge1024).
-func LargeWorkload(procs int) (*System, error) { return workload.Large(procs) }
-
 // SimpleControllerConfig returns the paper's Table 2 controller parameters
 // for SIMPLE (P=2, M=1, Tref/Ts=4).
 func SimpleControllerConfig() ControllerConfig { return workload.SimpleController() }
@@ -157,15 +133,6 @@ func SimpleControllerConfig() ControllerConfig { return workload.SimpleControlle
 // MediumControllerConfig returns the paper's Table 2 controller parameters
 // for MEDIUM (P=4, M=2, Tref/Ts=4).
 func MediumControllerConfig() ControllerConfig { return workload.MediumController() }
-
-// RandomWorkloadConfig parameterizes RandomWorkload.
-type RandomWorkloadConfig = workload.RandomConfig
-
-// RandomWorkload generates a pseudo-random valid workload, deterministic
-// in rng.
-func RandomWorkload(cfg RandomWorkloadConfig, rng *rand.Rand) (*System, error) {
-	return workload.Random(cfg, rng)
-}
 
 // LiuLaylandBound returns the RMS schedulable utilization bound
 // m·(2^{1/m} − 1) for m tasks on one processor.

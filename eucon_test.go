@@ -3,7 +3,6 @@ package eucon_test
 import (
 	"context"
 	"math"
-	"math/rand"
 	"testing"
 
 	eucon "github.com/rtsyslab/eucon"
@@ -33,35 +32,12 @@ func TestQuickstartConvergence(t *testing.T) {
 	}
 }
 
-func TestPublicBaseline(t *testing.T) {
-	sys := eucon.SimpleWorkload()
-	open, err := eucon.NewOpenBaseline(sys, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := open.ExpectedUtilization(sys, 0.5)
-	if math.Abs(u[0]-0.414) > 0.01 {
-		t.Fatalf("OPEN expected u1 at etf 0.5 = %v, want ≈ 0.414", u[0])
-	}
-}
-
 func TestPublicWorkloads(t *testing.T) {
 	if sys := eucon.SimpleWorkload(); sys.Processors != 2 || len(sys.Tasks) != 3 {
 		t.Error("SimpleWorkload shape wrong")
 	}
 	if sys := eucon.MediumWorkload(); sys.Processors != 4 || len(sys.Tasks) != 12 {
 		t.Error("MediumWorkload shape wrong")
-	}
-	cfg := eucon.RandomWorkloadConfig{
-		Processors: 3, EndToEndTasks: 4, LocalTasks: 1, MaxChainLength: 3,
-		MinCost: 10, MaxCost: 40,
-	}
-	sys, err := eucon.RandomWorkload(cfg, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

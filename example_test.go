@@ -63,16 +63,3 @@ func ExampleNewController() {
 	// Output:
 	// raised 3 of 3 task rates
 }
-
-// ExampleSystemSchedulable applies exact response-time analysis to a
-// lightly loaded SIMPLE system.
-func ExampleSystemSchedulable() {
-	ok, _, err := eucon.SystemSchedulable(eucon.SimpleWorkload(), []float64{0.005, 0.005, 0.005})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Println(ok)
-	// Output:
-	// true
-}

@@ -202,9 +202,13 @@ type ServerResult struct {
 // membership and control state, steps the controller each sampling
 // period, and broadcasts rates through bounded per-member send queues
 // (each member receives only the rates of the tasks it hosts). A member
-// that misses a period is substituted by its last reported utilization —
-// matching the hold-last degradation policy of the simulator — and a
-// member silent past the membership timeout is evicted.
+// that misses a period is substituted by its last reported utilization,
+// and a member silent past the membership timeout is evicted. The
+// substitution is the server's own, not the controller's hold-last policy:
+// the controller never sees a NaN from it, the substitute has no staleness
+// bound (an evicted member is held at its last value indefinitely), and
+// late and early samples refresh it (DESIGN.md §8, "Distributed
+// analogue").
 type Server struct {
 	sys  *task.System
 	ctrl sim.Controller

@@ -279,9 +279,19 @@ func paperClaims() []claim {
 			}},
 		{"fig7", "§7.3", "settling ≤ 20 Ts after the +80% step on every processor", 20, "holds",
 			func(t *testing.T, tol float64) {
-				for p, st := range stepSettling(fig7(t)) {
+				for p, st := range stepSettling(fig7(t), 100) {
 					if st < 0 || float64(st) > tol {
 						t.Errorf("P%d settles in %d Ts", p+1, st)
+					}
+				}
+			}},
+		{"fig7", "§7.3", "recovery after the −67% step is slower than after the +80% step on every processor", 29, "holds",
+			func(t *testing.T, tol float64) {
+				up := stepSettling(fig7(t), 100)
+				for p, st := range stepSettling(fig7(t), 200) {
+					if st <= up[p] || float64(st) != tol {
+						t.Errorf("P%d settles in %d Ts after the −67%% step (measured %g) and %d Ts after the +80%% step",
+							p+1, st, tol, up[p])
 					}
 				}
 			}},

@@ -57,22 +57,21 @@ func TestExplicitIgnoredByNonMPCKinds(t *testing.T) {
 
 // TestExplicitSweepGoldenDigests is the acceptance criterion for the
 // explicit control law: the Figure 4 and Figure 5 sweep digests with
-// Explicit on must equal the goldens committed long before the explicit
-// compiler existed.
+// Explicit on must equal the ones scripts/golden/sweep-fig4-fig5.digest
+// pins for the sweeps without it.
 func TestExplicitSweepGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full paper-scale sweeps; skipped in -short")
 	}
-	golden := []struct {
+	want := sweepGoldens(t)
+	for _, g := range []struct {
 		name     string
 		workload WorkloadKind
 		etfs     []float64
-		digest   string
 	}{
-		{"fig4", WorkloadSimple, Fig4ETFs(), "e2698528494c2681"},
-		{"fig5", WorkloadMedium, Fig5ETFs(), "441584561a9f7e35"},
-	}
-	for _, g := range golden {
+		{"fig4", WorkloadSimple, Fig4ETFs()},
+		{"fig5", WorkloadMedium, Fig5ETFs()},
+	} {
 		pts, err := SweepParallel(context.Background(), Spec{
 			Workload: g.workload,
 			Seed:     DefaultSeed,
@@ -81,8 +80,8 @@ func TestExplicitSweepGoldenDigests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)
 		}
-		if d := sweepDigest(pts); d != g.digest {
-			t.Errorf("%s explicit digest %s, want golden %s", g.name, d, g.digest)
+		if d := sweepDigest(pts); want[g.name] == "" || d != want[g.name] {
+			t.Errorf("%s explicit digest %s, want golden %q", g.name, d, want[g.name])
 		}
 	}
 }

@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/rtsyslab/eucon/internal/fault"
@@ -84,6 +88,27 @@ func TestFaultedSweepDeterministic(t *testing.T) {
 	}
 }
 
+// sweepGoldens reads the per-sweep digests that
+// scripts/golden/sweep-fig4-fig5.digest pins, keyed by sweep name, so the
+// tests here compare against the same file cmd/euconsim's golden test does
+// rather than a second copy of the values.
+func sweepGoldens(t *testing.T) map[string]string {
+	t.Helper()
+	golden, err := os.ReadFile(filepath.Join("..", "..", "scripts", "golden", "sweep-fig4-fig5.digest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		var rec struct{ Sweep, Digest string }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("golden line %q: %v", line, err)
+		}
+		want[rec.Sweep] = rec.Digest
+	}
+	return want
+}
+
 // TestNoFaultSweepGoldenDigests pins the no-fault science: with Faults
 // empty, the Figure 4 and Figure 5 sweep digests must match the goldens
 // committed before the fault layer existed, proving the fault hooks are
@@ -92,16 +117,15 @@ func TestNoFaultSweepGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full paper-scale sweeps; skipped in -short")
 	}
-	golden := []struct {
+	want := sweepGoldens(t)
+	for _, g := range []struct {
 		name     string
 		workload WorkloadKind
 		etfs     []float64
-		digest   string
 	}{
-		{"fig4", WorkloadSimple, Fig4ETFs(), "e2698528494c2681"},
-		{"fig5", WorkloadMedium, Fig5ETFs(), "441584561a9f7e35"},
-	}
-	for _, g := range golden {
+		{"fig4", WorkloadSimple, Fig4ETFs()},
+		{"fig5", WorkloadMedium, Fig5ETFs()},
+	} {
 		pts, err := SweepParallel(context.Background(), Spec{
 			Workload: g.workload,
 			Seed:     DefaultSeed,
@@ -110,8 +134,8 @@ func TestNoFaultSweepGoldenDigests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)
 		}
-		if d := sweepDigest(pts); d != g.digest {
-			t.Errorf("%s digest %s, want golden %s", g.name, d, g.digest)
+		if d := sweepDigest(pts); want[g.name] == "" || d != want[g.name] {
+			t.Errorf("%s digest %s, want golden %q", g.name, d, want[g.name])
 		}
 	}
 }

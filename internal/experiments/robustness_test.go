@@ -70,9 +70,11 @@ func TestTraceRobustness(t *testing.T) {
 }
 
 // TestTraceRobustnessNaNSamples is the regression test for NaN poisoning:
-// non-finite utilization samples (the coordinator's Degrade mode) must be
-// counted as maximally out of spec — NaN-absorbing comparisons used to drop
-// them silently, reporting a calm overshoot for a broken run.
+// non-finite utilization samples must be counted as maximally out of spec —
+// NaN-absorbing comparisons used to drop them silently, reporting a calm
+// overshoot for a broken run. Neither trace source writes one today: the
+// simulator records the measurement before feedback faults turn it into
+// NaN, and agent.Server records its own last-report substitute.
 func TestTraceRobustnessNaNSamples(t *testing.T) {
 	u := make([]float64, 20)
 	for k := range u {

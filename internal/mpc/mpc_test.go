@@ -491,3 +491,19 @@ func TestStepToDimensionErrors(t *testing.T) {
 		t.Error("short rates accepted")
 	}
 }
+
+// TestSolveOutcomeLadderOrder pins the degradation ladder: the rungs are
+// ordered by increasing degradation, and Degraded starts at best-iterate.
+func TestSolveOutcomeLadderOrder(t *testing.T) {
+	ladder := []SolveOutcome{SolveOK, SolveRelaxed, SolveBestIterate, SolveRegularized, SolveHeld}
+	for i := 1; i < len(ladder); i++ {
+		if ladder[i-1] >= ladder[i] {
+			t.Errorf("%v is not above %v on the ladder", ladder[i-1], ladder[i])
+		}
+	}
+	for _, o := range ladder {
+		if want := o >= SolveBestIterate; o.Degraded() != want {
+			t.Errorf("%v.Degraded() = %v, want %v", o, o.Degraded(), want)
+		}
+	}
+}

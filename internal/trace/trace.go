@@ -1,11 +1,10 @@
-// Package trace exports simulation traces in machine-readable formats so
-// paper figures can be regenerated with external plotting tools
-// (gnuplot, matplotlib), and computes comparisons between runs.
+// Package trace exports simulation traces as CSV so paper figures can be
+// regenerated with external plotting tools (gnuplot, matplotlib); it backs
+// euconsim -csv.
 package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -91,30 +90,4 @@ func WriteMissRatioCSV(w io.Writer, tr *sim.Trace) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteJSON serializes the whole trace as a single JSON document.
-func WriteJSON(w io.Writer, tr *sim.Trace) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(exportTrace{
-		Controller:     tr.Controller,
-		SamplingPeriod: tr.SamplingPeriod,
-		Utilization:    tr.Utilization,
-		Rates:          tr.Rates,
-		Stats:          tr.Stats,
-	}); err != nil {
-		return fmt.Errorf("trace: encode JSON: %w", err)
-	}
-	return nil
-}
-
-// exportTrace pins the JSON field names independent of the sim package's
-// Go identifiers.
-type exportTrace struct {
-	Controller     string      `json:"controller"`
-	SamplingPeriod float64     `json:"sampling_period"`
-	Utilization    [][]float64 `json:"utilization"`
-	Rates          [][]float64 `json:"rates"`
-	Stats          sim.Stats   `json:"stats"`
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -11,15 +10,12 @@ import (
 
 func sampleTrace() *sim.Trace {
 	return &sim.Trace{
-		Controller:     "EUCON",
-		SamplingPeriod: 1000,
-		Utilization:    [][]float64{{0.5, 0.6}, {0.55, 0.65}},
-		Rates:          [][]float64{{0.01, 0.02}, {0.011, 0.021}},
+		Utilization: [][]float64{{0.5, 0.6}, {0.55, 0.65}},
+		Rates:       [][]float64{{0.01, 0.02}, {0.011, 0.021}},
 		Periods: []sim.PeriodStats{
 			{Released: 10, Completed: 10},
 			{Released: 12, Completed: 10, SubtaskMisses: 2},
 		},
-		Stats: sim.Stats{ReleasedJobs: 22, CompletedJobs: 20, SubtaskDeadlineMisses: 2},
 	}
 }
 
@@ -71,23 +67,6 @@ func TestWriteMissRatioCSV(t *testing.T) {
 	}
 	if rows[2][3] != "0.200000" {
 		t.Fatalf("miss ratio cell = %q, want 0.200000", rows[2][3])
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	var sb strings.Builder
-	if err := WriteJSON(&sb, sampleTrace()); err != nil {
-		t.Fatal(err)
-	}
-	var decoded map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded["controller"] != "EUCON" {
-		t.Fatalf("controller = %v", decoded["controller"])
-	}
-	if decoded["sampling_period"].(float64) != 1000 {
-		t.Fatalf("sampling_period = %v", decoded["sampling_period"])
 	}
 }
 

@@ -1,8 +1,9 @@
 #!/bin/sh
-# Tier-1 check: gofmt -s, vet, euconlint, build, race-enabled tests, vet
-# and -short tests of bench/ (so a deletion that breaks a name the
-# benchmark uses fails here), a benchmark smoke, the explicit-compile
-# determinism check, and the golden digests once more without -race. The race-enabled tests carry the
+# Tier-1 check: gofmt -s, vet, euconlint, build, a run of every example
+# (exit 0 required), race-enabled tests, vet and -short tests of bench/ (so
+# a deletion that breaks a name the benchmark uses fails here), a benchmark
+# smoke, the explicit-compile determinism check, and the golden digests
+# once more without -race. The race-enabled tests carry the
 # steady-state zero-allocation gates (TestSteadyStateAllocationFree and
 # internal/sim's TestSteadyStateEventLoopAllocFree) and the smoke runs
 # that used to be shell steps: the chaos campaigns (25 seeded fault storms
@@ -32,6 +33,15 @@ go run ./cmd/euconlint ./... ./cmd/...
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> examples: each go run ./examples/<name> must exit 0"
+for dir in examples/*/; do
+	name=$(basename "$dir")
+	if ! go run "./examples/$name" > /dev/null; then
+		echo "FAIL: go run ./examples/$name"
+		exit 1
+	fi
+done
 
 echo "==> go test -race ./..."
 go test -race ./...
