@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint lint-fixtures build test bench-smoke chaos-smoke chaos
+.PHONY: check fmt vet lint lint-fixtures build test bench-smoke chaos-smoke chaos fuzz-queue
 
 ## check: the tier-1 gate — format, vet, build, race-enabled tests, and a
 ## one-iteration benchmark smoke pass. CI and pre-commit both run this.
@@ -51,3 +51,9 @@ chaos-smoke:
 ## wider clause compositions).
 chaos:
 	$(GO) run ./cmd/euconfuzz -seed 1 -n 500 -max-clauses 6
+
+## fuzz-queue: fuzz the simulator's calendar event queue against a sorted
+## reference for 30 s (random push/pop/re-key sequences); the seed corpus
+## already runs with the ordinary tests.
+fuzz-queue:
+	$(GO) test -run '^$$' -fuzz FuzzEventQueueOrder -fuzztime 30s ./internal/sim

@@ -376,14 +376,10 @@ func paperClaims() []claim {
 					}
 				}
 			}},
-		{"ext-ablations", "§8", "DEUCON keeps LARGE-128 acceptable at etf 1, the only one of etf 0.5, 1, 2", 0, "holds",
-			func(t *testing.T, _ float64) {
-				var got []float64
-				for _, v := range []string{"LARGE-128 etf=0.5", "LARGE-128 etf=1", "LARGE-128 etf=2"} {
-					got = append(got, ablationValue(t, "scale", v))
-				}
-				if got[0] != 0 || got[1] != 1 || got[2] != 0 {
-					t.Errorf("acceptable(u₁) at etf 0.5, 1, 2: %v", got)
+		{"ext-ablations", "§7.1", "DEUCON keeps LARGE-128 acceptable at 101, 2 and 0 of 128 processors at etf 0.5, 1 and 2", 0, "deviation 8",
+			func(t *testing.T, tol float64) {
+				for i, v := range []string{"LARGE-128 etf=0.5", "LARGE-128 etf=1", "LARGE-128 etf=2"} {
+					pinned(t, "acceptable processors at "+v, ablationValue(t, "scale", v), []float64{101, 2, 0}[i], tol)
 				}
 			}},
 	}

@@ -166,9 +166,9 @@ func ablations(ctx context.Context) ([]ablation, error) {
 		{"pid-coupling", "EUCON", "|mean(u1)-B1| trap", trap, euconWith(core.Config{}, trapB), 1, trapErr},
 		{"deucon", "EUCON", "max|mean(u)-B| MEDIUM [120,200)", Spec{Workload: WorkloadMedium}, nil, 1, worstErr},
 		{"deucon", "DEUCON", "max|mean(u)-B| MEDIUM [120,200)", Spec{Workload: WorkloadMedium, Controller: KindDEUCON}, nil, 1, worstErr},
-		{"scale", "LARGE-128 etf=0.5", "acceptable(u1) DEUCON", Spec{Workload: WorkloadLarge128, Controller: KindDEUCON}, nil, 0.5, acceptableU1},
-		{"scale", "LARGE-128 etf=1", "acceptable(u1) DEUCON", Spec{Workload: WorkloadLarge128, Controller: KindDEUCON}, nil, 1, acceptableU1},
-		{"scale", "LARGE-128 etf=2", "acceptable(u1) DEUCON", Spec{Workload: WorkloadLarge128, Controller: KindDEUCON}, nil, 2, acceptableU1},
+		{"scale", "LARGE-128 etf=0.5", "acceptable procs of 128 DEUCON", Spec{Workload: WorkloadLarge128, Controller: KindDEUCON}, nil, 0.5, acceptableProcs},
+		{"scale", "LARGE-128 etf=1", "acceptable procs of 128 DEUCON", Spec{Workload: WorkloadLarge128, Controller: KindDEUCON}, nil, 1, acceptableProcs},
+		{"scale", "LARGE-128 etf=2", "acceptable procs of 128 DEUCON", Spec{Workload: WorkloadLarge128, Controller: KindDEUCON}, nil, 2, acceptableProcs},
 	}
 	out := make([]ablation, len(variants))
 	for i, v := range variants {
@@ -217,11 +217,16 @@ func overshootU1(u [][]float64, b []float64) float64 {
 	return worst
 }
 
-func acceptableU1(u [][]float64, b []float64) float64 {
-	if metrics.Summarize(ablationWindow(u, 0, WindowStart)).Acceptable(b[0]) {
-		return 1
+// acceptableProcs counts the processors whose window is acceptable against
+// their own set points (§7.1).
+func acceptableProcs(u [][]float64, b []float64) float64 {
+	n := 0
+	for p := range b {
+		if metrics.Summarize(ablationWindow(u, p, WindowStart)).Acceptable(b[p]) {
+			n++
+		}
 	}
-	return 0
+	return float64(n)
 }
 
 func worstErr(u [][]float64, b []float64) float64 {

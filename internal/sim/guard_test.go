@@ -148,6 +148,102 @@ func TestDisableGuardsLetsNaNPoisonTheRun(t *testing.T) {
 	}
 }
 
+// zeroRateController commands rate 0 for task 0 from period `from` onward
+// and records, at every later boundary, whether the task's queued first
+// release sits at +Inf.
+type zeroRateController struct {
+	s      *Simulator
+	from   int
+	atInf  int
+	queued int
+}
+
+func (*zeroRateController) Name() string { return "ZERORATE" }
+
+func (*zeroRateController) Reset() {}
+
+func (*zeroRateController) SetPoints() []float64 { return nil }
+
+func (c *zeroRateController) Step(k int, u, rates []float64) ([]float64, error) {
+	if e := c.s.firstRel[0]; e != nil && c.s.events.queued(e) {
+		c.queued++
+		if math.IsInf(e.at, 1) {
+			c.atInf++
+		}
+	}
+	out := append([]float64(nil), rates...)
+	if k >= c.from {
+		out[0] = 0
+	}
+	return out, nil
+}
+
+// TestDisableGuardsLetsInfPeriodFinishTheRun is the +Inf twin of
+// TestDisableGuardsLetsNaNPoisonTheRun: with guards off, a commanded rate 0
+// is clamped to a subnormal RateMin whose period 1/r overflows to +Inf, so
+// the task's next release is queued at +Inf. Unlike NaN, +Inf is ordered:
+// it waits behind every sampling boundary, and the run records all its
+// periods.
+func TestDisableGuardsLetsInfPeriodFinishTheRun(t *testing.T) {
+	sys := oneTaskSystem(10, 0.01)
+	sys.Tasks[0].RateMin = 1e-310
+	if p := 1 / sys.Tasks[0].RateMin; !math.IsInf(p, 1) {
+		t.Fatalf("period at RateMin = %v, want +Inf", p)
+	}
+	ctrl := &zeroRateController{from: 3}
+	s, err := New(Config{
+		System:         sys,
+		SamplingPeriod: 1000,
+		Periods:        20,
+		Controller:     ctrl,
+		DisableGuards:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.s = s
+	tr, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Stats.GuardRateFirings != 0 {
+		t.Fatalf("guards fired %d times while disabled", tr.Stats.GuardRateFirings)
+	}
+	if len(tr.Utilization) != 20 {
+		t.Fatalf("run recorded %d of 20 periods", len(tr.Utilization))
+	}
+	if ctrl.atInf == 0 || ctrl.atInf != ctrl.queued-4 {
+		t.Errorf("first release queued at +Inf at %d of %d boundaries, want every one after the rate-0 command", ctrl.atInf, ctrl.queued)
+	}
+}
+
+// TestEventQueueFilesNonFiniteTimes pins the calendar day of non-finite
+// and out-of-range times: Go leaves converting them to an integer
+// implementation-defined, so the queue must never do it.
+func TestEventQueueFilesNonFiniteTimes(t *testing.T) {
+	q := eventQueue{invWidth: 1}
+	for _, tc := range []struct {
+		at   float64
+		want int64
+	}{
+		{math.NaN(), math.MinInt64},
+		{math.Inf(-1), math.MinInt64},
+		{-1e300, math.MinInt64},
+		{-0x1p63, math.MinInt64},
+		{-2.5, -3},
+		{0, 0},
+		{2.5, 2},
+		{0x1p62, 1 << 62},
+		{0x1p63, math.MaxInt64},
+		{1e300, math.MaxInt64},
+		{math.Inf(1), math.MaxInt64},
+	} {
+		if got := q.dayOf(tc.at); got != tc.want {
+			t.Errorf("dayOf(%v) = %d, want %d", tc.at, got, tc.want)
+		}
+	}
+}
+
 // hookController runs a sabotage callback against the simulator each
 // period before returning the rates unchanged — white-box fault planting
 // for the audit and utilization guards.

@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// TestEventQueuePopsInTotalOrder drives the flat 4-ary event heap with
+// TestEventQueuePopsInTotalOrder drives the calendar event queue with
 // random events, re-keys random queued events in place to earlier and
 // later times between rounds of pops, and checks each round pops the
 // sorted order of the (at, kind, seq) total order — the property that keeps
-// runs bit-identical regardless of heap layout — and that every queued
-// event records its own slot.
+// runs bit-identical regardless of the queue's layout — and that the
+// calendar's invariants hold after every round of re-keys.
 func TestEventQueuePopsInTotalOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 50; trial++ {
@@ -33,14 +33,10 @@ func TestEventQueuePopsInTotalOrder(t *testing.T) {
 			for r := rng.Intn(len(live) + 1); r > 0; r-- {
 				e := live[rng.Intn(len(live))]
 				seq++
-				e.at += float64(rng.Intn(21) - 10) // earlier, later or tied
-				e.seq = seq
-				q.fix(e.idx)
+				q.move(e, e.at+float64(rng.Intn(21)-10), seq) // earlier, later or tied
 			}
-			for i, e := range q.ev {
-				if e.idx != i {
-					t.Fatalf("trial %d round %d: event in slot %d records index %d", trial, round, i, e.idx)
-				}
+			if err := q.check(); err != nil {
+				t.Fatalf("trial %d round %d: %v", trial, round, err)
 			}
 			sort.Slice(live, func(i, j int) bool { return eventBefore(live[i], live[j]) })
 			pops := 1 + rng.Intn(len(live))

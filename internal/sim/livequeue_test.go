@@ -37,7 +37,7 @@ func (p *liveProbe) Step(k int, u, rates []float64) ([]float64, error) {
 // re-times its processor's queued completion and a rate change re-times its
 // task's queued first release, so at every sampling boundary each queued
 // completion belongs to a running job, each task has exactly one first
-// release queued, and each event records its own heap slot — on LARGE-16
+// release queued, and the calendar's invariants hold — on LARGE-16
 // under DEUCON (rates move every period), MEDIUM dynamic-etf under core and
 // fig4 SIMPLE at etf 2 (overloaded, so preemptions abound).
 func TestEventQueueHoldsOnlyLiveEvents(t *testing.T) {

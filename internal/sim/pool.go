@@ -72,14 +72,17 @@ func (s *Simulator) putJob(j *job) {
 //
 //eucon:noalloc
 func (s *Simulator) recycleInFlight() {
-	for _, e := range s.events.ev {
-		if e.job != nil {
-			s.putJob(e.job)
+	for i := range s.events.buckets {
+		for e := s.events.buckets[i].head; e != nil; {
+			next := e.next
+			if e.job != nil {
+				s.putJob(e.job)
+			}
+			s.putEvent(e)
+			e = next
 		}
-		s.putEvent(e)
 	}
-	clear(s.events.ev)
-	s.events.ev = s.events.ev[:0]
+	s.events.reset()
 	clear(s.firstRel)
 	for p := range s.procs {
 		pr := &s.procs[p]

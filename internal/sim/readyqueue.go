@@ -2,8 +2,8 @@ package sim
 
 // jobHeap is a processor's ready queue: a flat 4-ary min-heap of pending
 // jobs ordered by RMS priority (shortest current period first, see
-// Simulator.higherPriority). Like eventQueue it is concrete-typed — no
-// container/heap interface calls or `any` conversions on the dispatch path.
+// Simulator.higherPriority). It is concrete-typed — no container/heap
+// interface calls or `any` conversions on the dispatch path.
 //
 // Priorities are live values owned by the simulator (they change when task
 // rates change), so the heap must be re-heapified via reinit whenever rates

@@ -12,11 +12,11 @@
 //
 // The simulator is deterministic for a fixed Config.Seed, and its
 // steady-state event loop is allocation-free: events and jobs are recycled
-// through per-simulator free lists, the event queue and per-processor ready
-// queues are flat concrete-typed heaps, and trace rows are carved out of
-// buffers pre-sized for the whole run. A Simulator can be reused across
-// runs with Reset, which keeps those pools and buffers warm — the intended
-// pattern for sweep workers (see internal/experiments).
+// through per-simulator free lists, the event queue is a calendar queue,
+// the per-processor ready queues are flat concrete-typed heaps, and trace
+// rows are carved out of buffers pre-sized for the whole run. A Simulator
+// can be reused across runs with Reset, which keeps those pools and buffers
+// warm — the intended pattern for sweep workers (see internal/experiments).
 package sim
 
 import (
@@ -534,9 +534,7 @@ func (s *Simulator) push(e *event) *event {
 //eucon:noalloc
 func (s *Simulator) rekey(e *event, at float64) {
 	s.seq++
-	e.seq = s.seq
-	e.at = at
-	s.events.fix(e.idx)
+	s.events.move(e, at, s.seq)
 }
 
 // unlink clears the back-pointer naming e, which has just been popped.
@@ -556,7 +554,7 @@ func (s *Simulator) unlink(e *event) {
 
 // scheduleSampling queues sampling boundary k at k·Ts. Only the next
 // boundary is ever queued — the run loop queues k+1 once k is handled — so
-// the heap holds one sampling event instead of one per remaining period.
+// the queue holds one sampling event instead of one per remaining period.
 // Queuing late cannot move a boundary in the pop order: boundaries never
 // share a time, and one that ties with a release or completion is ordered
 // by kind, so the seq it gets when queued never decides an order.
@@ -937,9 +935,11 @@ func (s *Simulator) guardRates(k int, newRates []float64) []float64 {
 func (s *Simulator) auditPools() int {
 	imbalance := 0
 	carriedJobs := 0
-	for _, e := range s.events.ev {
-		if e.job != nil {
-			carriedJobs++
+	for i := range s.events.buckets {
+		for e := s.events.buckets[i].head; e != nil; e = e.next {
+			if e.job != nil {
+				carriedJobs++
+			}
 		}
 	}
 	liveJobs := carriedJobs
