@@ -102,7 +102,7 @@ func run() int {
 	}
 	if !plan.Zero() {
 		opts = append(opts, agent.WithTransportFaults(func(p int) lane.Plan {
-			return plan.Reseed(int64(p) + 1)
+			return plan.ForLane(p, false)
 		}))
 	}
 	srv, err := agent.NewServer(sys, ctrl, ln, opts...)

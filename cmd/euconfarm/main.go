@@ -137,12 +137,9 @@ func run(args []string) int {
 	}
 	if !plan.Zero() {
 		// Each direction of each agent's lane draws a decorrelated loss
-		// pattern from the one template (odd salts outbound, even inbound).
+		// pattern from the one template.
 		fleet.Faults = func(p int, inbound bool, _ func() int) lane.Plan {
-			if inbound {
-				return plan.Reseed(int64(2 * p))
-			}
-			return plan.Reseed(int64(2*p + 1))
+			return plan.ForLane(p, inbound)
 		}
 	}
 

@@ -38,7 +38,7 @@ func run() int {
 	seed := flag.Int64("seed", 1, "noise seed")
 	codec := flag.String("codec", "binary", "wire codec for outgoing frames: binary, binary2 (delta-compacted rates), or json")
 	queue := flag.Int("queue", lane.DefaultQueueDepth, "outbound send-queue depth (frames)")
-	faultSpec := flag.String("transport-faults", "", "inject transport faults on outbound reports, e.g. drop=0.05,delay=10ms,delayprob=0.5,seed=7")
+	faultSpec := flag.String("transport-faults", "", "inject transport faults on outbound reports, e.g. drop=0.05,delay=10ms,delayprob=0.5,seed=7 (reseeded per processor)")
 	drift := flag.Float64("drift", 0, "clock rate error for free-running pacing: +0.01 samples 1% fast, -0.01 1% slow")
 	skew := flag.Duration("skew", 0, "constant clock offset for free-running pacing")
 	flag.Parse()
@@ -78,7 +78,9 @@ func run() int {
 		agent.WithSendQueue(*queue),
 	}
 	if !plan.Zero() {
-		opts = append(opts, agent.WithSendFaults(plan))
+		opts = append(opts, agent.WithTransportFaults(func(p int) lane.Plan {
+			return plan.ForLane(p, true)
+		}))
 	}
 	if *drift != 0 || *skew != 0 { //eucon:float-exact flag sentinel: exactly zero means no skew injection
 		opts = append(opts, agent.WithClock(agent.NewSkewedClock(*skew, *drift)))

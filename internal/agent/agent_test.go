@@ -115,7 +115,9 @@ func TestClusterMediumWithJitter(t *testing.T) {
 // when the range covers all attempts of one report.
 type dropRange struct{ from, to uint64 }
 
-func (d dropRange) Outcome(n uint64) (bool, time.Duration) { return n >= d.from && n < d.to, 0 }
+func (d dropRange) FateOf(n uint64) (bool, time.Duration, bool, bool) {
+	return n >= d.from && n < d.to, 0, false, false
+}
 
 // TestServerDegradesAroundLostReport is the end-to-end degradation path:
 // one agent's period-2 report is dropped beyond its retry budget, the
@@ -123,16 +125,15 @@ func (d dropRange) Outcome(n uint64) (bool, time.Duration) { return n >= d.from 
 // the agent that lost its report rejoins the lockstep on the broadcast.
 func TestServerDegradesAroundLostReport(t *testing.T) {
 	sys := workload.Simple()
-	retry := lane.RetryPolicy{Attempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
 	// P2's report for period 2 occupies message indices 2, 3, 4 of its
-	// report lane (initial send plus two retries); dropping all three
-	// loses it for good. P1 runs fault-free.
+	// report lane (initial send plus the default policy's two retries);
+	// dropping all three loses it for good. P1 runs fault-free.
 	plans := []lane.Plan{nil, dropRange{2, 5}}
 	res := runOK(t, &Fleet{Sys: sys, Ctrl: simpleController(t, sys),
 		Server: []Option{WithPeriods(6), WithTrace(true), WithPeriodTimeout(200 * time.Millisecond)},
 		Agent: func(p int) []Option {
 			return []Option{WithETF(sim.ConstantETF(0.5)), WithSamplingPeriod(workload.SamplingPeriod),
-				WithSendFaults(plans[p]), WithRetry(retry)}
+				WithTransportFaults(func(int) lane.Plan { return plans[p] })}
 		}})
 	if res.Periods != 6 {
 		t.Fatalf("run covered %d periods, want 6 despite the lost report", res.Periods)
@@ -158,7 +159,6 @@ func TestServerDegradesAroundLostReport(t *testing.T) {
 // rest, and the closed loop still converges to the set points.
 func TestClusterLossyTransportConverges(t *testing.T) {
 	sys := workload.Simple()
-	retry := lane.RetryPolicy{Attempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
 	plans := []lane.Plan{
 		fault.TransportPlan{DropProb: 0.05, Seed: 1},
 		fault.TransportPlan{DropProb: 0.05, DelayProb: 0.1, Delay: time.Millisecond, Seed: 2},
@@ -167,7 +167,7 @@ func TestClusterLossyTransportConverges(t *testing.T) {
 		Server: []Option{WithPeriods(80), WithTrace(true), WithPeriodTimeout(200 * time.Millisecond)},
 		Agent: func(p int) []Option {
 			return []Option{WithETF(sim.ConstantETF(0.5)), WithSamplingPeriod(workload.SamplingPeriod),
-				WithSendFaults(plans[p]), WithRetry(retry)}
+				WithTransportFaults(func(int) lane.Plan { return plans[p] })}
 		}})
 	if res.Periods != 80 {
 		t.Fatalf("run covered %d periods, want 80", res.Periods)

@@ -107,7 +107,7 @@ func (f *Fleet) Run(ctx context.Context) (*FleetResult, error) {
 			defer wg.Done()
 			opts := append(slices.Clip(f.Agent(p)), sink)
 			if f.Faults != nil {
-				opts = append(opts, WithSendFaults(f.Faults(p, true, period)))
+				opts = append(opts, WithTransportFaults(func(p int) lane.Plan { return f.Faults(p, true, period) }))
 			}
 			err := RunAgent(actx, f.Sys, p, ln.Addr().String(), opts...)
 			if err != nil && actx.Err() == nil && !srv.stopping.Load() {

@@ -51,20 +51,17 @@ func RunAgent(ctx context.Context, sys *task.System, processor int, addr string,
 	// still lost after retries is abandoned without killing the queue —
 	// the server degrades around it with hold-last substitution.
 	var reports lane.Sender = conn
-	if opt.sendFaults != nil {
-		reports = lane.NewFaultConn(conn, opt.sendFaults)
-	} else if opt.peerFaults != nil {
-		// The per-peer form of the same option (shared with the Server):
-		// the plan keyed by this agent's processor faults its reports.
+	if opt.peerFaults != nil {
 		if plan := opt.peerFaults(processor); plan != nil {
 			reports = lane.NewFaultConn(conn, plan)
 		}
 	}
+	retry := retryPolicy(opt.seed, processor)
 	queue := lane.NewSendQueue(func(ctx context.Context, m *lane.Message) error {
 		if m.Type != lane.TypeUtilizationBatch {
 			return conn.Send(m, opt.ioTimeout)
 		}
-		err := lane.SendRetry(ctx, reports, m, opt.ioTimeout, opt.retry)
+		err := lane.SendRetry(ctx, reports, m, opt.ioTimeout, retry)
 		if errors.Is(err, lane.ErrInjectedDrop) {
 			return nil
 		}

@@ -32,8 +32,6 @@ type Options struct {
 	jitter         float64
 	seed           int64
 	nodeName       string
-	retry          lane.RetryPolicy
-	sendFaults     lane.Plan
 	latencySink    func(period int, rtt time.Duration)
 	clock          Clock
 	peerFaults     func(processor int) lane.Plan
@@ -58,13 +56,16 @@ func newOptions(opts []Option) Options {
 			opt(&o)
 		}
 	}
-	if o.retry.Seed == 0 {
-		// Distinct per-agent retry seeds desynchronize backoff: a fleet
-		// rejoining in unison after a healed partition must not retry in
-		// unison too.
-		o.retry.Seed = o.seed
-	}
 	return o
+}
+
+// retryPolicy is the resend policy of processor p's lane: the lane
+// defaults, with a jitter seed that mixes p into seed. Distinct seeds per
+// processor desynchronize backoff, so a fleet rejoining in unison after a
+// healed partition does not retry in unison too — even when every agent
+// runs with the same options.
+func retryPolicy(seed int64, p int) lane.RetryPolicy {
+	return lane.RetryPolicy{Seed: seed ^ (int64(p)+1)*0x9e3779b9}
 }
 
 // WithCodec selects the wire codec for outgoing frames (incoming frames
@@ -179,20 +180,6 @@ func WithNodeName(name string) Option {
 	return func(o *Options) { o.nodeName = name }
 }
 
-// WithRetry sets the resend policy for a node agent's utilization
-// reports over a faulty transport.
-func WithRetry(p lane.RetryPolicy) Option {
-	return func(o *Options) { o.retry = p }
-}
-
-// WithSendFaults injects transport faults (drops, delays — e.g.
-// fault.TransportPlan) into a node agent's outbound reports. A report
-// still lost after retries is abandoned; the Server holds the member's
-// last report in its place.
-func WithSendFaults(p lane.Plan) Option {
-	return func(o *Options) { o.sendFaults = p }
-}
-
 // WithClock injects the clock pacing a free-running node agent's sampling
 // periods (default: the wall clock). Skewed or drifting clocks
 // (NewSkewedClock) let a harness prove the server's liveness sweep and
@@ -207,13 +194,16 @@ func WithClock(c Clock) Option {
 	}
 }
 
-// WithTransportFaults injects per-peer transport faults into the Server's
-// outbound rate lanes: plan(p) returns the fault plan for processor p's
-// lane (nil for a clean lane). Dropped rate frames exercise the agents'
-// stale-frame tolerance and the delta codec's resync path; duplicates and
-// reorders exercise frame idempotence. Derive per-peer plans from one
-// template with fault.TransportPlan.Reseed so peers' loss patterns
-// decorrelate.
+// WithTransportFaults injects per-processor transport faults: plan(p)
+// returns the fault plan for processor p's lane (nil for a clean lane).
+// On a Server it faults the outbound rate lanes: dropped rate frames
+// exercise the agents' stale-frame tolerance and the delta codec's resync
+// path; duplicates and reorders exercise frame idempotence. On a node
+// agent it faults the agent's outbound reports: a report still lost after
+// retries is abandoned, and the Server holds the member's last report in
+// its place. Derive per-lane plans from one template with
+// fault.TransportPlan.ForLane so loss patterns decorrelate across peers
+// and directions.
 func WithTransportFaults(plan func(processor int) lane.Plan) Option {
 	return func(o *Options) { o.peerFaults = plan }
 }

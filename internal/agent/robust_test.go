@@ -40,26 +40,21 @@ func TestSkewedClockSemantics(t *testing.T) {
 }
 
 // TestAgentRetrySeedDefaultsFromAgentSeed pins the rejoin-storm defense at
-// the options layer: distinct agents (distinct noise seeds) must get
-// distinct retry-jitter seeds without any explicit WithRetry, so a fleet
-// rejoining in the same period spreads its resends. The lane-level spread
-// itself is proven in lane's rejoin-storm test.
+// the options layer: 64 agents launched with identical options (the same
+// noise seed, as a nodeagent fleet started with default flags has) must
+// still draw distinct retry jitter, because the retry seed mixes in the
+// processor, so a fleet rejoining in the same period spreads its resends.
+// The lane-level spread itself is proven in lane's rejoin-storm test.
 func TestAgentRetrySeedDefaultsFromAgentSeed(t *testing.T) {
-	seen := make(map[time.Duration]int)
-	for p := 0; p < 64; p++ {
-		o := newOptions([]Option{WithSeed(int64(p + 1))})
-		if o.retry.Seed != int64(p+1) {
-			t.Fatalf("agent seed %d produced retry seed %d", p+1, o.retry.Seed)
+	for _, opts := range [][]Option{nil, {WithSeed(1)}} {
+		o := newOptions(opts)
+		seen := make(map[time.Duration]int)
+		for p := 0; p < 64; p++ {
+			seen[retryPolicy(o.seed, p).JitteredBackoff(0)]++
 		}
-		seen[o.retry.JitteredBackoff(0)]++
-	}
-	if len(seen) < 60 {
-		t.Errorf("64 default-configured agents share %d first backoffs — rejoin storms stay synchronized", 64-len(seen))
-	}
-	// An explicit retry seed wins over the derived one.
-	o := newOptions([]Option{WithSeed(3), WithRetry(lane.RetryPolicy{Seed: 99})})
-	if o.retry.Seed != 99 {
-		t.Fatalf("explicit retry seed overridden: got %d", o.retry.Seed)
+		if len(seen) < 60 {
+			t.Errorf("seed %d: 64 identically configured agents share %d first backoffs — rejoin storms stay synchronized", o.seed, 64-len(seen))
+		}
 	}
 }
 
@@ -122,14 +117,13 @@ func TestServerV2DeltaConvergesUnderDupAndReorder(t *testing.T) {
 	res := runOK(t, &Fleet{Sys: sys, Ctrl: simpleController(t, sys),
 		Server: []Option{WithPeriods(80), WithTrace(true), WithPeriodTimeout(150 * time.Millisecond), WithCodec(lane.BinaryV2)},
 		Agent: func(p int) []Option {
-			return []Option{WithETF(sim.ConstantETF(1)), WithCodec(lane.BinaryV2), WithSeed(int64(p + 1)),
-				WithRetry(lane.RetryPolicy{Attempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond})}
+			return []Option{WithETF(sim.ConstantETF(1)), WithCodec(lane.BinaryV2), WithSeed(int64(p + 1))}
 		},
 		Faults: func(p int, inbound bool, _ func() int) lane.Plan {
 			if inbound {
-				return fault.TransportPlan{DropProb: 0.05, Seed: 1}.Reseed(int64(2 * p))
+				return fault.TransportPlan{DropProb: 0.05, Seed: 1}.ForLane(p, true)
 			}
-			return template.Reseed(int64(2*p + 1))
+			return template.ForLane(p, false)
 		}})
 	if res.Periods != 80 {
 		t.Fatalf("Periods = %d, want 80", res.Periods)
@@ -214,8 +208,6 @@ func TestServerToleratesSkewedFreeRunningAgents(t *testing.T) {
 // reorderWindow reorders every send whose index lies in [from, to] and
 // delivers the rest untouched.
 type reorderWindow struct{ from, to uint64 }
-
-func (reorderWindow) Outcome(uint64) (bool, time.Duration) { return false, 0 }
 
 func (w reorderWindow) FateOf(n uint64) (bool, time.Duration, bool, bool) {
 	return false, 0, false, n >= w.from && n <= w.to

@@ -115,13 +115,7 @@ func (d *rateDelta) shrink(m *lane.Message) func() {
 // binary v2. The function runs serially on the member's queue writer
 // goroutine.
 func (s *Server) sendFuncFor(sender lane.Sender, faulty, v2 bool, p int, tasks []int32, injected *atomic.Uint64) lane.SendFunc {
-	retry := s.opt.retry
-	if retry.Seed == 0 {
-		retry.Seed = int64(p) + 1
-	} else {
-		// Decorrelate per-peer backoff jitter from the shared policy seed.
-		retry.Seed ^= (int64(p) + 1) * 0x9e3779b9
-	}
+	retry := retryPolicy(s.opt.seed, p)
 	var compact *rateDelta
 	if v2 {
 		compact = newRateDelta(tasks)

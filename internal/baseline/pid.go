@@ -23,25 +23,21 @@ import (
 type PID struct {
 	sys       *task.System
 	setPoints []float64
-	kp, ki    float64
 	integral  []float64
 	f         *mat.Dense
 }
 
 var _ sim.Controller = (*PID)(nil)
 
-// PIDConfig tunes the per-processor loops. Zero values select gains that
-// are stable on decoupled workloads (Kp = 0.5, Ki = 0.1).
-type PIDConfig struct {
-	// Kp is the proportional gain applied to the utilization error.
-	Kp float64
-	// Ki is the integral gain.
-	Ki float64
-}
+// The per-processor loop gains: stable on decoupled workloads.
+const (
+	pidKp = 0.5 // proportional gain on the utilization error
+	pidKi = 0.1 // integral gain
+)
 
 // NewPID builds the decoupled PID comparator. Passing nil set points
 // selects the system's default (Liu–Layland) set points.
-func NewPID(sys *task.System, setPoints []float64, cfg PIDConfig) (*PID, error) {
+func NewPID(sys *task.System, setPoints []float64) (*PID, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, fmt.Errorf("pid: %w", err)
 	}
@@ -51,20 +47,9 @@ func NewPID(sys *task.System, setPoints []float64, cfg PIDConfig) (*PID, error) 
 	if len(setPoints) != sys.Processors {
 		return nil, fmt.Errorf("pid: %d set points for %d processors", len(setPoints), sys.Processors)
 	}
-	if mat.IsZero(cfg.Kp) {
-		cfg.Kp = 0.5
-	}
-	if mat.IsZero(cfg.Ki) {
-		cfg.Ki = 0.1
-	}
-	if cfg.Kp < 0 || cfg.Ki < 0 {
-		return nil, fmt.Errorf("pid: negative gains Kp=%g Ki=%g", cfg.Kp, cfg.Ki)
-	}
 	return &PID{
 		sys:       sys,
 		setPoints: mat.VecClone(setPoints),
-		kp:        cfg.Kp,
-		ki:        cfg.Ki,
 		integral:  make([]float64, sys.Processors),
 		f:         sys.AllocationMatrix(),
 	}, nil
@@ -103,7 +88,7 @@ func (c *PID) Step(_ int, u, rates []float64) ([]float64, error) {
 		if c.integral[p] < -windup {
 			c.integral[p] = -windup
 		}
-		s := 1 + c.kp*e + c.ki*c.integral[p]
+		s := 1 + pidKp*e + pidKi*c.integral[p]
 		if s < 0.1 {
 			s = 0.1
 		}

@@ -51,20 +51,17 @@ func couplingTrap() *task.System {
 }
 
 func TestPIDValidation(t *testing.T) {
-	if _, err := NewPID(&task.System{Name: "bad", Processors: 1}, nil, PIDConfig{}); err == nil {
+	if _, err := NewPID(&task.System{Name: "bad", Processors: 1}, nil); err == nil {
 		t.Error("invalid system accepted")
 	}
-	if _, err := NewPID(decoupledSystem(), []float64{0.5}, PIDConfig{}); err == nil {
+	if _, err := NewPID(decoupledSystem(), []float64{0.5}); err == nil {
 		t.Error("wrong set-point count accepted")
-	}
-	if _, err := NewPID(decoupledSystem(), nil, PIDConfig{Kp: -1}); err == nil {
-		t.Error("negative gain accepted")
 	}
 }
 
 func TestPIDConvergesOnDecoupledWorkload(t *testing.T) {
 	sys := decoupledSystem()
-	ctrl, err := NewPID(sys, []float64{0.7, 0.7}, PIDConfig{})
+	ctrl, err := NewPID(sys, []float64{0.7, 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +92,7 @@ func TestPIDDegradesUnderCoupling(t *testing.T) {
 	// large steady-state error on P1 — the paper's argument for MIMO model
 	// predictive control over per-processor PID.
 	sys := couplingTrap()
-	ctrl, err := NewPID(sys, []float64{0.828, 0.828}, PIDConfig{})
+	ctrl, err := NewPID(sys, []float64{0.828, 0.828})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +147,7 @@ func TestPIDAntiWindup(t *testing.T) {
 	// Drive the loop into saturation (set point unreachable), then release:
 	// the integral must not have wound up so far that recovery stalls.
 	sys := decoupledSystem()
-	ctrl, err := NewPID(sys, []float64{0.9, 0.9}, PIDConfig{})
+	ctrl, err := NewPID(sys, []float64{0.9, 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +181,7 @@ func TestPIDAntiWindup(t *testing.T) {
 }
 
 func TestPIDResetAndName(t *testing.T) {
-	ctrl, err := NewPID(decoupledSystem(), nil, PIDConfig{})
+	ctrl, err := NewPID(decoupledSystem(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +206,7 @@ func TestPIDResetAndName(t *testing.T) {
 }
 
 func TestPIDDimensionErrors(t *testing.T) {
-	ctrl, err := NewPID(decoupledSystem(), nil, PIDConfig{})
+	ctrl, err := NewPID(decoupledSystem(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

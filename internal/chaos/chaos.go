@@ -97,6 +97,10 @@ const (
 	reconvergeTail = 30
 )
 
+// maxShrinks caps how many violating scenarios a campaign shrinks to
+// minimal reproducers (shrinking re-runs simulations).
+const maxShrinks = 3
+
 // maxProblemsPerRun caps the violation detail collected from one run, so
 // a systemic failure (every period bad) stays readable.
 const maxProblemsPerRun = 8
@@ -120,9 +124,6 @@ type Options struct {
 	// of being caught and counted. Test-only: the shrinker tests use it to
 	// prove a planted bug is found and minimized.
 	DisableGuards bool
-	// MaxShrinks caps how many violating scenarios are shrunk to minimal
-	// reproducers (shrinking re-runs simulations); 0 selects 3.
-	MaxShrinks int
 	// Campaign selects the run configuration (workload + controller +
 	// clause alphabet); the zero value is the canonical SIMPLE campaign.
 	Campaign Campaign
@@ -150,9 +151,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Periods == 0 {
 		o.Periods = DefaultPeriods
-	}
-	if o.MaxShrinks <= 0 {
-		o.MaxShrinks = 3
 	}
 	return o
 }
@@ -202,7 +200,7 @@ type runStats struct {
 
 // Run executes a chaos campaign: Scenarios seeded scenarios, each a full
 // simulation checked against the invariant set, with violating scenarios
-// shrunk to minimal reproducers (up to MaxShrinks). The error return is
+// shrunk to minimal reproducers (up to maxShrinks). The error return is
 // reserved for campaign-level failures (cancellation, broken canonical
 // config); scenario failures are reported in the Report, never as errors.
 func Run(ctx context.Context, opts Options) (*Report, error) {
@@ -227,7 +225,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 			continue
 		}
 		v := Violation{Scenario: scn, Problems: problems}
-		if len(rep.Violations) < opts.MaxShrinks {
+		if len(rep.Violations) < maxShrinks {
 			v.Minimal = Shrink(scn.Specs, func(cand []fault.Spec) bool {
 				p, _ := Check(ctx, cand, opts)
 				return len(p) > 0

@@ -156,17 +156,19 @@ type windowPlan struct {
 	windows []lossWindow
 }
 
-// Outcome implements lane.Plan.
-func (w *windowPlan) Outcome(n uint64) (drop bool, delay time.Duration) {
+// FateOf implements lane.Plan. A window's plan only drops, so a message
+// is either dropped by the first open window that drops it or delivered
+// untouched.
+func (w *windowPlan) FateOf(n uint64) (bool, time.Duration, bool, bool) {
 	k := float64(w.period())
 	for _, win := range w.windows {
 		if k >= win.start && (win.stop <= 0 || k < win.stop) {
-			if drop, delay = win.plan.Outcome(n); drop || delay > 0 {
-				return drop, delay
+			if drop, _, _, _ := win.plan.FateOf(n); drop {
+				return true, 0, false, false
 			}
 		}
 	}
-	return false, 0
+	return false, 0, false, false
 }
 
 // buildWindowPlan compiles the FeedbackDrop clauses targeting processor p
@@ -182,11 +184,7 @@ func buildWindowPlan(specs []fault.Spec, p int, inbound bool, period func() int)
 			continue
 		}
 		plan := fault.TransportPlan{DropProb: sp.Magnitude, Seed: sp.Seed}
-		salt := int64(2*p + 1)
-		if inbound {
-			salt = int64(2 * p)
-		}
-		wins = append(wins, lossWindow{start: sp.Start, stop: sp.Stop, plan: plan.Reseed(salt)})
+		wins = append(wins, lossWindow{start: sp.Start, stop: sp.Stop, plan: plan.ForLane(p, inbound)})
 	}
 	if len(wins) == 0 {
 		return nil

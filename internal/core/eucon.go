@@ -29,11 +29,6 @@ type Config struct {
 	// TrefOverTs is the reference time constant in sampling periods; 0
 	// selects 4.
 	TrefOverTs float64
-	// Weights are the per-processor tracking weights w_i; nil means all 1.
-	Weights []float64
-	// RateMoveWeights are the per-task control-penalty weights; nil means
-	// all 1.
-	RateMoveWeights []float64
 	// DisableOutputConstraints removes the hard u ≤ B constraints (for
 	// ablation studies).
 	DisableOutputConstraints bool
@@ -46,14 +41,6 @@ type Config struct {
 	// point. (The paper does not describe its monitor's smoothing; this is
 	// our documented addition — see EXPERIMENTS.md.)
 	MeasurementFilter float64
-	// StalenessBound tunes the hold-last-sample degradation policy: a
-	// missing utilization sample (NaN, from a lost feedback message) is
-	// substituted with the most recent usable measurement as long as that
-	// measurement is at most StalenessBound sampling periods old. Once any
-	// missing sample is staler than the bound, the controller skips
-	// actuation for the period (holding current rates) rather than steer
-	// the whole system on fiction. 0 selects 4.
-	StalenessBound int
 	// Explicit compiles the MPC's parametric QP into an offline
 	// piecewise-affine law at construction (see internal/empc): an analysis
 	// artefact (regions, gains, digest — ExplicitReport) plus run-time
@@ -64,10 +51,6 @@ type Config struct {
 	// ExplicitMaxRegions caps the offline region enumeration; 0 selects
 	// the empc default.
 	ExplicitMaxRegions int
-	// RateMin and RateMax override the per-task actuator rate bounds the
-	// system declares; nil keeps the system's bounds. Overrides must have
-	// one entry per task.
-	RateMin, RateMax []float64
 }
 
 func (c Config) withDefaults() Config {
@@ -80,11 +63,16 @@ func (c Config) withDefaults() Config {
 	if mat.IsZero(c.TrefOverTs) {
 		c.TrefOverTs = 4
 	}
-	if c.StalenessBound == 0 {
-		c.StalenessBound = 4
-	}
 	return c
 }
+
+// stalenessBound tunes the hold-last-sample degradation policy: a missing
+// utilization sample (NaN, from a lost feedback message) is substituted
+// with the most recent usable measurement as long as that measurement is
+// at most stalenessBound sampling periods old. Once any missing sample is
+// staler than the bound, the controller skips actuation for the period
+// (holding current rates) rather than steer the whole system on fiction.
+const stalenessBound = 4
 
 // Controller is the EUCON rate controller. It implements sim.Controller
 // and is driven once per sampling period. It is not safe for concurrent
@@ -100,7 +88,7 @@ type Controller struct {
 	relaxed  int
 	steps    int
 
-	// Hold-last-sample degradation state (see Config.StalenessBound):
+	// Hold-last-sample degradation state (see stalenessBound):
 	// lastGood[p] is processor p's most recent usable measurement,
 	// sampleAge[p] how many periods ago it was taken (-1: never), and uBuf
 	// the substituted vector handed to the filter and MPC.
@@ -147,29 +135,12 @@ func New(sys *task.System, setPoints []float64, cfg Config) (*Controller, error)
 	if cfg.MeasurementFilter < 0 || cfg.MeasurementFilter > 1 {
 		return nil, fmt.Errorf("eucon: measurement filter %g outside [0, 1]", cfg.MeasurementFilter)
 	}
-	if cfg.StalenessBound < 0 {
-		return nil, fmt.Errorf("eucon: staleness bound %d must be >= 0", cfg.StalenessBound)
-	}
 	f := sys.AllocationMatrix()
 	rmin, rmax := sys.RateBounds()
-	if cfg.RateMin != nil {
-		if len(cfg.RateMin) != len(rmin) {
-			return nil, fmt.Errorf("eucon: RateMin has %d entries for %d tasks", len(cfg.RateMin), len(rmin))
-		}
-		rmin = mat.VecClone(cfg.RateMin)
-	}
-	if cfg.RateMax != nil {
-		if len(cfg.RateMax) != len(rmax) {
-			return nil, fmt.Errorf("eucon: RateMax has %d entries for %d tasks", len(cfg.RateMax), len(rmax))
-		}
-		rmax = mat.VecClone(cfg.RateMax)
-	}
 	m, err := mpc.New(f, setPoints, rmin, rmax, mpc.Config{
 		PredictionHorizon:        cfg.PredictionHorizon,
 		ControlHorizon:           cfg.ControlHorizon,
 		TrefOverTs:               cfg.TrefOverTs,
-		QWeights:                 cfg.Weights,
-		RWeights:                 cfg.RateMoveWeights,
 		DisableOutputConstraints: cfg.DisableOutputConstraints,
 	})
 	if err != nil {
@@ -206,7 +177,7 @@ func (c *Controller) Name() string { return "EUCON" }
 // Missing measurements (NaN entries in u, e.g. from feedback faults — see
 // internal/fault) engage the hold-last-sample policy before the EWMA
 // filter and MPC ever see the vector; when every substitute would be
-// staler than Config.StalenessBound, the call degrades to skip-and-
+// staler than stalenessBound, the call degrades to skip-and-
 // saturate: the returned slice aliases the rates argument, signalling
 // "keep actuation unchanged" without copying. Otherwise the returned slice
 // is controller memory the next Step overwrites; it may be passed back as
@@ -282,7 +253,7 @@ func (c *Controller) degradeFeedback(u []float64) ([]float64, bool) {
 			// which contributes zero tracking error and so steers nothing.
 			c.uBuf[p] = c.b[p]
 			c.degHeld++
-		case age <= c.cfg.StalenessBound:
+		case age <= stalenessBound:
 			c.uBuf[p] = c.lastGood[p]
 			c.degHeld++
 		default:

@@ -371,10 +371,11 @@ func TestRatesSteadyStateAllocs(t *testing.T) {
 }
 
 // TestDegradationHoldLast exercises the hold-last-sample policy: NaN
-// samples within the staleness bound are substituted with the last usable
-// measurement and control proceeds; degradation is reported per call.
+// samples within the staleness bound (4 periods) are substituted with the
+// last usable measurement and control proceeds; degradation is reported
+// per call.
 func TestDegradationHoldLast(t *testing.T) {
-	c, err := New(simpleSystem(), nil, Config{StalenessBound: 2})
+	c, err := New(simpleSystem(), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +410,7 @@ func TestDegradationHoldLast(t *testing.T) {
 
 	// Substituting must behave as if the last good sample repeated: the
 	// command equals that of a controller fed 0.5 explicitly.
-	ref, err := New(simpleSystem(), nil, Config{StalenessBound: 2})
+	ref, err := New(simpleSystem(), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,11 +423,24 @@ func TestDegradationHoldLast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = refOut2
 	for i := range out2 {
 		if math.Abs(out2[i]-refOut2[i]) > 1e-15 {
 			t.Errorf("task %d: hold-last command %g differs from replayed-sample command %g", i, out2[i], refOut2[i])
 		}
+	}
+
+	// Ages 2..4 are still within the bound: held, never skipped.
+	rates = out2
+	for k := 2; k <= 4; k++ {
+		if rates, err = c.Step(k, lossy, rates); err != nil {
+			t.Fatal(err)
+		}
+		if h, s := c.LastDegradation(); h != 1 || s {
+			t.Errorf("sample age %d: LastDegradation = (%d, %v), want (1, false)", k, h, s)
+		}
+	}
+	if c.HeldSamples() != 4 || c.SkippedPeriods() != 0 {
+		t.Errorf("after age 4: HeldSamples = %d, SkippedPeriods = %d, want 4 and 0", c.HeldSamples(), c.SkippedPeriods())
 	}
 }
 
@@ -435,7 +449,7 @@ func TestDegradationHoldLast(t *testing.T) {
 // current rates unchanged) instead of steering on stale data, and recover
 // once feedback returns.
 func TestDegradationSkipAndSaturate(t *testing.T) {
-	c, err := New(simpleSystem(), nil, Config{StalenessBound: 2})
+	c, err := New(simpleSystem(), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,12 +459,16 @@ func TestDegradationSkipAndSaturate(t *testing.T) {
 	}
 	lossy := []float64{math.NaN(), 0.6}
 	skips := 0
-	for k := 1; k <= 5; k++ {
+	for k := 1; k <= 7; k++ {
 		out, err := c.Step(k, lossy, rates)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, skipped := c.LastDegradation(); skipped {
+		_, skipped := c.LastDegradation()
+		if want := k > 4; skipped != want {
+			t.Fatalf("sample age %d: skipped = %v, want %v", k, skipped, want)
+		}
+		if skipped {
 			skips++
 			for i := range out {
 				if out[i] != rates[i] {
@@ -459,7 +477,7 @@ func TestDegradationSkipAndSaturate(t *testing.T) {
 			}
 		}
 	}
-	// Ages 1 and 2 are within bound 2; ages 3..5 exceed it.
+	// Ages 1..4 are within the bound of 4; ages 5..7 exceed it.
 	if skips != 3 {
 		t.Errorf("skipped %d periods, want 3", skips)
 	}
@@ -467,7 +485,7 @@ func TestDegradationSkipAndSaturate(t *testing.T) {
 		t.Errorf("SkippedPeriods = %d, want 3", c.SkippedPeriods())
 	}
 	// Fresh feedback ends the degradation immediately.
-	if _, err := c.Step(6, []float64{0.5, 0.6}, rates); err != nil {
+	if _, err := c.Step(8, []float64{0.5, 0.6}, rates); err != nil {
 		t.Fatal(err)
 	}
 	if h, s := c.LastDegradation(); h != 0 || s {

@@ -32,15 +32,15 @@ import (
 	"github.com/rtsyslab/eucon/internal/task"
 )
 
-// Config tunes the local controllers. The zero value selects P=2, M=1,
-// Tref/Ts=4 (the paper's SIMPLE tuning) for every local loop.
+// Every local loop runs the paper's SIMPLE tuning (Table 2).
+const (
+	predictionHorizon = 2 // P
+	controlHorizon    = 1 // M
+	trefOverTs        = 4 // Tref/Ts
+)
+
+// Config tunes the decentralized controller.
 type Config struct {
-	// PredictionHorizon is the local P; 0 selects 2.
-	PredictionHorizon int
-	// ControlHorizon is the local M; 0 selects 1.
-	ControlHorizon int
-	// TrefOverTs is the local reference time constant; 0 selects 4.
-	TrefOverTs float64
 	// Parallelism caps how many local MPC solves run concurrently within
 	// one control period — the decentralized solves are independent, as
 	// they would be on physically separate processors. 0 selects
@@ -50,15 +50,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.PredictionHorizon == 0 {
-		c.PredictionHorizon = 2
-	}
-	if c.ControlHorizon == 0 {
-		c.ControlHorizon = 1
-	}
-	if mat.IsZero(c.TrefOverTs) {
-		c.TrefOverTs = 4
-	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -152,7 +143,7 @@ func New(sys *task.System, setPoints []float64, cfg Config) (*Controller, error)
 			continue // nothing to control from this processor
 		}
 		scope := append([]int{p}, neighborSets[p]...)
-		l, err := newLocal(sys, c.f, setPoints, p, led, scope, cfg)
+		l, err := newLocal(sys, c.f, setPoints, p, led, scope)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +203,7 @@ func neighborsOf(sys *task.System) [][]int {
 
 // newLocal builds processor p's local MPC over its led tasks and visible
 // scope.
-func newLocal(sys *task.System, f *mat.Dense, setPoints []float64, p int, led, scope []int, cfg Config) (*local, error) {
+func newLocal(sys *task.System, f *mat.Dense, setPoints []float64, p int, led, scope []int) (*local, error) {
 	sub := mat.New(len(scope), len(led))
 	for ri, proc := range scope {
 		for ci, t := range led {
@@ -237,9 +228,9 @@ func newLocal(sys *task.System, f *mat.Dense, setPoints []float64, p int, led, s
 	weights := make([]float64, len(scope))
 	weights[0] = 1
 	ctrl, err := mpc.New(sub, b, rmin, rmax, mpc.Config{
-		PredictionHorizon: cfg.PredictionHorizon,
-		ControlHorizon:    cfg.ControlHorizon,
-		TrefOverTs:        cfg.TrefOverTs,
+		PredictionHorizon: predictionHorizon,
+		ControlHorizon:    controlHorizon,
+		TrefOverTs:        trefOverTs,
 		QWeights:          weights,
 	})
 	if err != nil {

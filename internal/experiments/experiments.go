@@ -67,7 +67,7 @@ var controllerRegistry = map[ControllerKind]controllerEntry{
 		return c, nil
 	}},
 	KindPID: {"PID", func(sys *task.System, _ core.Config) (sim.Controller, error) {
-		c, err := baseline.NewPID(sys, nil, baseline.PIDConfig{})
+		c, err := baseline.NewPID(sys, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -199,7 +199,7 @@ func euconWith(cfg core.Config, setPoints []float64) func(*task.System) (sim.Con
 
 func pidWith(setPoints []float64) func(*task.System) (sim.Controller, error) {
 	return func(sys *task.System) (sim.Controller, error) {
-		c, err := baseline.NewPID(sys, setPoints, baseline.PIDConfig{})
+		c, err := baseline.NewPID(sys, setPoints)
 		return c, err
 	}
 }

@@ -1,6 +1,10 @@
 package fault
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"math/rand"
+)
 
 // Shape describes the dimensions an Engine compiles against: the system
 // topology, the run length, and the sampling period that converts between
@@ -94,12 +98,10 @@ type Engine struct {
 
 	execs   []execWindow
 	crashes []crashWindow
-
-	injectors []Injector
 }
 
 // Compile resolves specs into the engine's schedules. runSeed is mixed into
-// each probabilistic injector's seed so replications with distinct run
+// each probabilistic spec's seed so replications with distinct run
 // seeds draw independent fault patterns. An empty scenario disables the
 // engine without touching (or allocating) any table. Compile is safe to
 // call repeatedly on the same engine: tables are grown once and reused.
@@ -118,20 +120,24 @@ func (e *Engine) Compile(specs []Spec, shape Shape, runSeed int64) error {
 	}
 	e.shape = shape
 	e.resetTables()
-	e.injectors = e.injectors[:0]
 	for i, sp := range specs {
-		inj := newInjector(sp, mixSeed(runSeed, int64(i), sp.Seed))
-		inj.apply(e)
-		e.injectors = append(e.injectors, inj)
+		seed := mixSeed(runSeed, int64(i), sp.Seed)
+		switch sp.Kind {
+		case ExecStep, ExecRamp:
+			e.applyExec(sp)
+		case FeedbackDrop, FeedbackDelay, FeedbackQuantize:
+			e.applyFeedback(sp, rand.New(rand.NewSource(seed)))
+		case ActuatorDrop, ActuatorDelay, ActuatorClamp:
+			e.applyActuator(sp, rand.New(rand.NewSource(seed)))
+		case ProcCrash:
+			e.applyCrash(sp)
+		default: //eucon:exhaustive-default spec.check rejects unknown kinds before compilation
+			panic(fmt.Sprintf("fault: Compile on unvalidated kind %v", sp.Kind))
+		}
 	}
 	e.enabled = true
 	return nil
 }
-
-// Injectors exposes the compiled injectors of the current scenario, in
-// spec order, for introspection and reporting. The returned slice aliases
-// engine-owned memory and is invalidated by the next Compile.
-func (e *Engine) Injectors() []Injector { return e.injectors }
 
 // resetTables sizes the schedules to the current shape and restores the
 // identity scenario (fresh samples, unmodified commands, all processors
@@ -277,7 +283,7 @@ func overlapsPeriod(k int, start, stop float64) bool {
 	return stop <= 0 || stop > float64(k)
 }
 
-// mixSeed derives an injector's private seed from the run seed, the spec's
+// mixSeed derives a spec's private seed from the run seed, the spec's
 // position in the scenario, and its own seed, using a splitmix64-style
 // finalizer so adjacent inputs land far apart.
 func mixSeed(runSeed, index, specSeed int64) int64 {

@@ -61,13 +61,50 @@ func TestSpecValidation(t *testing.T) {
 	if !e.Enabled() {
 		t.Fatal("engine not enabled after compiling a non-empty scenario")
 	}
-	if got := len(e.Injectors()); got != len(good) {
-		t.Fatalf("Injectors() = %d, want %d", got, len(good))
+
+	// Every kind landed in its table.
+	if c := e.Feedback(5, 1); c.Src != -1 {
+		t.Errorf("Feedback(5, P2) = %+v, want dropped (drop wins over the delay)", c)
 	}
-	for i, inj := range e.Injectors() {
-		if inj.Kind() != good[i].Kind || inj.Spec() != good[i] {
-			t.Errorf("injector %d = %v, want spec %v", i, inj.Spec(), good[i])
+	if c := e.Feedback(5, 0); c.Src != 2 || c.Quant != 0.05 {
+		t.Errorf("Feedback(5, P1) = %+v, want {Src: 2, Quant: 0.05}", c)
+	}
+	if c := e.Feedback(1, 0); c.Src != -1 {
+		t.Errorf("Feedback(1, P1) = %+v, want no sample (delayed before period 0)", c)
+	}
+	if c := e.Command(4, 0); c.Clamp != 0 || c.Delay != 0 {
+		t.Errorf("Command(4, T1) = %+v, want stuck (Clamp 0) and undelayed", c)
+	}
+	if c := e.Command(4, 1); c.Clamp != -1 || c.Delay != 1 {
+		t.Errorf("Command(4, T2) = %+v, want unclamped and delayed by 1", c)
+	}
+	drops := 0
+	for k := 0; k < shape.Periods; k++ {
+		for i := 0; i < shape.Tasks; i++ {
+			if e.Command(k, i).Drop {
+				drops++
+			}
 		}
+	}
+	if cells := shape.Periods * shape.Tasks; drops == 0 || drops == cells {
+		t.Errorf("actuator drop p=0.2 dropped %d of %d commands", drops, cells)
+	}
+	for p := 0; p < shape.Procs; p++ {
+		if !e.Down(p, 3000) || !e.Down(p, 4999) || e.Down(p, 2999) || e.Down(p, 5000) {
+			t.Errorf("P%d: crash window is not [3000, 5000)", p+1)
+		}
+		if !e.DownPeriod(3, p) || !e.DownPeriod(4, p) || e.DownPeriod(2, p) || e.DownPeriod(5, p) {
+			t.Errorf("P%d: crash does not cover exactly periods 3 and 4", p+1)
+		}
+	}
+	if f := e.ExecFactor(1, 1, 0, 1000); f != 2 {
+		t.Errorf("ExecFactor outside the ramp = %g, want the step's 2", f)
+	}
+	if f := e.ExecFactor(0, 0, 1, 5000); f != 4 {
+		t.Errorf("ExecFactor halfway up the ramp = %g, want 2·2 = 4", f)
+	}
+	if f := e.ExecFactor(1, 0, 1, 5000); f != 2 {
+		t.Errorf("ExecFactor on P2 = %g, want 2 (the ramp targets P1)", f)
 	}
 }
 

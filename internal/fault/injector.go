@@ -1,174 +1,116 @@
 package fault
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
-// Injector is the common interface of all fault injectors. Each injector
-// is a small type compiled from one Spec; probabilistic injectors carry a
-// private rand.Rand seeded from (run seed, scenario position, Spec.Seed)
-// and never touch the global math/rand source. Injectors write their whole
-// effect into the engine's schedules up front, driven off sampling-period
-// indices and simulated time, so the run itself only reads tables.
-type Injector interface {
-	// Kind identifies the injector.
-	Kind() Kind
-	// Spec returns the pure-data description the injector was compiled
-	// from.
-	Spec() Spec
+// Each apply function writes one validated Spec's whole effect into the
+// engine's schedules up front, driven off sampling-period indices and
+// simulated time, so the run itself only reads tables. Probabilistic
+// kinds draw from a private rand.Rand seeded from (run seed, scenario
+// position, Spec.Seed) and never touch the global math/rand source.
 
-	// apply pre-resolves the injector's effect into the engine schedules.
-	apply(e *Engine)
-}
-
-// newInjector compiles one spec (already validated) into its injector.
-// seed is the fully mixed per-injector seed; deterministic kinds ignore it.
-func newInjector(sp Spec, seed int64) Injector {
-	switch sp.Kind {
-	case ExecStep, ExecRamp:
-		return &execInjector{spec: sp}
-	case FeedbackDrop, FeedbackDelay, FeedbackQuantize:
-		return &feedbackInjector{spec: sp, rng: rand.New(rand.NewSource(seed))}
-	case ActuatorDrop, ActuatorDelay, ActuatorClamp:
-		return &actuatorInjector{spec: sp, rng: rand.New(rand.NewSource(seed))}
-	case ProcCrash:
-		return &crashInjector{spec: sp}
-	default: //eucon:exhaustive-default spec.check rejects unknown kinds before compilation
-		panic(fmt.Sprintf("fault: newInjector on unvalidated kind %v", sp.Kind))
-	}
-}
-
-// execInjector perturbs actual execution times: a step (burst) multiplies
+// applyExec perturbs actual execution times: a step (burst) multiplies
 // them by Magnitude inside the window, a ramp grows the factor linearly
 // from 1 at Start to Magnitude at Stop. It generalizes the global ETF knob
 // to per-processor, per-task, or per-subtask granularity.
-type execInjector struct{ spec Spec }
-
-func (in *execInjector) Kind() Kind { return in.spec.Kind }
-func (in *execInjector) Spec() Spec { return in.spec }
-
-func (in *execInjector) apply(e *Engine) {
+func (e *Engine) applyExec(sp Spec) {
 	ts := e.shape.SamplingPeriod
 	e.execs = append(e.execs, execWindow{
-		proc:  in.spec.Proc,
-		task:  in.spec.Task,
-		sub:   in.spec.Sub,
-		start: in.spec.Start * ts,
-		stop:  e.stopOr(in.spec.Stop),
-		mag:   in.spec.Magnitude,
-		ramp:  in.spec.Kind == ExecRamp,
+		proc:  sp.Proc,
+		task:  sp.Task,
+		sub:   sp.Sub,
+		start: sp.Start * ts,
+		stop:  e.stopOr(sp.Stop),
+		mag:   sp.Magnitude,
+		ramp:  sp.Kind == ExecRamp,
 	})
 }
 
-// feedbackInjector corrupts the monitor-to-controller path. Drops are
-// pre-resolved per (period, processor) in ascending order from the private
-// rng; delays rewrite the delivered source period; quantization records
-// the rounding step. Later injectors compose sequentially, with drops
-// winning over delays.
-type feedbackInjector struct {
-	spec Spec
-	rng  *rand.Rand
-}
-
-func (in *feedbackInjector) Kind() Kind { return in.spec.Kind }
-func (in *feedbackInjector) Spec() Spec { return in.spec }
-
-func (in *feedbackInjector) apply(e *Engine) {
+// applyFeedback corrupts the monitor-to-controller path. Drops are
+// pre-resolved per (period, processor) in ascending order from rng; delays
+// rewrite the delivered source period; quantization records the rounding
+// step. Later specs compose sequentially, with drops winning over delays.
+func (e *Engine) applyFeedback(sp Spec, rng *rand.Rand) {
 	for k := 0; k < e.shape.Periods; k++ {
-		if !activePeriod(k, in.spec.Start, in.spec.Stop) {
+		if !activePeriod(k, sp.Start, sp.Stop) {
 			continue
 		}
 		row := k * e.shape.Procs
 		for p := 0; p < e.shape.Procs; p++ {
-			if in.spec.Proc != All && in.spec.Proc != p {
+			if sp.Proc != All && sp.Proc != p {
 				continue
 			}
 			cell := &e.feedback[row+p]
-			switch in.spec.Kind {
+			switch sp.Kind {
 			case FeedbackDrop:
 				// Draw unconditionally so the pattern over periods is a
-				// pure function of the injector seed, independent of what
-				// earlier injectors did to the cell.
-				if in.rng.Float64() < in.spec.Magnitude {
+				// pure function of the spec's seed, independent of what
+				// earlier specs did to the cell.
+				if rng.Float64() < sp.Magnitude {
 					cell.Src = -1
 				}
 			case FeedbackDelay:
 				if cell.Src >= 0 { // a drop wins over a delay
-					src := k - in.spec.Delay
+					src := k - sp.Delay
 					if src < 0 {
 						src = -1 // nothing was ever measured that early
 					}
 					cell.Src = src
 				}
 			case FeedbackQuantize:
-				cell.Quant = in.spec.Magnitude
-			default: //eucon:exhaustive-default newInjector routes only the Feedback kinds here
+				cell.Quant = sp.Magnitude
+			default: //eucon:exhaustive-default Compile routes only the Feedback kinds here
 			}
 		}
 	}
 }
 
-// actuatorInjector corrupts the controller-to-rate-modulator path. Drops
-// are pre-resolved per (period, task); delays make period k apply the
+// applyActuator corrupts the controller-to-rate-modulator path. Drops are
+// pre-resolved per (period, task) from rng; delays make period k apply the
 // command issued Delay periods earlier; clamps bound the per-period rate
 // move (a 0 bound is a stuck modulator).
-type actuatorInjector struct {
-	spec Spec
-	rng  *rand.Rand
-}
-
-func (in *actuatorInjector) Kind() Kind { return in.spec.Kind }
-func (in *actuatorInjector) Spec() Spec { return in.spec }
-
-func (in *actuatorInjector) apply(e *Engine) {
+func (e *Engine) applyActuator(sp Spec, rng *rand.Rand) {
 	for k := 0; k < e.shape.Periods; k++ {
-		if !activePeriod(k, in.spec.Start, in.spec.Stop) {
+		if !activePeriod(k, sp.Start, sp.Stop) {
 			continue
 		}
 		row := k * e.shape.Tasks
 		for i := 0; i < e.shape.Tasks; i++ {
-			if in.spec.Task != All && in.spec.Task != i {
+			if sp.Task != All && sp.Task != i {
 				continue
 			}
 			cell := &e.cmds[row+i]
-			switch in.spec.Kind {
+			switch sp.Kind {
 			case ActuatorDrop:
-				if in.rng.Float64() < in.spec.Magnitude {
+				if rng.Float64() < sp.Magnitude {
 					cell.Drop = true
 				}
 			case ActuatorDelay:
-				cell.Delay = in.spec.Delay
+				cell.Delay = sp.Delay
 			case ActuatorClamp:
-				cell.Clamp = in.spec.Magnitude
-			default: //eucon:exhaustive-default newInjector routes only the Actuator kinds here
+				cell.Clamp = sp.Magnitude
+			default: //eucon:exhaustive-default Compile routes only the Actuator kinds here
 			}
 		}
 	}
 }
 
-// crashInjector takes a processor down for the window: job releases on it
+// applyCrash takes a processor down for the window: job releases on it
 // are shed and its monitor reports u = 1 for every overlapped sampling
 // period, modeling overload/crash followed by recovery.
-type crashInjector struct{ spec Spec }
-
-func (in *crashInjector) Kind() Kind { return in.spec.Kind }
-func (in *crashInjector) Spec() Spec { return in.spec }
-
-func (in *crashInjector) apply(e *Engine) {
+func (e *Engine) applyCrash(sp Spec) {
 	ts := e.shape.SamplingPeriod
 	e.crashes = append(e.crashes, crashWindow{
-		proc:  in.spec.Proc,
-		start: in.spec.Start * ts,
-		stop:  e.stopOr(in.spec.Stop),
+		proc:  sp.Proc,
+		start: sp.Start * ts,
+		stop:  e.stopOr(sp.Stop),
 	})
 	for k := 0; k < e.shape.Periods; k++ {
-		if !overlapsPeriod(k, in.spec.Start, in.spec.Stop) {
+		if !overlapsPeriod(k, sp.Start, sp.Stop) {
 			continue
 		}
 		row := k * e.shape.Procs
 		for p := 0; p < e.shape.Procs; p++ {
-			if in.spec.Proc == All || in.spec.Proc == p {
+			if sp.Proc == All || sp.Proc == p {
 				e.down[row+p] = true
 			}
 		}

@@ -11,8 +11,7 @@ import (
 // feedback lanes: the fate of message n is a pure hash of (Seed, n), so the
 // loss pattern is reproducible regardless of goroutine scheduling or how
 // many times the plan is consulted. It satisfies the lane package's Plan
-// interface (drop/delay) and its ExtendedPlan interface (duplicate and
-// reorder as well).
+// interface.
 type TransportPlan struct {
 	// DropProb is the probability a message is discarded before reaching
 	// the wire.
@@ -35,12 +34,6 @@ type TransportPlan struct {
 	Seed int64
 }
 
-// Outcome returns the drop/delay fate of send number n (0-based).
-func (p TransportPlan) Outcome(n uint64) (drop bool, delay time.Duration) {
-	drop, delay, _, _ = p.FateOf(n)
-	return drop, delay
-}
-
 // FateOf returns the complete fate of send number n (0-based): drop wins
 // over everything; a delivered message may additionally be delayed,
 // duplicated, or reordered behind the next send.
@@ -60,11 +53,24 @@ func (p TransportPlan) FateOf(n uint64) (drop bool, delay time.Duration, duplica
 	return false, delay, duplicate, reorder
 }
 
-// Reseed returns a copy of the plan whose pattern is decorrelated from the
-// original by salt: per-peer and per-direction plans derived from one
-// template must not drop the same message indices in lockstep, or "5% loss"
-// becomes "5% of periods lose every frame in the fleet at once".
-func (p TransportPlan) Reseed(salt int64) TransportPlan {
+// ForLane derives the plan for one direction of processor proc's lane
+// from the template p: inbound carries the agent's reports, outbound the
+// server's rates. Each (processor, direction) pair reseeds with its own
+// salt — 2·proc inbound, 2·proc+1 outbound — because per-peer and
+// per-direction plans must not drop the same message indices in lockstep,
+// or "5% loss" becomes "5% of periods lose every frame in the fleet at
+// once". The same lane always gets the same plan.
+func (p TransportPlan) ForLane(proc int, inbound bool) TransportPlan {
+	salt := int64(2*proc + 1)
+	if inbound {
+		salt = int64(2 * proc)
+	}
+	return p.reseed(salt)
+}
+
+// reseed returns a copy of the plan whose pattern is decorrelated from the
+// original by salt.
+func (p TransportPlan) reseed(salt int64) TransportPlan {
 	z := uint64(p.Seed) ^ (uint64(salt)+1)*0x9e3779b97f4a7c15
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9

@@ -10,8 +10,8 @@ func TestTransportPlanDeterministicAndCalibrated(t *testing.T) {
 	const n = 20000
 	drops, delays := 0, 0
 	for i := uint64(0); i < n; i++ {
-		d1, dl1 := p.Outcome(i)
-		d2, dl2 := p.Outcome(i)
+		d1, dl1, _, _ := p.FateOf(i)
+		d2, dl2, _, _ := p.FateOf(i)
 		if d1 != d2 || dl1 != dl2 {
 			t.Fatalf("message %d: outcome not stable across calls", i)
 		}
@@ -39,8 +39,8 @@ func TestTransportPlanDeterministicAndCalibrated(t *testing.T) {
 	q.Seed = 43
 	same := 0
 	for i := uint64(0); i < 1000; i++ {
-		a, _ := p.Outcome(i)
-		b, _ := q.Outcome(i)
+		a, _, _, _ := p.FateOf(i)
+		b, _, _, _ := q.FateOf(i)
 		if a == b {
 			same++
 		}
@@ -83,20 +83,20 @@ func TestTransportPlanFateOfCalibrated(t *testing.T) {
 
 func TestTransportPlanReseedDecorrelates(t *testing.T) {
 	p := TransportPlan{DropProb: 0.5, Seed: 42}
-	a, b := p.Reseed(1), p.Reseed(2)
+	a, b := p.reseed(1), p.reseed(2)
 	if a.Seed == p.Seed || b.Seed == p.Seed || a.Seed == b.Seed {
-		t.Fatalf("Reseed produced colliding seeds: %d, %d, %d", p.Seed, a.Seed, b.Seed)
+		t.Fatalf("reseed produced colliding seeds: %d, %d, %d", p.Seed, a.Seed, b.Seed)
 	}
 	// Same salt must reproduce the same derived plan (per-peer plans are
 	// rebuilt on rejoin and must match the pre-crash pattern).
-	if again := p.Reseed(1); again.Seed != a.Seed {
-		t.Fatalf("Reseed(1) not deterministic: %d vs %d", a.Seed, again.Seed)
+	if again := p.reseed(1); again.Seed != a.Seed {
+		t.Fatalf("reseed(1) not deterministic: %d vs %d", a.Seed, again.Seed)
 	}
 	sameAB, sameAP := 0, 0
 	for i := uint64(0); i < 1000; i++ {
-		da, _ := a.Outcome(i)
-		db, _ := b.Outcome(i)
-		dp, _ := p.Outcome(i)
+		da, _, _, _ := a.FateOf(i)
+		db, _, _, _ := b.FateOf(i)
+		dp, _, _, _ := p.FateOf(i)
 		if da == db {
 			sameAB++
 		}
@@ -106,6 +106,39 @@ func TestTransportPlanReseedDecorrelates(t *testing.T) {
 	}
 	if sameAB > 650 || sameAP > 650 {
 		t.Errorf("reseeded plans track the template (%d/%d of 1000 agree) — peers would lose frames in lockstep", sameAB, sameAP)
+	}
+}
+
+// TestTransportPlanForLaneDecorrelates pins the one salt convention for
+// per-lane plans: two processors' inbound lanes, and one processor's
+// inbound and outbound directions, must each drop different message
+// indices, and a lane's plan must be the same every time it is derived
+// (an agent that rejoins keeps its pre-crash pattern).
+func TestTransportPlanForLaneDecorrelates(t *testing.T) {
+	p := TransportPlan{DropProb: 0.5, Seed: 42}
+	if p.ForLane(1, true) != p.ForLane(1, true) {
+		t.Fatal("ForLane is not deterministic")
+	}
+	in0, in1, out0 := p.ForLane(0, true), p.ForLane(1, true), p.ForLane(0, false)
+	if in0.Seed == in1.Seed || in0.Seed == out0.Seed || in1.Seed == out0.Seed {
+		t.Fatalf("lane seeds collide: P1 in %d, P2 in %d, P1 out %d", in0.Seed, in1.Seed, out0.Seed)
+	}
+	differ := func(a, b TransportPlan) int {
+		n := 0
+		for i := uint64(0); i < 1000; i++ {
+			da, _, _, _ := a.FateOf(i)
+			db, _, _, _ := b.FateOf(i)
+			if da != db {
+				n++
+			}
+		}
+		return n
+	}
+	if d := differ(in0, in1); d < 350 {
+		t.Errorf("P1 and P2 inbound plans disagree on %d of 1000 drops — peers lose reports in lockstep", d)
+	}
+	if d := differ(in0, out0); d < 350 {
+		t.Errorf("P1's inbound and outbound plans disagree on %d of 1000 drops — a lost report also loses its rates", d)
 	}
 }
 
@@ -131,13 +164,13 @@ func TestParseTransportPlan(t *testing.T) {
 func TestTransportPlanZeroIsTransparent(t *testing.T) {
 	var p TransportPlan
 	for i := uint64(0); i < 100; i++ {
-		if drop, delay := p.Outcome(i); drop || delay != 0 {
+		if drop, delay, _, _ := p.FateOf(i); drop || delay != 0 {
 			t.Fatalf("zero plan perturbed message %d", i)
 		}
 	}
 	always := TransportPlan{DropProb: 1, Seed: 9}
 	for i := uint64(0); i < 100; i++ {
-		if drop, _ := always.Outcome(i); !drop {
+		if drop, _, _, _ := always.FateOf(i); !drop {
 			t.Fatalf("DropProb 1 passed message %d", i)
 		}
 	}

@@ -147,24 +147,15 @@ func SendRetry(ctx context.Context, s Sender, m *Message, deadline time.Duration
 
 // Plan decides the fate of each message crossing a faulty transport. The
 // message index n counts sends on one FaultConn, so a stateless Plan (e.g.
-// fault.TransportPlan) yields reproducible loss patterns.
-type Plan interface {
-	// Outcome returns the fate of send number n (0-based): drop discards
-	// the message with ErrInjectedDrop; otherwise the send proceeds after
-	// delay.
-	Outcome(n uint64) (drop bool, delay time.Duration)
-}
-
-// ExtendedPlan adds duplication and reordering to a Plan's fate alphabet.
-// FaultConn type-asserts for it; a plain Plan only drops and delays. The
-// method returns builtin types only, so fault.TransportPlan satisfies it
+// fault.TransportPlan) yields reproducible loss patterns. The method
+// returns builtin types only, so fault.TransportPlan satisfies it
 // structurally without an import edge into this package.
-type ExtendedPlan interface {
-	Plan
-	// FateOf returns the complete fate of send number n (0-based): drop
-	// wins over everything; a delivered message may additionally be
-	// delayed, sent twice (duplicate), or held back behind the next send
-	// on the lane (reorder).
+type Plan interface {
+	// FateOf returns the fate of send number n (0-based): drop discards
+	// the message with ErrInjectedDrop and wins over everything; a
+	// delivered message may additionally be delayed, sent twice
+	// (duplicate), or held back behind the next send on the lane
+	// (reorder).
 	FateOf(n uint64) (drop bool, delay time.Duration, duplicate, reorder bool)
 }
 
@@ -208,15 +199,7 @@ func (f *FaultConn) Send(m *Message, deadline time.Duration) error {
 	n := f.n
 	f.n++
 	f.mu.Unlock()
-	var (
-		drop, dup, reorder bool
-		delay              time.Duration
-	)
-	if ep, ok := f.plan.(ExtendedPlan); ok {
-		drop, delay, dup, reorder = ep.FateOf(n)
-	} else {
-		drop, delay = f.plan.Outcome(n)
-	}
+	drop, delay, dup, reorder := f.plan.FateOf(n)
 	if drop {
 		return fmt.Errorf("lane: send %s (message %d): %w", m.Type, n, ErrInjectedDrop)
 	}

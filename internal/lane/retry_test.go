@@ -189,11 +189,10 @@ func TestRejoinStormBackoffDesynchronized(t *testing.T) {
 	}
 }
 
-// fullFate is an ExtendedPlan scripting the complete fate of each message
-// index.
+// fullFate is a Plan scripting the duplicate and reorder fate of each
+// message index.
 type fullFate map[uint64]struct{ dup, reorder bool }
 
-func (f fullFate) Outcome(n uint64) (bool, time.Duration) { return false, 0 }
 func (f fullFate) FateOf(n uint64) (bool, time.Duration, bool, bool) {
 	e := f[n]
 	return false, 0, e.dup, e.reorder
@@ -260,7 +259,9 @@ func TestFaultConnReorderSwapsAdjacentFrames(t *testing.T) {
 // dropNth drops exactly one message index, passing everything else through.
 type dropNth uint64
 
-func (d dropNth) Outcome(n uint64) (bool, time.Duration) { return n == uint64(d), 0 }
+func (d dropNth) FateOf(n uint64) (bool, time.Duration, bool, bool) {
+	return n == uint64(d), 0, false, false
+}
 
 func TestFaultConnDropAndPassThrough(t *testing.T) {
 	client, server := net.Pipe()

@@ -35,9 +35,8 @@ type Config struct {
 	// convergence.
 	TrefOverTs float64
 	// QWeights are per-output tracking weights w_i (eq. 7); nil means all 1.
+	// Every input's control-penalty weight is 1.
 	QWeights []float64
-	// RWeights are per-input control-penalty weights; nil means all 1.
-	RWeights []float64
 	// DisableOutputConstraints drops the hard u(k+i|k) ≤ B constraints,
 	// leaving only the actuator box. Used for ablation studies.
 	DisableOutputConstraints bool
@@ -45,7 +44,7 @@ type Config struct {
 	Solver qp.Options
 }
 
-func (c Config) validate(n, m int) error {
+func (c Config) validate(n int) error {
 	if c.PredictionHorizon < 1 {
 		return fmt.Errorf("mpc: prediction horizon %d must be >= 1", c.PredictionHorizon)
 	}
@@ -58,17 +57,9 @@ func (c Config) validate(n, m int) error {
 	if c.QWeights != nil && len(c.QWeights) != n {
 		return fmt.Errorf("mpc: QWeights has length %d, want %d", len(c.QWeights), n)
 	}
-	if c.RWeights != nil && len(c.RWeights) != m {
-		return fmt.Errorf("mpc: RWeights has length %d, want %d", len(c.RWeights), m)
-	}
 	for _, w := range c.QWeights {
 		if w < 0 {
 			return errors.New("mpc: QWeights must be non-negative")
-		}
-	}
-	for _, w := range c.RWeights {
-		if w < 0 {
-			return errors.New("mpc: RWeights must be non-negative")
 		}
 	}
 	return nil
@@ -91,7 +82,6 @@ type Controller struct {
 	n, m      int
 
 	sqrtQ []float64 // √QWeights
-	sqrtR []float64 // √RWeights
 	lam   []float64 // λ_i = 1 − e^{−i/(Tref/Ts)} for i = 1..P
 
 	prevDelta []float64 // Δr(k−1), for the control penalty
@@ -284,7 +274,7 @@ func New(f *mat.Dense, setPoints, rmin, rmax []float64, cfg Config) (*Controller
 			return nil, fmt.Errorf("mpc: rmin[%d] = %g > rmax[%d] = %g", i, rmin[i], i, rmax[i])
 		}
 	}
-	if err := cfg.validate(n, m); err != nil {
+	if err := cfg.validate(n); err != nil {
 		return nil, err
 	}
 	c := &Controller{
@@ -302,12 +292,6 @@ func New(f *mat.Dense, setPoints, rmin, rmax []float64, cfg Config) (*Controller
 	if cfg.QWeights != nil {
 		for i, w := range cfg.QWeights {
 			c.sqrtQ[i] = math.Sqrt(w)
-		}
-	}
-	c.sqrtR = mat.Constant(m, 1)
-	if cfg.RWeights != nil {
-		for i, w := range cfg.RWeights {
-			c.sqrtR[i] = math.Sqrt(w)
 		}
 	}
 	c.lam = make([]float64, cfg.PredictionHorizon+1)
@@ -733,10 +717,10 @@ func (c *Controller) BuildExplicitProblem() *empc.Problem {
 			d0[rowBase+r] = c.sqrtQ[r] * c.lam[i] * c.setPoints[r]
 		}
 	}
-	// First control-penalty block: d = √R_j·Δr_j(k−1); later blocks zero.
+	// First control-penalty block: d = Δr_j(k−1); later blocks zero.
 	base := c.n * p
 	for j := 0; j < c.m; j++ {
-		dm.Set(base+j, c.n+c.m+j, c.sqrtR[j])
+		dm.Set(base+j, c.n+c.m+j, 1)
 	}
 	mc := c.aFull.Rows()
 	sm := mat.New(mc, nTheta)
@@ -875,15 +859,15 @@ func (c *Controller) buildLeastSquaresMatrix() *mat.Dense {
 			}
 		}
 	}
-	// Control-change penalty blocks: √R·(z_i − z_{i−1}), with z_{−1} the
+	// Control-change penalty blocks: z_i − z_{i−1}, with z_{−1} the
 	// previously applied Δr(k−1).
 	base := c.n * p
 	for i := 0; i < mh; i++ {
 		for j := 0; j < c.m; j++ {
 			row := base + i*c.m + j
-			cm.Set(row, i*c.m+j, c.sqrtR[j])
+			cm.Set(row, i*c.m+j, 1)
 			if i > 0 {
-				cm.Set(row, (i-1)*c.m+j, -c.sqrtR[j])
+				cm.Set(row, (i-1)*c.m+j, -1)
 			}
 		}
 	}
@@ -908,7 +892,7 @@ func (c *Controller) fillLeastSquaresRHS(u, d []float64) {
 		for j := 0; j < c.m; j++ {
 			row := base + i*c.m + j
 			if i == 0 {
-				d[row] = c.sqrtR[j] * c.prevDelta[j]
+				d[row] = c.prevDelta[j]
 			} else {
 				d[row] = 0
 			}
@@ -1049,7 +1033,7 @@ func (c *Controller) GainsTo(ke, kd *mat.Dense) error {
 		for i := range d {
 			d[i] = 0
 		}
-		d[base+col] = c.sqrtR[col]
+		d[base+col] = 1
 		if err := c.gainFac.SolveLeastSquaresTo(z, c.gainY, d); err != nil {
 			return fmt.Errorf("mpc: gain solve (Δr basis %d): %w", col, err)
 		}

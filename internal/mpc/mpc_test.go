@@ -77,18 +77,6 @@ func TestNewValidation(t *testing.T) {
 			_, err := New(f, b, rmin, rmax, cfg)
 			return err
 		}},
-		{"bad R len", func() error {
-			cfg := good
-			cfg.RWeights = []float64{1}
-			_, err := New(f, b, rmin, rmax, cfg)
-			return err
-		}},
-		{"negative R", func() error {
-			cfg := good
-			cfg.RWeights = []float64{1, 1, -2}
-			_, err := New(f, b, rmin, rmax, cfg)
-			return err
-		}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -105,9 +105,7 @@ func (s *LSI) Solve(d []float64, a *mat.Dense, b []float64, x0 []float64) (*Resu
 	for i := range s.f {
 		s.f[i] *= -2
 	}
-	opts := s.opts
-	opts.WarmStart = s.warm
-	res, err := solveActiveSet(s.h, s.hchol, s.f, a, b, x0, opts, &s.ws)
+	res, err := solveActiveSet(s.h, s.hchol, s.f, a, b, x0, s.warm, s.opts, &s.ws)
 	if err != nil {
 		return res, err
 	}
@@ -166,11 +164,11 @@ func (s *LSI) Structured() (banded bool, bandwidth int) {
 //  1. Feasibility and seeding both evaluate mat.Dot(a_i, x0) with x0 = 0.
 //     Every term a_ij·0 is ±0 and the +0-initialized accumulator stays +0
 //     (IEEE: +0 + ±0 = +0), so Dot is exactly +0, the row-i violation is
-//     exactly −b_i, and the seeding activity test is exactly |b_i| ≤ Tol.
-//     Requiring b_i > Tol for every row therefore reproduces "feasible
-//     start (feasTol = 1e-9, Tol ≥ 1e-9 by default) and nothing
-//     seeds the working set" without touching the matrix; a NaN b_i fails
-//     the test and falls back conservatively.
+//     exactly −b_i, and the seeding activity test is exactly |b_i| ≤ tol.
+//     Requiring b_i > tol for every row therefore reproduces "feasible
+//     start (feasTol = tol = 1e-9) and nothing seeds the working set"
+//     without touching the matrix; a NaN b_i fails the test and falls
+//     back conservatively.
 //  2. With an empty working set, iteration 0 computes g = H·0 + f. Each
 //     H·0 row sum is exactly +0 (same argument), so g_i = 0 + f_i, then
 //     p = −H⁻¹g via the cached Cholesky factor — replicated literally.
@@ -179,7 +177,7 @@ func (s *LSI) Structured() (banded bool, bandwidth int) {
 //     Any blocking step < 1 means the iterative path would add a
 //     constraint: not interior, fall back.
 //  4. The update x_i += 1.0·p_i from x = 0 and the iteration-1 stationarity
-//     check (g = H·x + f, p = −H⁻¹g, ‖p‖∞ ≤ Tol·(1 + ‖x‖∞)) are replicated
+//     check (g = H·x + f, p = −H⁻¹g, ‖p‖∞ ≤ tol·(1 + ‖x‖∞)) are replicated
 //     literally; ‖−v‖∞ == ‖v‖∞ exactly, so the second p is never
 //     materialized. On convergence solveActiveSet returns x unchanged with
 //     no multiplier to check (empty working set).
@@ -193,10 +191,6 @@ func (s *LSI) SolveInteriorTo(x []float64, d []float64, a *mat.Dense, b []float6
 	m := a.Rows()
 	if len(b) != m {
 		return 0, false
-	}
-	tol := s.opts.Tol
-	if tol <= 0 {
-		tol = 1e-9 // mirrors Options.withDefaults
 	}
 	maxIter := s.opts.MaxIter
 	if maxIter <= 0 {

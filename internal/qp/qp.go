@@ -49,6 +49,9 @@ var ErrInfeasible = errors.New("qp: infeasible starting point")
 // feasTol is how far a starting point may violate A·x ≤ b.
 const feasTol = 1e-9
 
+// tol is the activity and optimality tolerance of the active-set loop.
+const tol = 1e-9
+
 // ErrMaxIterations is returned when the active-set loop fails to converge;
 // the best iterate found so far accompanies the error in Result.X.
 var ErrMaxIterations = errors.New("qp: active-set iteration limit reached")
@@ -92,22 +95,11 @@ func (s Status) String() string {
 type Options struct {
 	// MaxIter caps active-set iterations. Default: 50·(n + rows(A)) + 100.
 	MaxIter int
-	// Tol is the feasibility and optimality tolerance. Default: 1e-9.
-	Tol float64
-	// WarmStart lists constraint indices to try first when seeding the
-	// working set (typically the active set of the previous, similar
-	// solve). Only constraints that are actually active at the starting
-	// point are admitted, so warm starting changes the search order but
-	// never correctness. Out-of-range indices are ignored.
-	WarmStart []int
 }
 
 func (o Options) withDefaults(n, m int) Options {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 50*(n+m) + 100
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-9
 	}
 	return o
 }
@@ -208,13 +200,17 @@ func Solve(h *mat.Dense, f []float64, a *mat.Dense, b []float64, x0 []float64, o
 	if err != nil {
 		return nil, fmt.Errorf("qp: factor H: %v: %w", err, ErrSingular)
 	}
-	return solveActiveSet(h, hchol, f, a, b, x0, opts, &workspace{})
+	return solveActiveSet(h, hchol, f, a, b, x0, nil, opts, &workspace{})
 }
 
 // solveActiveSet is the primal active-set loop behind Solve and LSI.Solve.
 // hchol is the (possibly banded) factorization of h; ws supplies reusable
-// scratch.
-func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dense, b []float64, x0 []float64, opts Options, ws *workspace) (*Result, error) {
+// scratch. warm lists constraint indices to try first when seeding the
+// working set (the active set of the previous, similar solve). Only
+// constraints that are actually active at the starting point are
+// admitted, so warm starting changes the search order but never
+// correctness. Out-of-range indices are ignored.
+func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dense, b []float64, x0 []float64, warm []int, opts Options, ws *workspace) (*Result, error) {
 	n := len(f)
 	m := 0
 	if a != nil {
@@ -250,14 +246,14 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 		if len(working) >= n || inWorking[i] {
 			return false
 		}
-		if math.Abs(mat.Dot(a.RowView(i), x)-b[i]) <= opts.Tol && addIfIndependent(a, working, i) {
+		if math.Abs(mat.Dot(a.RowView(i), x)-b[i]) <= tol && addIfIndependent(a, working, i) {
 			working = append(working, i)
 			inWorking[i] = true
 			return true
 		}
 		return false
 	}
-	for _, i := range opts.WarmStart {
+	for _, i := range warm {
 		if i >= 0 && i < m {
 			st.warmOffered++
 			if seed(i) {
@@ -298,9 +294,9 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 		}
 		scale := 1 + mat.NormInf(x)
 		stationarity = mat.NormInf(p) / scale
-		if mat.NormInf(p) <= opts.Tol*scale {
+		if mat.NormInf(p) <= tol*scale {
 			// Stationary on the working set: check multipliers.
-			minIdx, minVal := -1, -opts.Tol
+			minIdx, minVal := -1, -tol
 			for wi, l := range lambda {
 				if l < minVal {
 					minIdx, minVal = wi, l
@@ -324,7 +320,7 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 			}
 			ai := a.RowView(i)
 			denom := mat.Dot(ai, p)
-			if denom <= opts.Tol {
+			if denom <= tol {
 				continue
 			}
 			step := (b[i] - mat.Dot(ai, x)) / denom

@@ -339,11 +339,11 @@ func TestSolveLSIDimensionErrors(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults(3, 4)
-	if o.MaxIter <= 0 || o.Tol <= 0 {
+	if o.MaxIter <= 0 {
 		t.Fatalf("withDefaults produced %+v", o)
 	}
-	o2 := Options{MaxIter: 7, Tol: 1e-3}.withDefaults(3, 4)
-	if o2.MaxIter != 7 || o2.Tol != 1e-3 {
+	o2 := Options{MaxIter: 7}.withDefaults(3, 4)
+	if o2.MaxIter != 7 {
 		t.Fatalf("withDefaults overwrote explicit values: %+v", o2)
 	}
 }
