@@ -32,6 +32,10 @@ func TestGoldenDigests(t *testing.T) {
 			print: func(ctx context.Context, w io.Writer) error {
 				return faultDigests(ctx, w, "proc2-crash-recover", false)
 			}},
+		{file: "fault-kitchen-sink.digest", regen: "-faults kitchen-sink -fault-digest",
+			print: func(ctx context.Context, w io.Writer) error {
+				return faultDigests(ctx, w, "kitchen-sink", false)
+			}},
 		{file: "workload-large128.digest", regen: "-workload large128", slow: true,
 			print: func(ctx context.Context, w io.Writer) error { return largeDigests(ctx, w, "large128") }},
 		{file: "workload-large1024.digest", regen: "-workload large1024", slow: true,

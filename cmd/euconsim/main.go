@@ -209,7 +209,7 @@ func parseFaultsArg(arg string) ([]fault.Spec, error) {
 // (settling time, max overshoot, per-processor time-in-spec), so it pins both
 // the controlled trajectories and the degradation behaviour. The standard
 // -sweep-digest format is untouched. TestGoldenDigests compares the
-// proc2-crash-recover output with scripts/golden/.
+// proc2-crash-recover and kitchen-sink outputs with scripts/golden/.
 func faultDigests(ctx context.Context, w io.Writer, list string, explicit bool) error {
 	specs, err := parseFaultsArg(list)
 	if err != nil {

@@ -65,7 +65,7 @@ if [ -z "$digests_a" ] || [ "$digests_a" != "$digests_b" ]; then
 fi
 echo "$exp_rep_a"
 
-echo "==> golden digests vs scripts/golden/ (fig4/fig5 sweeps, proc2-crash-recover, LARGE-128, LARGE-1024; -race skips the LARGE two)"
+echo "==> golden digests vs scripts/golden/ (fig4/fig5 sweeps, proc2-crash-recover, kitchen-sink, LARGE-128, LARGE-1024; -race skips the LARGE two)"
 go test ./cmd/euconsim -run TestGoldenDigests
 
 echo "==> OK"
