@@ -123,9 +123,9 @@ func run() int {
 		return 1
 	}
 	elapsed := time.Since(start) //eucon:wallclock-ok operational run timing for the printed summary
-	fmt.Printf("euconctl: %d periods in %v — joins=%d rejoins=%d leaves=%d crashes=%d live=%d missed=%d stale=%d frames in/out=%d/%d dropped=%d injected=%d\n",
+	fmt.Printf("euconctl: %d periods in %v — joins=%d rejoins=%d leaves=%d crashes=%d live=%d missed=%d stale=%d skipped=%d frames in/out=%d/%d dropped=%d injected=%d\n",
 		res.Periods, elapsed.Round(time.Millisecond), res.Joins, res.Rejoins, res.Leaves, res.Crashes, res.LiveAtEnd,
-		res.MissedReports, res.StaleSamples, res.FramesIn, res.FramesOut, res.DroppedSamples, res.InjectedDrops)
+		res.MissedReports, res.StaleSamples, res.SkippedSteps, res.FramesIn, res.FramesOut, res.DroppedSamples, res.InjectedDrops)
 	if *trace {
 		fmt.Print("period")
 		for p := 0; p < sys.Processors; p++ {

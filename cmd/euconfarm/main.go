@@ -208,10 +208,10 @@ func run(args []string) int {
 		if lossy {
 			name += "Lossy"
 		}
-		fmt.Printf(`{"bench":%q,"agents":%d,"periods":%d,"wall_ms":%d,"p50_us":%d,"p99_us":%d,"latency_samples":%d,"frames_per_sec":%.0f,"frames_in":%d,"frames_out":%d,"joins":%d,"rejoins":%d,"crashes":%d,"missed":%d,"stale":%d,"dropped_samples":%d,"injected_drops":%d,"superseded_rates":%d,"live_at_end":%d,"tail_err":%.3f}`+"\n",
+		fmt.Printf(`{"bench":%q,"agents":%d,"periods":%d,"wall_ms":%d,"p50_us":%d,"p99_us":%d,"latency_samples":%d,"frames_per_sec":%.0f,"frames_in":%d,"frames_out":%d,"joins":%d,"rejoins":%d,"crashes":%d,"missed":%d,"stale":%d,"skipped":%d,"dropped_samples":%d,"injected_drops":%d,"superseded_rates":%d,"live_at_end":%d,"tail_err":%.3f}`+"\n",
 			name, *agents, *periods, elapsed.Milliseconds(), p50.Microseconds(), p99.Microseconds(), len(res.Latency),
 			fps, res.FramesIn, res.FramesOut, res.Joins, res.Rejoins, res.Crashes,
-			res.MissedReports, res.StaleSamples, res.DroppedSamples, res.InjectedDrops, qs.SupersededRates,
+			res.MissedReports, res.StaleSamples, res.SkippedSteps, res.DroppedSamples, res.InjectedDrops, qs.SupersededRates,
 			res.LiveAtEnd, tailErr)
 		return 0
 	}
@@ -221,8 +221,8 @@ func run(args []string) int {
 	fmt.Printf("  frames: %d in, %d out, %.0f frames/s\n", res.FramesIn, res.FramesOut, fps)
 	fmt.Printf("  membership: %d joins, %d rejoins, %d crashes, %d leaves, %d live at end (ledger balanced)\n",
 		res.Joins, res.Rejoins, res.Crashes, res.Leaves, res.LiveAtEnd)
-	fmt.Printf("  degradation: %d missed reports, %d stale samples, %d dropped samples, %d injected drops\n",
-		res.MissedReports, res.StaleSamples, res.DroppedSamples, res.InjectedDrops)
+	fmt.Printf("  degradation: %d missed reports, %d stale samples, %d skipped steps, %d dropped samples, %d injected drops\n",
+		res.MissedReports, res.StaleSamples, res.SkippedSteps, res.DroppedSamples, res.InjectedDrops)
 	fmt.Printf("  peer queues: %d sent, %d coalesced, %d superseded rates\n", qs.Sent, qs.Coalesced, qs.SupersededRates)
 	if lossy {
 		fmt.Printf("  re-convergence: max tail error %.3f within %.2f\n", tailErr, farmReconvergeTol)

@@ -35,7 +35,7 @@ func run() int {
 	etf := flag.Float64("etf", 1, "execution-time factor (actual/estimated execution times)")
 	jitter := flag.Float64("jitter", 0, "uniform relative noise on measured utilization, in [0, 1)")
 	interval := flag.Duration("interval", 50*time.Millisecond, "real-time duration of one sampling period (0 = lockstep)")
-	seed := flag.Int64("seed", 1, "noise seed")
+	seed := flag.Int64("seed", defaultSeed, "noise seed, mixed with -proc so every node of a fleet draws its own noise")
 	codec := flag.String("codec", "binary", "wire codec for outgoing frames: binary, binary2 (delta-compacted rates), or json")
 	queue := flag.Int("queue", lane.DefaultQueueDepth, "outbound send-queue depth (frames)")
 	faultSpec := flag.String("transport-faults", "", "inject transport faults on outbound reports, e.g. drop=0.05,delay=10ms,delayprob=0.5,seed=7 (reseeded per processor)")
@@ -72,7 +72,7 @@ func run() int {
 		agent.WithETF(sim.ConstantETF(*etf)),
 		agent.WithSamplingPeriod(workload.SamplingPeriod),
 		agent.WithJitter(*jitter),
-		agent.WithSeed(*seed),
+		agent.WithSeed(nodeSeed(*seed, *proc)),
 		agent.WithInterval(*interval),
 		agent.WithCodec(wire),
 		agent.WithSendQueue(*queue),
@@ -94,6 +94,14 @@ func run() int {
 	fmt.Println("nodeagent: shut down cleanly")
 	return 0
 }
+
+// defaultSeed is the -seed default.
+const defaultSeed = 1
+
+// nodeSeed mixes the processor index into the noise seed the way the
+// agent's retry policy does, so a fleet launched with identical flags does
+// not draw identical measurement noise on every node.
+func nodeSeed(seed int64, proc int) int64 { return seed ^ (int64(proc)+1)*0x9e3779b9 }
 
 // parseCodec maps the -codec flag to a lane codec.
 func parseCodec(name string) (lane.Codec, error) {

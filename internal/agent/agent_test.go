@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -149,6 +150,41 @@ func TestServerDegradesAroundLostReport(t *testing.T) {
 			if math.IsNaN(r) || r <= 0 {
 				t.Errorf("period %d rate[%d] = %v; the lost report leaked into actuation", k, i, r)
 			}
+		}
+	}
+}
+
+// TestServerSkipsPastStalenessBound loses one agent's reports for periods
+// 2 through 8 in lockstep. The server feeds its period-1 sample for ages 1
+// to sim.StalenessBound (periods 2–5), then skips periods 6–8: no Step,
+// the rates held and rebroadcast. The loop resumes when reports return.
+func TestServerSkipsPastStalenessBound(t *testing.T) {
+	sys := workload.Simple()
+	// Each lost report is three message indices (initial send plus the
+	// default policy's two retries); P2's period-2 report starts at index 2.
+	const first, last = 2, 8
+	plans := []lane.Plan{nil, dropRange{first, first + 3*(last-first+1)}}
+	res := runOK(t, &Fleet{Sys: sys, Ctrl: simpleController(t, sys),
+		Server: []Option{WithPeriods(12), WithTrace(true), WithPeriodTimeout(100 * time.Millisecond)},
+		Agent: func(p int) []Option {
+			return []Option{WithETF(sim.ConstantETF(0.5)), WithSamplingPeriod(workload.SamplingPeriod),
+				WithTransportFaults(func(int) lane.Plan { return plans[p] })}
+		}})
+	if res.Periods != 12 || res.ControllerErrors != 0 {
+		t.Fatalf("periods=%d controller errors=%d, want 12 and 0", res.Periods, res.ControllerErrors)
+	}
+	if res.MissedReports != last-first+1 || res.SkippedSteps != 3 {
+		t.Errorf("missed=%d skipped=%d, want %d and 3", res.MissedReports, res.SkippedSteps, last-first+1)
+	}
+	for k := first; k <= last; k++ {
+		if got, want := res.Utilization[k][1], res.Utilization[1][1]; got != want {
+			t.Errorf("period %d P2 utilization = %v, want the period-1 sample %v", k, got, want)
+		}
+	}
+	moved := func(k int) bool { return !slices.Equal(res.Rates[k+1], res.Rates[k]) }
+	for k := first; k < len(res.Rates)-1; k++ {
+		if skipped := k >= first+sim.StalenessBound && k <= last; moved(k) == skipped {
+			t.Errorf("period %d: rates moved = %v, want %v (skipped periods hold, others steer)", k, moved(k), !skipped)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -148,17 +149,22 @@ type ServerResult struct {
 	// Periods is how many sampling periods were stepped.
 	Periods int
 	// Utilization[k][p] and Rates[k] record the full history, only when
-	// WithTrace(true) is set. A missed member-period appears as its
-	// hold-last substitute — the value actually fed to the controller.
+	// WithTrace(true) is set. A missed member-period appears as the value
+	// the controller was fed instead (see Server); a skipped period records
+	// each member's newest sample.
 	Utilization [][]float64
 	Rates       [][]float64
-	// MissedReports counts member-periods stepped without a fresh report
-	// (the hold-last substitute was used).
+	// MissedReports counts member-periods stepped without an on-time
+	// report.
 	MissedReports int
-	// StaleSamples counts samples that arrived for an already-stepped
-	// period and were discarded from the control input (they still
-	// refresh the hold-last value).
+	// StaleSamples counts samples that arrived for a period other than the
+	// one being collected. They are not that period's report, but the
+	// newest one stands in for a missing report at the next step.
 	StaleSamples int
+	// SkippedSteps counts periods the missing-feedback policy skipped: a
+	// missing sample had no substitute within sim.StalenessBound, so the
+	// rates were held and rebroadcast without a controller Step.
+	SkippedSteps int
 	// Joins, Rejoins, Leaves, and Crashes count membership transitions:
 	// first-time joins, joins onto a processor slot seen before, clean
 	// departures (shutdown notice), and lane failures or silence
@@ -196,13 +202,12 @@ type ServerResult struct {
 // membership and control state, steps the controller each sampling
 // period, and broadcasts rates through bounded per-member send queues
 // (each member receives only the rates of the tasks it hosts). A member
-// that misses a period is substituted by its last reported utilization,
-// and a member silent past the membership timeout is evicted. The
-// substitution is the server's own, not the controller's hold-last policy:
-// the controller never sees a NaN from it, the substitute has no staleness
-// bound (an evicted member is held at its last value indefinitely), and
-// late and early samples refresh it (DESIGN.md §8, "Distributed
-// analogue").
+// silent past the membership timeout is evicted. Missing feedback follows
+// the simulator's policy: a member without an on-time report contributes
+// the newest late or early sample that arrived since the last step (the
+// server's form of a delayed sample), or else NaN, and sim.HoldLast turns
+// that vector into the controller's input or a skipped period (DESIGN.md
+// §8, "Degradation policy").
 type Server struct {
 	sys  *task.System
 	ctrl sim.Controller
@@ -343,13 +348,14 @@ func (s *Server) control(ctx context.Context) (*ServerResult, error) {
 	var injectedDrops atomic.Uint64 // written by member queue goroutines
 
 	rates := s.sys.InitialRates()
-	u := make([]float64, n)     // current period's reports
-	have := make([]bool, n)     // which members reported this period
-	lastU := make([]float64, n) // hold-last substitutes
-	reported := 0               // count of have[p] for live members
-	if sp := s.ctrl.SetPoints(); sp != nil {
-		copy(lastU, sp) // a member that never reports holds its set point
+	u := make([]float64, n) // newest sample per member since the last step; NaN if none
+	have := make([]bool, n) // which members reported this period on time
+	reported := 0           // count of have[p] for live members
+	for p := range u {
+		u[p] = math.NaN()
 	}
+	var hold sim.HoldLast
+	hold.Reset(n, s.ctrl.SetPoints())
 
 	// In lockstep mode the timer bounds a period; in free-running mode it
 	// paces the periods.
@@ -410,21 +416,18 @@ func (s *Server) control(ctx context.Context) (*ServerResult, error) {
 	step := func() {
 		k := int(s.period.Load())
 		for p := 0; p < n; p++ {
-			if have[p] {
-				lastU[p] = u[p]
-			} else {
-				if members[p] != nil {
-					res.MissedReports++
-				}
-				u[p] = lastU[p]
+			if !have[p] && members[p] != nil {
+				res.MissedReports++
 			}
 		}
+		in, _, skip := hold.Apply(u)
 		if s.opt.trace {
-			res.Utilization = append(res.Utilization, append([]float64(nil), u...))
+			res.Utilization = append(res.Utilization, append([]float64(nil), in...))
 			res.Rates = append(res.Rates, append([]float64(nil), rates...))
 		}
-		newRates, err := s.ctrl.Step(k, u, rates)
-		if err == nil {
+		if skip {
+			res.SkippedSteps++
+		} else if newRates, err := s.ctrl.Step(k, in, rates); err == nil {
 			rates = newRates
 		} else {
 			// Keep rates, matching the simulator's policy.
@@ -442,6 +445,7 @@ func (s *Server) control(ctx context.Context) (*ServerResult, error) {
 		s.period.Store(int64(k + 1))
 		for p := range have {
 			have[p] = false
+			u[p] = math.NaN()
 		}
 		reported = 0
 	}
@@ -553,23 +557,21 @@ func (s *Server) control(ctx context.Context) (*ServerResult, error) {
 				}
 				k := int(s.period.Load())
 				for i, v := range ev.batch.Samples {
-					q := ev.batch.First + i
-					switch {
-					case q == k:
+					if ev.batch.First+i == k {
 						if !have[p] {
 							have[p] = true
 							reported++
 						}
 						u[p] = v
-					case q < k:
-						res.StaleSamples++
-						lastU[p] = v // still the freshest value we have
-					default:
-						// A report from the future means the member's period
-						// counter ran ahead (free-running drift); remember the
-						// value so the hold-last substitute stays fresh.
-						res.StaleSamples++
-						lastU[p] = v
+						continue
+					}
+					// Late, or from the future (the member's period counter
+					// ran ahead under free-running drift): not this period's
+					// report, but the newest such sample stands in if the
+					// report never comes.
+					res.StaleSamples++
+					if !have[p] {
+						u[p] = v
 					}
 				}
 

@@ -180,8 +180,8 @@ type Report struct {
 	// degradation-ladder counters across all scenarios: how often
 	// containment engaged (and at which rung) while invariants held.
 	BestIterate, Regularized, Held int
-	// HeldSamples and SkippedPeriods sum the feedback degradation
-	// counters across all scenarios.
+	// HeldSamples and SkippedPeriods sum the missing-feedback policy's
+	// counters (sim.HoldLast) across all scenarios.
 	HeldSamples, SkippedPeriods int
 	// GuardFirings sums all runtime-guard counters across all scenarios
 	// (every firing is also a violation).
@@ -289,10 +289,17 @@ func Check(ctx context.Context, specs []fault.Spec, opts Options) (problems []st
 	}
 
 	stats.bestIterate, stats.regularized, stats.held = ctrl.ContainmentCounts()
-	stats.heldSamples = ctrl.HeldSamples()
-	stats.skipped = ctrl.SkippedPeriods()
-	stats.guardFirings = tr.Stats.GuardRateFirings + tr.Stats.GuardUtilFirings + tr.Stats.GuardPoolFirings
+	stats.book(tr)
 	return inspect(tr, sys, opts.Periods, reconvergeTol), stats
+}
+
+// book records a simulated run's feedback-policy and guard counters.
+func (st *runStats) book(tr *sim.Trace) {
+	for _, ps := range tr.Periods {
+		st.heldSamples += ps.HeldSamples
+		st.skipped += ps.ControlSkipped
+	}
+	st.guardFirings = tr.Stats.GuardRateFirings + tr.Stats.GuardUtilFirings + tr.Stats.GuardPoolFirings
 }
 
 // largeReconvergeTol is the re-convergence bound for the LARGE-128
@@ -337,7 +344,7 @@ func checkLarge128(ctx context.Context, specs []fault.Spec, opts Options) (probl
 	if err != nil {
 		return []string{fmt.Sprintf("workers=%d: %v", largeWorkerCounts[0], err)}, stats
 	}
-	stats.guardFirings = serial.Stats.GuardRateFirings + serial.Stats.GuardUtilFirings + serial.Stats.GuardPoolFirings
+	stats.book(serial)
 	problems = inspect(serial, sys, opts.Periods, largeReconvergeTol)
 
 	parallel, err := runAt(largeWorkerCounts[1])

@@ -110,6 +110,7 @@ func checkPartition(ctx context.Context, specs []fault.Spec, opts Options) (prob
 		return f, stats
 	}
 	stats.heldSamples = res.MissedReports
+	stats.skipped = res.SkippedSteps
 
 	if res.Periods != opts.Periods {
 		f.add("run truncated: server stepped %d of %d periods", res.Periods, opts.Periods)

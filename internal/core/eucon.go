@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/rtsyslab/eucon/internal/empc"
 	"github.com/rtsyslab/eucon/internal/mat"
@@ -66,14 +65,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// stalenessBound tunes the hold-last-sample degradation policy: a missing
-// utilization sample (NaN, from a lost feedback message) is substituted
-// with the most recent usable measurement as long as that measurement is
-// at most stalenessBound sampling periods old. Once any missing sample is
-// staler than the bound, the controller skips actuation for the period
-// (holding current rates) rather than steer the whole system on fiction.
-const stalenessBound = 4
-
 // Controller is the EUCON rate controller. It implements sim.Controller
 // and is driven once per sampling period. It is not safe for concurrent
 // use.
@@ -82,24 +73,10 @@ type Controller struct {
 	mpc      *mpc.Controller
 	cfg      Config
 	f        *mat.Dense
-	b        []float64
 	filtered []float64      // EWMA state when MeasurementFilter > 0
 	res      mpc.StepResult // reused by every Step; sized by the first
 	relaxed  int
 	steps    int
-
-	// Hold-last-sample degradation state (see stalenessBound):
-	// lastGood[p] is processor p's most recent usable measurement,
-	// sampleAge[p] how many periods ago it was taken (-1: never), and uBuf
-	// the substituted vector handed to the filter and MPC.
-	lastGood  []float64
-	sampleAge []int
-	uBuf      []float64
-
-	degHeld      int  // samples substituted in the last Step call
-	degSkipped   bool // last Step call skipped actuation
-	heldTotal    int
-	skippedTotal int
 
 	// explicitReport is the offline-compile report when Config.Explicit
 	// was set; nil otherwise.
@@ -112,7 +89,6 @@ type Controller struct {
 
 var (
 	_ sim.Controller          = (*Controller)(nil)
-	_ sim.DegradationReporter = (*Controller)(nil)
 	_ sim.ContainmentReporter = (*Controller)(nil)
 	_ sim.ExplicitReporter    = (*Controller)(nil)
 )
@@ -146,7 +122,7 @@ func New(sys *task.System, setPoints []float64, cfg Config) (*Controller, error)
 	if err != nil {
 		return nil, fmt.Errorf("eucon: %w", err)
 	}
-	c := &Controller{sys: sys, mpc: m, cfg: cfg, f: f, b: mat.VecClone(setPoints)}
+	c := &Controller{sys: sys, mpc: m, cfg: cfg, f: f}
 	if cfg.Explicit {
 		rep, err := m.CompileExplicit(empc.Options{MaxRegions: cfg.ExplicitMaxRegions})
 		if err != nil {
@@ -173,29 +149,17 @@ func checkSetPoints(b []float64, processors int) error {
 // Name implements sim.Controller.
 func (c *Controller) Name() string { return "EUCON" }
 
-// Step implements sim.Controller: one feedback-loop invocation.
-// Missing measurements (NaN entries in u, e.g. from feedback faults — see
-// internal/fault) engage the hold-last-sample policy before the EWMA
-// filter and MPC ever see the vector; when every substitute would be
-// staler than stalenessBound, the call degrades to skip-and-
-// saturate: the returned slice aliases the rates argument, signalling
-// "keep actuation unchanged" without copying. Otherwise the returned slice
-// is controller memory the next Step overwrites; it may be passed back as
-// that Step's rates.
+// Step implements sim.Controller: one feedback-loop invocation. Missing
+// measurements are the caller's to handle (sim.HoldLast): a NaN in u
+// reaches the MPC, whose non-finite rung holds the rates. The returned
+// slice aliases controller memory the next Step overwrites; it may be
+// passed back as that Step's rates.
 func (c *Controller) Step(_ int, u, rates []float64) ([]float64, error) {
 	if len(u) != c.sys.Processors {
 		return nil, fmt.Errorf("eucon: utilization vector has length %d, want %d", len(u), c.sys.Processors)
 	}
 	if len(rates) != len(c.sys.Tasks) {
 		return nil, fmt.Errorf("eucon: rate vector has length %d, want %d", len(rates), len(c.sys.Tasks))
-	}
-	u, ok := c.degradeFeedback(u)
-	if !ok {
-		// Skip-and-saturate: no trustworthy utilization picture exists, so
-		// holding the applied rates is the safest actuation. The MPC's move
-		// memory reconciles itself against the achieved (zero) move on the
-		// next step, so no windup accumulates here.
-		return rates, nil
 	}
 	if a := c.cfg.MeasurementFilter; a > 0 && a < 1 {
 		if c.filtered == nil {
@@ -216,74 +180,6 @@ func (c *Controller) Step(_ int, u, rates []float64) ([]float64, error) {
 	}
 	return c.res.NewRates, nil
 }
-
-// degradeFeedback applies the hold-last-sample policy to the measurement
-// vector. It returns the vector to control on and true, or nil and false
-// when the period must be skipped because a missing sample has no
-// substitute within the staleness bound. Vectors without NaN entries pass
-// through untouched, so fault-free runs are bit-identical with or without
-// the policy.
-func (c *Controller) degradeFeedback(u []float64) ([]float64, bool) {
-	c.degHeld = 0
-	c.degSkipped = false
-	if c.lastGood == nil {
-		c.lastGood = make([]float64, len(u))
-		c.sampleAge = make([]int, len(u))
-		for p := range c.sampleAge {
-			c.sampleAge[p] = -1
-		}
-		c.uBuf = make([]float64, len(u))
-	}
-	missing := false
-	skip := false
-	for p, v := range u {
-		if !math.IsNaN(v) {
-			c.lastGood[p] = v
-			c.sampleAge[p] = 0
-			c.uBuf[p] = v
-			continue
-		}
-		missing = true
-		if c.sampleAge[p] >= 0 {
-			c.sampleAge[p]++
-		}
-		switch age := c.sampleAge[p]; {
-		case age < 0:
-			// Never measured: assume the processor sits on its set point,
-			// which contributes zero tracking error and so steers nothing.
-			c.uBuf[p] = c.b[p]
-			c.degHeld++
-		case age <= stalenessBound:
-			c.uBuf[p] = c.lastGood[p]
-			c.degHeld++
-		default:
-			skip = true
-		}
-	}
-	if !missing {
-		return u, true
-	}
-	c.heldTotal += c.degHeld
-	if skip {
-		c.degSkipped = true
-		c.skippedTotal++
-		return nil, false
-	}
-	return c.uBuf, true
-}
-
-// LastDegradation implements sim.DegradationReporter: how many samples the
-// last Step call substituted via hold-last-sample and whether it skipped
-// actuation entirely.
-func (c *Controller) LastDegradation() (int, bool) { return c.degHeld, c.degSkipped }
-
-// HeldSamples reports the cumulative number of samples substituted through
-// hold-last-sample since construction or Reset.
-func (c *Controller) HeldSamples() int { return c.heldTotal }
-
-// SkippedPeriods reports how many control invocations were skipped because
-// missing feedback exceeded the staleness bound.
-func (c *Controller) SkippedPeriods() int { return c.skippedTotal }
 
 // AntiWindupSyncs reports how many per-task MPC move-memory entries had to
 // be reconciled against the achieved rate move because actuation diverged
@@ -320,7 +216,6 @@ func (c *Controller) UpdateSetPoints(b []float64) error {
 	if err := c.mpc.UpdateSetPoints(b); err != nil {
 		return fmt.Errorf("eucon: %w", err)
 	}
-	copy(c.b, b)
 	if c.cfg.Explicit && c.mpc.ExplicitLaw() == nil {
 		rep, err := c.mpc.CompileExplicit(empc.Options{MaxRegions: c.cfg.ExplicitMaxRegions})
 		if err != nil {
@@ -351,13 +246,6 @@ func (c *Controller) Reset() {
 	c.filtered = nil
 	c.relaxed = 0
 	c.steps = 0
-	for p := range c.sampleAge {
-		c.sampleAge[p] = -1
-	}
-	c.degHeld = 0
-	c.degSkipped = false
-	c.heldTotal = 0
-	c.skippedTotal = 0
 }
 
 // RelaxedPeriods reports how many sampling periods required dropping the

@@ -369,155 +369,3 @@ func TestRatesSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state Rates allocates %.0f objects/op, want <= 18", allocs)
 	}
 }
-
-// TestDegradationHoldLast exercises the hold-last-sample policy: NaN
-// samples within the staleness bound (4 periods) are substituted with the
-// last usable measurement and control proceeds; degradation is reported
-// per call.
-func TestDegradationHoldLast(t *testing.T) {
-	c, err := New(simpleSystem(), nil, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rates := []float64{1.0 / 60, 1.0 / 90, 1.0 / 100}
-	good := []float64{0.5, 0.6}
-	out, err := c.Step(0, good, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, s := c.LastDegradation(); h != 0 || s {
-		t.Errorf("clean sample reported degradation (%d, %v)", h, s)
-	}
-	rates = out
-
-	// Drop P1's sample: held within the bound, control still runs.
-	lossy := []float64{math.NaN(), 0.6}
-	out2, err := c.Step(1, lossy, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, s := c.LastDegradation(); h != 1 || s {
-		t.Errorf("one missing sample: LastDegradation = (%d, %v), want (1, false)", h, s)
-	}
-	for i := range out2 {
-		if math.IsNaN(out2[i]) {
-			t.Fatalf("NaN leaked into commanded rates: %v", out2)
-		}
-	}
-	if c.HeldSamples() != 1 {
-		t.Errorf("HeldSamples = %d, want 1", c.HeldSamples())
-	}
-
-	// Substituting must behave as if the last good sample repeated: the
-	// command equals that of a controller fed 0.5 explicitly.
-	ref, err := New(simpleSystem(), nil, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rref := []float64{1.0 / 60, 1.0 / 90, 1.0 / 100}
-	refOut, err := ref.Step(0, good, rref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refOut2, err := ref.Step(1, good, refOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range out2 {
-		if math.Abs(out2[i]-refOut2[i]) > 1e-15 {
-			t.Errorf("task %d: hold-last command %g differs from replayed-sample command %g", i, out2[i], refOut2[i])
-		}
-	}
-
-	// Ages 2..4 are still within the bound: held, never skipped.
-	rates = out2
-	for k := 2; k <= 4; k++ {
-		if rates, err = c.Step(k, lossy, rates); err != nil {
-			t.Fatal(err)
-		}
-		if h, s := c.LastDegradation(); h != 1 || s {
-			t.Errorf("sample age %d: LastDegradation = (%d, %v), want (1, false)", k, h, s)
-		}
-	}
-	if c.HeldSamples() != 4 || c.SkippedPeriods() != 0 {
-		t.Errorf("after age 4: HeldSamples = %d, SkippedPeriods = %d, want 4 and 0", c.HeldSamples(), c.SkippedPeriods())
-	}
-}
-
-// TestDegradationSkipAndSaturate starves the controller of one processor's
-// feedback past the staleness bound: it must stop actuating (returning the
-// current rates unchanged) instead of steering on stale data, and recover
-// once feedback returns.
-func TestDegradationSkipAndSaturate(t *testing.T) {
-	c, err := New(simpleSystem(), nil, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rates := []float64{1.0 / 60, 1.0 / 90, 1.0 / 100}
-	if _, err := c.Step(0, []float64{0.5, 0.6}, rates); err != nil {
-		t.Fatal(err)
-	}
-	lossy := []float64{math.NaN(), 0.6}
-	skips := 0
-	for k := 1; k <= 7; k++ {
-		out, err := c.Step(k, lossy, rates)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, skipped := c.LastDegradation()
-		if want := k > 4; skipped != want {
-			t.Fatalf("sample age %d: skipped = %v, want %v", k, skipped, want)
-		}
-		if skipped {
-			skips++
-			for i := range out {
-				if out[i] != rates[i] {
-					t.Fatalf("period %d: skip-and-saturate changed rates", k)
-				}
-			}
-		}
-	}
-	// Ages 1..4 are within the bound of 4; ages 5..7 exceed it.
-	if skips != 3 {
-		t.Errorf("skipped %d periods, want 3", skips)
-	}
-	if c.SkippedPeriods() != 3 {
-		t.Errorf("SkippedPeriods = %d, want 3", c.SkippedPeriods())
-	}
-	// Fresh feedback ends the degradation immediately.
-	if _, err := c.Step(8, []float64{0.5, 0.6}, rates); err != nil {
-		t.Fatal(err)
-	}
-	if h, s := c.LastDegradation(); h != 0 || s {
-		t.Errorf("after recovery: LastDegradation = (%d, %v), want (0, false)", h, s)
-	}
-
-	// Reset clears every degradation counter.
-	c.Reset()
-	if c.HeldSamples() != 0 || c.SkippedPeriods() != 0 {
-		t.Error("Reset kept degradation totals")
-	}
-}
-
-// TestDegradationNeverMeasured drops a processor's feedback from the very
-// first period: with no last-good sample the controller assumes the set
-// point (zero tracking error) instead of skipping forever or crashing.
-func TestDegradationNeverMeasured(t *testing.T) {
-	c, err := New(simpleSystem(), nil, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rates := []float64{1.0 / 60, 1.0 / 90, 1.0 / 100}
-	out, err := c.Step(0, []float64{math.NaN(), math.NaN()}, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, s := c.LastDegradation(); h != 2 || s {
-		t.Errorf("LastDegradation = (%d, %v), want (2, false)", h, s)
-	}
-	for i := range out {
-		if math.IsNaN(out[i]) {
-			t.Fatalf("NaN leaked into rates: %v", out)
-		}
-	}
-}

@@ -10,8 +10,11 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/rtsyslab/eucon/internal/deucon"
 	"github.com/rtsyslab/eucon/internal/fault"
 	"github.com/rtsyslab/eucon/internal/metrics"
+	"github.com/rtsyslab/eucon/internal/mpc"
+	"github.com/rtsyslab/eucon/internal/workload"
 )
 
 // sweepDigest replicates cmd/euconsim's -sweep-digest hash bit-for-bit:
@@ -312,5 +315,41 @@ func TestCrashDuringFeedbackDropCompound(t *testing.T) {
 		if st > 60 {
 			t.Errorf("P%d re-convergence took %d periods after recovery, want <= 60", p+1, st)
 		}
+	}
+}
+
+// TestFeedbackLossReachesNoController pins that every controller, not just
+// EUCON, gets the simulator's missing-feedback policy: under
+// feedback-loss-10pct PID never emits a rate the guard must reject (a raw
+// NaN would poison its integral from the first lost sample), and DEUCON's
+// local solves never fall to the ladder's hold rung (a raw NaN sends them
+// there).
+func TestFeedbackLossReachesNoController(t *testing.T) {
+	loss := mustScenario(t, "feedback-loss-10pct")
+	tr, err := Run(context.Background(), Spec{Workload: WorkloadSimple, Controller: KindPID, Seed: DefaultSeed, Faults: loss})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := tr.Stats.GuardRateFirings; n != 0 {
+		t.Errorf("PID on SIMPLE: %d rate-guard firings, want 0", n)
+	}
+
+	dc, err := deucon.New(workload.Medium(), nil, deucon.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err = Run(context.Background(), Spec{Workload: WorkloadMedium, Custom: dc, Seed: DefaultSeed, Faults: loss})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := dc.OutcomeCounts()[mpc.SolveHeld]; n != 0 {
+		t.Errorf("DEUCON on MEDIUM: %d local solves held, want 0", n)
+	}
+	held := 0
+	for _, ps := range tr.Periods {
+		held += ps.HeldSamples
+	}
+	if held == 0 {
+		t.Error("no sample was held: the scenario never exercised the policy")
 	}
 }

@@ -121,14 +121,19 @@ func (e *Engine) Compile(specs []Spec, shape Shape, runSeed int64) error {
 	e.shape = shape
 	e.resetTables()
 	for i, sp := range specs {
+		// Only the drop kinds draw, so only they pay for a random source.
 		seed := mixSeed(runSeed, int64(i), sp.Seed)
 		switch sp.Kind {
 		case ExecStep, ExecRamp:
 			e.applyExec(sp)
-		case FeedbackDrop, FeedbackDelay, FeedbackQuantize:
+		case FeedbackDrop:
 			e.applyFeedback(sp, rand.New(rand.NewSource(seed)))
-		case ActuatorDrop, ActuatorDelay, ActuatorClamp:
+		case FeedbackDelay, FeedbackQuantize:
+			e.applyFeedback(sp, nil)
+		case ActuatorDrop:
 			e.applyActuator(sp, rand.New(rand.NewSource(seed)))
+		case ActuatorDelay, ActuatorClamp:
+			e.applyActuator(sp, nil)
 		case ProcCrash:
 			e.applyCrash(sp)
 		default: //eucon:exhaustive-default spec.check rejects unknown kinds before compilation

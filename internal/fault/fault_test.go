@@ -194,6 +194,29 @@ func TestCompileDeterminismAndReuse(t *testing.T) {
 	}
 }
 
+// TestRecompileWithoutDrawsAllocFree: only the drop kinds draw, so only
+// they build a random source; re-compiling a scenario of kinds that never
+// draw reuses the engine's tables and allocates nothing.
+func TestRecompileWithoutDrawsAllocFree(t *testing.T) {
+	shape := Shape{Procs: 8, Tasks: 8, SubsPerTask: []int{1, 1, 1, 1, 1, 1, 1, 1}, Periods: 200, SamplingPeriod: 1000}
+	specs := []Spec{
+		{Kind: ActuatorClamp, Task: All, Magnitude: 0.01},
+		{Kind: FeedbackDelay, Proc: All, Delay: 2},
+	}
+	var e Engine
+	if err := e.Compile(specs, shape, 1); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := e.Compile(specs, shape, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("re-Compile allocates %.1f objects, want 0", allocs)
+	}
+}
+
 func itoa(v int) string {
 	if v < 0 {
 		return "-"

@@ -47,7 +47,7 @@ type QueueStats struct {
 //     ships as one frame per lane drain instead of one frame per period;
 //   - when the queue is full, the oldest queued utilization samples are
 //     shed first (drop-oldest-report) — stale feedback is worthless, and
-//     the controller's hold-last policy absorbs the gap;
+//     the server's hold-last policy absorbs the gap;
 //   - rate commands are never shed in favor of reports: a newer command
 //     replaces a queued older one in place (the modulator applies only
 //     the latest), and when no report can be shed the queue grows past

@@ -469,9 +469,10 @@ func (c *Controller) StepTo(out *StepResult, u, rates []float64) error {
 	}
 	var x []float64 // stacked solution; nil selects the hold rung
 	iters, outcome, relaxed, interior := 0, SolveHeld, false, false
-	// A NaN/Inf measurement or rate reached the solver layer (the EUCON
-	// controller's hold-last policy normally substitutes upstream): no
-	// trustworthy solve is possible, so hold the applied rates.
+	// A NaN/Inf measurement or rate reached the solver layer (the
+	// simulator's and server's hold-last policy, sim.HoldLast, normally
+	// substitutes upstream): no trustworthy solve is possible, so hold the
+	// applied rates.
 	if finiteVec(u) && finiteVec(rates) {
 		c.fillLeastSquaresRHS(u, c.dbuf)
 		c.fillConstraintRHS(u, rates)

@@ -7,7 +7,7 @@ package sim
 // and FixedRates baselines.
 //
 // Optional capabilities are separate interfaces the harnesses probe for:
-// DegradationReporter, ContainmentReporter, and ExplicitReporter.
+// ContainmentReporter and ExplicitReporter.
 type Controller interface {
 	// Name identifies the controller in traces.
 	Name() string
@@ -28,11 +28,10 @@ type Controller interface {
 	SetPoints() []float64
 }
 
-// DegradationReporter is an optional interface a Controller can
-// implement to expose which graceful-degradation policy fired during its
-// most recent Step call. The simulator records the report in the trace's
-// PeriodStats (HeldSamples, ControlSkipped), so experiments can see when
-// and how the controller degraded under feedback faults.
+// DegradationReporter is probed by nothing: missing feedback is handled
+// by HoldLast, whose counts PeriodStats records for every controller. It
+// stays declared only because the closed-loop benchmark's controller
+// wrapper names it; a benchmark-only change removes both.
 type DegradationReporter interface {
 	// LastDegradation reports on the most recent Step call: how many
 	// processor samples were substituted through hold-last-sample, and

@@ -192,10 +192,10 @@ type PeriodStats struct {
 	// FeedbackMissing and FeedbackStale count utilization samples that a
 	// feedback fault dropped or delivered from an earlier period.
 	FeedbackMissing, FeedbackStale int
-	// HeldSamples counts samples the controller substituted through its
-	// hold-last-sample degradation policy this period; ControlSkipped is 1
-	// when it skipped actuation entirely (staleness bound exceeded). Both
-	// come from the controller's DegradationReporter, when implemented.
+	// HeldSamples counts samples the HoldLast policy substituted before
+	// the controller saw them this period; ControlSkipped is 1 when it
+	// skipped the period (staleness bound exceeded) and the rates were held
+	// without a Step.
 	HeldSamples, ControlSkipped int
 	// RateCmdFaults counts task rate commands perturbed by an actuator
 	// fault (drop, delay, or clamp) this period.
@@ -281,10 +281,10 @@ type Simulator struct {
 	ratesBacking []float64
 
 	// faults holds the compiled fault scenario (idle when Config.Faults is
-	// empty); degrade is Config.Controller's optional DegradationReporter
-	// side, cached at Reset so sampling avoids per-period assertions.
-	faults  fault.Engine
-	degrade DegradationReporter
+	// empty); hold is the missing-feedback policy applied to every vector
+	// the controller receives.
+	faults fault.Engine
+	hold   HoldLast
 
 	// Fault-path scratch, sized at Reset only when faults are enabled:
 	// uDeliver is the corrupted utilization vector handed to the
@@ -391,7 +391,15 @@ func (s *Simulator) Reset(cfg Config) error {
 	if cfg.Controller != nil {
 		name = cfg.Controller.Name()
 	}
-	s.degrade, _ = cfg.Controller.(DegradationReporter)
+	var setPoints []float64
+	if cfg.Controller != nil && s.faults.Enabled() {
+		// Only a feedback fault can hide a processor that was never
+		// measured, the one case the policy needs a set point for, so only
+		// faulted runs pay for the copy; the no-fault Reset stays
+		// allocation-free.
+		setPoints = cfg.Controller.SetPoints()
+	}
+	s.hold.Reset(sys.Processors, setPoints)
 	if s.faults.Enabled() {
 		s.uDeliver = growSlice(s.uDeliver, sys.Processors)
 		s.effRates = growSlice(s.effRates, nTasks)
@@ -852,27 +860,29 @@ func (s *Simulator) handleSampling() error {
 	if faulted {
 		uIn = s.deliverFeedback(k, u)
 	}
-	newRates, err := s.cfg.Controller.Step(k, uIn, applied) //eucon:alloc-ok controller boundary: plugged controllers may allocate; the plant does not
-	if err != nil {
-		// A controller failure must not crash the plant: keep current rates.
-		s.trace.Stats.ControllerErrors++
-		if faulted {
-			// Keeping the rates is this period's effective command; record
-			// it so delayed actuation has a source to replay.
-			copy(s.cmdBacking[k*nt:(k+1)*nt], s.rates)
+	uIn, held, skip := s.hold.Apply(uIn)
+	ps := &s.trace.Periods[k]
+	ps.HeldSamples = held
+	newRates := applied
+	if skip {
+		// No trustworthy utilization picture: hold the applied rates.
+		ps.ControlSkipped = 1
+	} else {
+		var err error
+		newRates, err = s.cfg.Controller.Step(k, uIn, applied) //eucon:alloc-ok controller boundary: plugged controllers may allocate; the plant does not
+		if err != nil {
+			// A controller failure must not crash the plant: keep current rates.
+			s.trace.Stats.ControllerErrors++
+			if faulted {
+				// Keeping the rates is this period's effective command; record
+				// it so delayed actuation has a source to replay.
+				copy(s.cmdBacking[k*nt:(k+1)*nt], s.rates)
+			}
+			return nil
 		}
-		return nil
-	}
-	if len(newRates) != len(s.rates) {
-		//eucon:alloc-ok fatal error path, not steady state
-		return fmt.Errorf("sim: controller %s returned %d rates, want %d", s.cfg.Controller.Name(), len(newRates), len(s.rates))
-	}
-	if s.degrade != nil {
-		held, skipped := s.degrade.LastDegradation()
-		ps := &s.trace.Periods[k]
-		ps.HeldSamples = held
-		if skipped {
-			ps.ControlSkipped = 1
+		if len(newRates) != len(s.rates) {
+			//eucon:alloc-ok fatal error path, not steady state
+			return fmt.Errorf("sim: controller %s returned %d rates, want %d", s.cfg.Controller.Name(), len(newRates), len(s.rates))
 		}
 	}
 	if guarded {
@@ -978,9 +988,9 @@ func (s *Simulator) auditPools() int {
 
 // deliverFeedback builds the utilization vector the controller actually
 // receives under the compiled feedback faults: dropped samples become NaN
-// (the controller's hold-last policy takes over), delayed samples replay
-// the recorded measurement of an earlier period, and quantized samples are
-// rounded to the fault's step. The pristine vector u stays in the trace.
+// (HoldLast takes over), delayed samples replay the recorded measurement
+// of an earlier period, and quantized samples are rounded to the fault's
+// step. The pristine vector u stays in the trace.
 //
 //eucon:noalloc
 func (s *Simulator) deliverFeedback(k int, u []float64) []float64 {
