@@ -72,7 +72,7 @@ func run() int {
 		agent.WithETF(sim.ConstantETF(*etf)),
 		agent.WithSamplingPeriod(workload.SamplingPeriod),
 		agent.WithJitter(*jitter),
-		agent.WithSeed(nodeSeed(*seed, *proc)),
+		agent.WithSeed(agent.NodeSeed(*seed, *proc)),
 		agent.WithInterval(*interval),
 		agent.WithCodec(wire),
 		agent.WithSendQueue(*queue),
@@ -97,11 +97,6 @@ func run() int {
 
 // defaultSeed is the -seed default.
 const defaultSeed = 1
-
-// nodeSeed mixes the processor index into the noise seed the way the
-// agent's retry policy does, so a fleet launched with identical flags does
-// not draw identical measurement noise on every node.
-func nodeSeed(seed int64, proc int) int64 { return seed ^ (int64(proc)+1)*0x9e3779b9 }
 
 // parseCodec maps the -codec flag to a lane codec.
 func parseCodec(name string) (lane.Codec, error) {

@@ -189,6 +189,36 @@ func TestServerSkipsPastStalenessBound(t *testing.T) {
 	}
 }
 
+// TestServerHoldsUnreportedMemberAtSetPoint loses one agent's first two
+// reports in lockstep: with no sample of that member yet, the server feeds
+// the controller the member's set point, steps both periods, and switches
+// to the member's own samples once they arrive.
+func TestServerHoldsUnreportedMemberAtSetPoint(t *testing.T) {
+	sys := workload.Simple()
+	ctrl := simpleController(t, sys)
+	sp := ctrl.SetPoints()[1]
+	// Periods 0 and 1: three message indices each (initial send plus the
+	// default policy's two retries).
+	plans := []lane.Plan{nil, dropRange{0, 6}}
+	res := runOK(t, &Fleet{Sys: sys, Ctrl: ctrl,
+		Server: []Option{WithPeriods(5), WithTrace(true), WithPeriodTimeout(100 * time.Millisecond)},
+		Agent: func(p int) []Option {
+			return []Option{WithETF(sim.ConstantETF(0.5)), WithSamplingPeriod(workload.SamplingPeriod),
+				WithTransportFaults(func(int) lane.Plan { return plans[p] })}
+		}})
+	if res.Periods != 5 || res.ControllerErrors != 0 || res.SkippedSteps != 0 {
+		t.Fatalf("periods=%d controller errors=%d skipped=%d, want 5, 0 and 0", res.Periods, res.ControllerErrors, res.SkippedSteps)
+	}
+	for k := 0; k < 2; k++ {
+		if got := res.Utilization[k][1]; got != sp {
+			t.Errorf("period %d P2 utilization = %v, want its set point %v", k, got, sp)
+		}
+	}
+	if got := res.Utilization[2][1]; got == sp || math.IsNaN(got) {
+		t.Errorf("period 2 P2 utilization = %v, want the member's own sample", got)
+	}
+}
+
 // TestClusterLossyTransportConverges drives the full loop through a
 // probabilistic fault.TransportPlan on every agent: with retries on, 5%
 // per-attempt loss is almost always recovered, hold-last absorbs the

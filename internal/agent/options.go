@@ -68,6 +68,19 @@ func retryPolicy(seed int64, p int) lane.RetryPolicy {
 	return lane.RetryPolicy{Seed: seed ^ (int64(p)+1)*0x9e3779b9}
 }
 
+// NodeSeed derives processor p's noise seed from a fleet-wide seed. It is
+// a splitmix64 finalizer, not retryPolicy's XOR: the agent mixes p in again
+// for retry jitter, and two equal XORs would cancel.
+func NodeSeed(seed int64, p int) int64 {
+	z := uint64(seed) + (uint64(p)+1)*0x9e3779b97f4a7c15
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	return int64(z)
+}
+
 // WithCodec selects the wire codec for outgoing frames (incoming frames
 // are always auto-detected, so mixed-codec fleets interoperate). The
 // default is lane.Binary; lane.JSONv0 keeps the v0 JSON wire format.

@@ -58,6 +58,22 @@ func TestAgentRetrySeedDefaultsFromAgentSeed(t *testing.T) {
 	}
 }
 
+// TestNodeSeedKeepsRetryJitterDistinct: a nodeagent fleet started with
+// one -seed hands each agent NodeSeed(seed, p), and the agent mixes p in
+// again for its retry seed. The two mixes must not cancel: 64 such agents
+// still draw distinct first backoffs.
+func TestNodeSeedKeepsRetryJitterDistinct(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42} {
+		seen := make(map[time.Duration]int)
+		for p := 0; p < 64; p++ {
+			seen[retryPolicy(NodeSeed(seed, p), p).JitteredBackoff(0)]++
+		}
+		if len(seen) < 60 {
+			t.Errorf("fleet seed %d: 64 agents share %d first backoffs — rejoin storms stay synchronized", seed, 64-len(seen))
+		}
+	}
+}
+
 // TestServerV2CodecNegotiation drives the hello handshake over a raw lane:
 // a peer whose hello arrives in binary v2 must be answered in v2 (the
 // server flips that lane's outbound codec), while a v1 peer keeps v1 —

@@ -150,10 +150,11 @@ func checkSetPoints(b []float64, processors int) error {
 func (c *Controller) Name() string { return "EUCON" }
 
 // Step implements sim.Controller: one feedback-loop invocation. Missing
-// measurements are the caller's to handle (sim.HoldLast): a NaN in u
-// reaches the MPC, whose non-finite rung holds the rates. The returned
-// slice aliases controller memory the next Step overwrites; it may be
-// passed back as that Step's rates.
+// measurements are the caller's to handle (sim.HoldLast): a vector with a
+// NaN or Inf entry bypasses the measurement filter, whose state it would
+// poison for good, and reaches the MPC, whose non-finite rung holds the
+// rates. The returned slice aliases controller memory the next Step
+// overwrites; it may be passed back as that Step's rates.
 func (c *Controller) Step(_ int, u, rates []float64) ([]float64, error) {
 	if len(u) != c.sys.Processors {
 		return nil, fmt.Errorf("eucon: utilization vector has length %d, want %d", len(u), c.sys.Processors)
@@ -161,7 +162,7 @@ func (c *Controller) Step(_ int, u, rates []float64) ([]float64, error) {
 	if len(rates) != len(c.sys.Tasks) {
 		return nil, fmt.Errorf("eucon: rate vector has length %d, want %d", len(rates), len(c.sys.Tasks))
 	}
-	if a := c.cfg.MeasurementFilter; a > 0 && a < 1 {
+	if a := c.cfg.MeasurementFilter; a > 0 && a < 1 && mat.VecFinite(u) {
 		if c.filtered == nil {
 			c.filtered = append([]float64(nil), u...)
 		} else if len(c.filtered) == len(u) {

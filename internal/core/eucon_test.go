@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"github.com/rtsyslab/eucon/internal/mpc"
 	"github.com/rtsyslab/eucon/internal/sim"
 	"github.com/rtsyslab/eucon/internal/task"
 )
@@ -188,7 +190,7 @@ func TestUpdateSetPointsValidatesLikeNew(t *testing.T) {
 }
 
 // TestStepRejectsMisSizedVectors: a utilization or rate vector of the wrong
-// length is an error, also after a good step has sized the hold-last state.
+// length is an error, also after a good step.
 func TestStepRejectsMisSizedVectors(t *testing.T) {
 	c, err := New(simpleSystem(), nil, Config{})
 	if err != nil {
@@ -312,6 +314,45 @@ func TestMeasurementFilterSmoothsNoise(t *testing.T) {
 	filtered := variation(0.3)
 	if filtered >= unfiltered {
 		t.Fatalf("filtered rate variation %v >= unfiltered %v", filtered, unfiltered)
+	}
+}
+
+// TestFilterSurvivesNaN: a raw NaN sample reaching a filtered controller
+// holds that period's rates and leaves the filter state as a twin's that
+// never saw the NaN row, so the controller steers again as soon as finite
+// samples return.
+func TestFilterSurvivesNaN(t *testing.T) {
+	newFiltered := func() *Controller {
+		c, err := New(simpleSystem(), nil, Config{MeasurementFilter: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	lossy, twin := newFiltered(), newFiltered()
+	step := func(c *Controller, k int, u, r []float64) []float64 {
+		t.Helper()
+		next, err := c.Step(k, u, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]float64(nil), next...)
+	}
+	rates := step(lossy, 0, []float64{0.5, 0.6}, simpleSystem().InitialRates())
+	step(twin, 0, []float64{0.5, 0.6}, simpleSystem().InitialRates())
+	held := step(lossy, 1, []float64{math.NaN(), 0.6}, rates)
+	if lossy.LastOutcome() != mpc.SolveHeld || !slices.Equal(held, rates) {
+		t.Fatalf("NaN step: outcome %v, rates %v; want SolveHeld and the applied %v", lossy.LastOutcome(), held, rates)
+	}
+	if !slices.Equal(lossy.filtered, twin.filtered) {
+		t.Fatalf("filter state after the NaN step = %v, want the twin's %v", lossy.filtered, twin.filtered)
+	}
+	for k, u := range [][]float64{{0.7, 0.65}, {0.75, 0.7}, {0.8, 0.72}} {
+		next := step(lossy, k+2, u, rates)
+		if lossy.LastOutcome() == mpc.SolveHeld || slices.Equal(next, rates) {
+			t.Fatalf("period %d after the NaN: outcome %v, rates %v unchanged; want the loop to steer again", k+2, lossy.LastOutcome(), next)
+		}
+		rates = next
 	}
 }
 

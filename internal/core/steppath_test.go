@@ -25,8 +25,7 @@ func mediumCore(t *testing.T) *core.Controller {
 // copies. Both must command the same bits over the measurements of the
 // MEDIUM dynamic-etf run, an overload burst and a stretch of raw NaN
 // samples, which the MPC's non-finite rung holds (callers normally put
-// sim.HoldLast in front; here the NaN stays in the measurement filter, so
-// every later step holds too).
+// sim.HoldLast in front).
 func TestStepAcceptsItsOwnResultAsRates(t *testing.T) {
 	tr, err := experiments.Run(context.Background(), experiments.Spec{Workload: experiments.WorkloadMedium, ETF: experiments.DynamicETF(), Seed: experiments.DefaultSeed})
 	if err != nil {
@@ -34,7 +33,7 @@ func TestStepAcceptsItsOwnResultAsRates(t *testing.T) {
 	}
 	nan := math.NaN()
 	us := append([][]float64(nil), tr.Utilization...)
-	us = append(us, []float64{1.3, 1.2, 0.5, 0.4}, []float64{4, 4, 4, 4}, []float64{4, 4, 4, 4}, []float64{0.9, 0.9, 0.9, 0.9})
+	us = append(us, []float64{1.3, 1.2, 0.5, 0.4}, []float64{4, 4, 4, 4}, []float64{0.9, 0.9, 0.9, 0.9})
 	for i := 0; i < 6; i++ { // a raw NaN: the MPC's non-finite rung holds the rates
 		us = append(us, []float64{nan, 0.8, 0.8, 0.8})
 	}

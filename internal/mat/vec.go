@@ -37,6 +37,19 @@ func VecScale(s float64, a []float64) []float64 {
 	return out
 }
 
+// VecFinite reports whether every element of v is neither NaN nor
+// infinite.
+//
+//eucon:noalloc
+func VecFinite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Dot returns the inner product of a and b.
 //
 //eucon:noalloc

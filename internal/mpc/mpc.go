@@ -473,11 +473,11 @@ func (c *Controller) StepTo(out *StepResult, u, rates []float64) error {
 	// simulator's and server's hold-last policy, sim.HoldLast, normally
 	// substitutes upstream): no trustworthy solve is possible, so hold the
 	// applied rates.
-	if finiteVec(u) && finiteVec(rates) {
+	if mat.VecFinite(u) && mat.VecFinite(rates) {
 		c.fillLeastSquaresRHS(u, c.dbuf)
 		c.fillConstraintRHS(u, rates)
 		iters, interior = c.lsi.SolveInteriorTo(c.z0, c.dbuf, c.aFull, c.bFull)
-		interior = interior && finiteVec(c.z0[:c.m])
+		interior = interior && mat.VecFinite(c.z0[:c.m])
 		if interior {
 			// The state the iterative solve would leave behind: a non-relaxed
 			// converged solve with an empty active set (SolveInteriorTo
@@ -556,7 +556,7 @@ func (c *Controller) solveIterative(rates []float64) (x []float64, iters int, ou
 		outcome = SolveRelaxed
 	}
 	if err == nil {
-		if !finiteVec(res.X[:c.m]) {
+		if !mat.VecFinite(res.X[:c.m]) {
 			// Belt and braces: a converged solve can still carry non-finite
 			// values if the inputs were poisoned. Holding is the only safe
 			// move.
@@ -569,7 +569,7 @@ func (c *Controller) solveIterative(rates []float64) (x []float64, iters int, ou
 	// active-set method never leaves the feasible region); accept it when it
 	// is finite and nearly stationary.
 	if errors.Is(err, qp.ErrMaxIterations) && res != nil &&
-		res.Stationarity <= bestIterateResidualBound && finiteVec(res.X) {
+		res.Stationarity <= bestIterateResidualBound && mat.VecFinite(res.X) {
 		c.bestIterates++
 		return res.X, res.Iterations, SolveBestIterate, relaxed
 	}
@@ -578,7 +578,7 @@ func (c *Controller) solveIterative(rates []float64) (x []float64, iters int, ou
 	if c.lsiReg != nil {
 		c.boxStart(z0, rates)
 		reg, regErr := c.lsiReg.Solve(c.dregBuf, c.aBox, c.bBox, z0)
-		if reg != nil && finiteVec(reg.X) &&
+		if reg != nil && mat.VecFinite(reg.X) &&
 			(regErr == nil || (errors.Is(regErr, qp.ErrMaxIterations) && reg.Stationarity <= bestIterateResidualBound)) {
 			c.regularized++
 			// The nominal solver's remembered active set describes a solve
@@ -653,7 +653,7 @@ func (c *Controller) finish(out *StepResult, u, rates, x []float64, iters int, o
 	for i := range newRates {
 		r := rates[i]
 		if x == nil {
-			if !finite(r) {
+			if math.IsNaN(r) || math.IsInf(r, 0) {
 				// Never emit non-finite rates, whatever the caller handed us:
 				// fall back to the most conservative end of the box.
 				r = c.rmin[i]
@@ -803,23 +803,6 @@ func (c *Controller) AttachExplicit(law *empc.Law) error {
 	c.law = law
 	c.lastExplicit = SolveOK
 	return nil
-}
-
-// finite reports whether v is neither NaN nor infinite.
-//
-//eucon:noalloc
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-// finiteVec reports whether every element of v is finite.
-//
-//eucon:noalloc
-func finiteVec(v []float64) bool {
-	for _, x := range v {
-		if !finite(x) {
-			return false
-		}
-	}
-	return true
 }
 
 // maxViolation returns the largest constraint violation of A·z ≤ b at z.

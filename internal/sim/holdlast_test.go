@@ -83,9 +83,11 @@ func TestHoldLastNeverMeasured(t *testing.T) {
 }
 
 // stepCounter raises task 0's rate 1% per Step and records which periods
-// it was stepped in and whether any input was NaN.
+// it was stepped in, processor 0's sample in each, and whether any input
+// was NaN.
 type stepCounter struct {
 	stepped []int
+	u0      []float64
 	sawNaN  bool
 	buf     []float64
 }
@@ -96,6 +98,7 @@ func (*stepCounter) SetPoints() []float64 { return []float64{0.5} }
 
 func (c *stepCounter) Step(k int, u, rates []float64) ([]float64, error) {
 	c.stepped = append(c.stepped, k)
+	c.u0 = append(c.u0, u[0])
 	for _, x := range u {
 		c.sawNaN = c.sawNaN || math.IsNaN(x)
 	}
@@ -144,5 +147,36 @@ func TestSimulatorSkipsPastBound(t *testing.T) {
 	}
 	if got, want := len(ctrl.stepped), len(tr.Periods)-len(skipped); got != want {
 		t.Errorf("controller stepped %d times, want %d", got, want)
+	}
+}
+
+// TestSimulatorHoldsNeverMeasuredAtSetPoint drops processor 0's feedback
+// from the first period on: the simulator hands the controller its own
+// set point (SetPoints, fetched at Reset for faulted runs) for every lost
+// sample, steps every period, and the first real sample replaces it.
+func TestSimulatorHoldsNeverMeasuredAtSetPoint(t *testing.T) {
+	ctrl := &stepCounter{}
+	tr := mustRun(t, Config{
+		System:         oneTaskSystem(10, 0.01),
+		SamplingPeriod: 1000,
+		Periods:        4 + 2*StalenessBound,
+		Controller:     ctrl,
+		Faults:         []fault.Spec{{Kind: fault.FeedbackDrop, Proc: 0, Task: fault.All, Sub: fault.All, Start: 0, Stop: 2 * StalenessBound, Magnitude: 1}},
+	})
+	if len(ctrl.stepped) != len(tr.Periods) {
+		t.Fatalf("controller stepped %d of %d periods; a never-measured processor must not skip", len(ctrl.stepped), len(tr.Periods))
+	}
+	sp := ctrl.SetPoints()[0]
+	for k, ps := range tr.Periods {
+		want, wantHeld := tr.Utilization[k][0], 0
+		if k < 2*StalenessBound {
+			want, wantHeld = sp, 1
+		}
+		if got := ctrl.u0[k]; got != want {
+			t.Errorf("period %d: controller saw %g, want %g", k, got, want)
+		}
+		if ps.HeldSamples != wantHeld || ps.ControlSkipped != 0 {
+			t.Errorf("period %d: HeldSamples %d, ControlSkipped %d; want %d, 0", k, ps.HeldSamples, ps.ControlSkipped, wantHeld)
+		}
 	}
 }

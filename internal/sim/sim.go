@@ -393,10 +393,10 @@ func (s *Simulator) Reset(cfg Config) error {
 	}
 	var setPoints []float64
 	if cfg.Controller != nil && s.faults.Enabled() {
-		// Only a feedback fault can hide a processor that was never
-		// measured, the one case the policy needs a set point for, so only
-		// faulted runs pay for the copy; the no-fault Reset stays
-		// allocation-free.
+		// Only a feedback fault can hide a never-measured processor, the
+		// one case needing a set point: otherwise period 0 is measured
+		// under the validated initial rates. Only faulted runs pay for
+		// the copy; the no-fault Reset stays allocation-free.
 		setPoints = cfg.Controller.SetPoints()
 	}
 	s.hold.Reset(sys.Processors, setPoints)
