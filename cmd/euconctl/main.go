@@ -40,7 +40,7 @@ func run() int {
 	name := flag.String("workload", "simple", "workload: simple or medium")
 	ctrlName := flag.String("controller", "eucon", "controller: eucon or open")
 	periods := flag.Int("periods", 100, "number of sampling periods to run (0 = until interrupted)")
-	codec := flag.String("codec", "binary", "wire codec for outgoing frames: binary, binary2 (delta-compacted rates), or json")
+	codec := flag.String("codec", "binary", "wire codec: binary, binary2, or json (the same on euconctl and every nodeagent)")
 	queue := flag.Int("queue", lane.DefaultQueueDepth, "per-member send-queue depth (frames)")
 	membership := flag.Duration("membership-timeout", agent.DefaultMembershipTimeout, "evict members silent this long")
 	periodTimeout := flag.Duration("period-timeout", agent.DefaultPeriodTimeout, "step with hold-last substitutes after waiting this long for reports")
@@ -75,7 +75,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "euconctl: %v\n", err)
 		return 1
 	}
-	wire, err := parseCodec(*codec)
+	wire, err := lane.ParseCodec(*codec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "euconctl: %v\n", err)
 		return 2
@@ -141,18 +141,4 @@ func run() int {
 		}
 	}
 	return 0
-}
-
-// parseCodec maps the -codec flag to a lane codec.
-func parseCodec(name string) (lane.Codec, error) {
-	switch name {
-	case "binary":
-		return lane.Binary, nil
-	case "binary2":
-		return lane.BinaryV2, nil
-	case "json":
-		return lane.JSONv0, nil
-	default:
-		return nil, fmt.Errorf("unknown codec %q (want binary, binary2, or json)", name)
-	}
 }

@@ -58,7 +58,7 @@ func run(args []string) int {
 	periods := fs.Int("periods", 200, "sampling periods to run")
 	crashes := fs.Int("crashes", 8, "agent crash/rejoin cycles to inject across the run")
 	queue := fs.Int("queue", lane.DefaultQueueDepth, "per-peer send-queue depth (frames)")
-	codecName := fs.String("codec", "binary", "wire codec: binary, binary2 (delta-compacted rates), or json")
+	codecName := fs.String("codec", "binary", "wire codec: binary, binary2, or json")
 	ctrlName := fs.String("controller", "deucon", "controller: deucon (localized, scales) or eucon (centralized MPC)")
 	periodTimeout := fs.Duration("period-timeout", 10*time.Second, "server step deadline per period")
 	interval := fs.Duration("interval", 0, "free-running sampling period pace (0 = lockstep, as fast as the lanes allow)")
@@ -74,9 +74,9 @@ func run(args []string) int {
 	if *smoke {
 		*agents, *periods, *crashes = 64, 50, 2
 	}
-	codec, ok := map[string]lane.Codec{"binary": lane.Binary, "binary2": lane.BinaryV2, "json": lane.JSONv0}[*codecName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "euconfarm: unknown codec %q\n", *codecName)
+	codec, err := lane.ParseCodec(*codecName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "euconfarm: %v\n", err)
 		return 2
 	}
 	plan, err := fault.ParseTransportPlan(*faultSpec)

@@ -36,7 +36,7 @@ func run() int {
 	jitter := flag.Float64("jitter", 0, "uniform relative noise on measured utilization, in [0, 1)")
 	interval := flag.Duration("interval", 50*time.Millisecond, "real-time duration of one sampling period (0 = lockstep)")
 	seed := flag.Int64("seed", defaultSeed, "noise seed, mixed with -proc so every node of a fleet draws its own noise")
-	codec := flag.String("codec", "binary", "wire codec for outgoing frames: binary, binary2 (delta-compacted rates), or json")
+	codec := flag.String("codec", "binary", "wire codec: binary, binary2, or json (the same on euconctl and every nodeagent)")
 	queue := flag.Int("queue", lane.DefaultQueueDepth, "outbound send-queue depth (frames)")
 	faultSpec := flag.String("transport-faults", "", "inject transport faults on outbound reports, e.g. drop=0.05,delay=10ms,delayprob=0.5,seed=7 (reseeded per processor)")
 	drift := flag.Float64("drift", 0, "clock rate error for free-running pacing: +0.01 samples 1% fast, -0.01 1% slow")
@@ -53,7 +53,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "nodeagent: unknown workload %q\n", *name)
 		return 2
 	}
-	wire, err := parseCodec(*codec)
+	wire, err := lane.ParseCodec(*codec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nodeagent: %v\n", err)
 		return 2
@@ -97,17 +97,3 @@ func run() int {
 
 // defaultSeed is the -seed default.
 const defaultSeed = 1
-
-// parseCodec maps the -codec flag to a lane codec.
-func parseCodec(name string) (lane.Codec, error) {
-	switch name {
-	case "binary":
-		return lane.Binary, nil
-	case "binary2":
-		return lane.BinaryV2, nil
-	case "json":
-		return lane.JSONv0, nil
-	default:
-		return nil, fmt.Errorf("unknown codec %q (want binary, binary2, or json)", name)
-	}
-}

@@ -15,8 +15,9 @@ import (
 // RunAgent runs one node agent against a Server: it dials addr, joins
 // with a hello for the given processor, and participates in the feedback
 // loop until the server says shutdown, the lane fails, or ctx is
-// canceled (which returns nil — cancellation is the normal way to stop
-// an agent; harnesses use it to inject crashes).
+// canceled (which closes the lane at once and returns nil — cancellation
+// is the normal way to stop an agent; harnesses use it to inject
+// crashes).
 //
 // The agent hosts the synthetic plant of this package: utilization is
 // Σ c_i·r_i over the subtasks hosted on its processor, scaled by the ETF
@@ -45,6 +46,12 @@ func RunAgent(ctx context.Context, sys *task.System, processor int, addr string,
 		return err
 	}
 	defer func() { _ = conn.Close() }()
+	// Canceling ctx closes the lane at once: a receive blocked on the
+	// join-ack or the next rates frame returns instead of sitting out its
+	// I/O timeout, and the server reads EOF rather than waiting a whole
+	// period timeout for a report that will never come.
+	stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
+	defer stop()
 
 	// Outbound frames go through the bounded queue; reports additionally
 	// pass the fault plan (when configured) and the retry policy. A report
@@ -98,6 +105,9 @@ func RunAgent(ctx context.Context, sys *task.System, processor int, addr string,
 	// the period to report first.
 	var m lane.Message
 	if err := conn.ReceiveInto(&m, opt.ioTimeout); err != nil {
+		if ctx.Err() != nil {
+			return nil
+		}
 		return fmt.Errorf("agent: node P%d join ack: %w", processor+1, err)
 	}
 	if m.Type == lane.TypeShutdown {
@@ -112,14 +122,19 @@ func RunAgent(ctx context.Context, sys *task.System, processor int, addr string,
 	next := m.Rates.Period
 
 	if opt.interval > 0 {
-		return runFree(ctx, conn, queue, &opt, processor, next, measure, rates)
+		err = runFree(ctx, conn, queue, &opt, processor, next, measure, rates)
+	} else {
+		err = runLockstep(conn, queue, &opt, processor, next, measure, rates)
 	}
-	return runLockstep(ctx, conn, queue, &opt, processor, next, measure, rates)
+	if ctx.Err() != nil {
+		return nil // canceled: the harness's way to crash an agent
+	}
+	return err
 }
 
 // runLockstep reports period k, waits for the server's period-k rates,
 // then advances — the paper's sequence, as fast as the lanes allow.
-func runLockstep(ctx context.Context, conn *lane.Conn, queue *lane.SendQueue, opt *Options,
+func runLockstep(conn *lane.Conn, queue *lane.SendQueue, opt *Options,
 	processor, next int, measure func(int) float64, rates []float64) error {
 	// applied tracks the newest period whose rates have been applied; under
 	// a faulty transport, duplicated or reordered frames can deliver an
@@ -128,18 +143,12 @@ func runLockstep(ctx context.Context, conn *lane.Conn, queue *lane.SendQueue, op
 	applied := next - 1
 	var m lane.Message
 	for {
-		if err := ctx.Err(); err != nil {
-			return nil // canceled: the harness's way to crash an agent
-		}
 		if err := queue.EnqueueSample(processor, next, measure(next)); err != nil {
 			return err
 		}
 		sentAt := time.Now() //eucon:wallclock-ok operational latency metric, never feeds control output
 		for {
 			if err := conn.ReceiveInto(&m, opt.ioTimeout); err != nil {
-				if ctx.Err() != nil {
-					return nil
-				}
 				return fmt.Errorf("agent: node P%d: %w", processor+1, err)
 			}
 			if m.Type == lane.TypeShutdown {

@@ -81,9 +81,11 @@ func NodeSeed(seed int64, p int) int64 {
 	return int64(z)
 }
 
-// WithCodec selects the wire codec for outgoing frames (incoming frames
-// are always auto-detected, so mixed-codec fleets interoperate). The
-// default is lane.Binary; lane.JSONv0 keeps the v0 JSON wire format.
+// WithCodec selects the wire codec of every lane, in both directions. A
+// Server and its agents must all use the same one: the Server refuses an
+// agent whose hello is framed in another codec. The default is
+// lane.Binary; lane.BinaryV2 encodes rates with varints, and lane.JSONv0
+// keeps the v0 JSON wire format.
 func WithCodec(c lane.Codec) Option {
 	return func(o *Options) {
 		if c != nil {
@@ -210,11 +212,10 @@ func WithClock(c Clock) Option {
 // WithTransportFaults injects per-processor transport faults: plan(p)
 // returns the fault plan for processor p's lane (nil for a clean lane).
 // On a Server it faults the outbound rate lanes: dropped rate frames
-// exercise the agents' stale-frame tolerance and the delta codec's resync
-// path; duplicates and reorders exercise frame idempotence. On a node
-// agent it faults the agent's outbound reports: a report still lost after
-// retries is abandoned, and the Server holds the member's last report in
-// its place. Derive per-lane plans from one template with
+// exercise the agents' stale-frame tolerance; duplicates and reorders
+// exercise frame idempotence. On a node agent it faults the agent's
+// outbound reports: a report still lost after retries is abandoned, and
+// the Server holds the member's last report in its place. Derive per-lane plans from one template with
 // fault.TransportPlan.ForLane so loss patterns decorrelate across peers
 // and directions.
 func WithTransportFaults(plan func(processor int) lane.Plan) Option {

@@ -2,7 +2,10 @@ package agent
 
 import (
 	"context"
+	"errors"
+	"io"
 	"math"
+	"net"
 	"testing"
 	"time"
 
@@ -74,60 +77,14 @@ func TestNodeSeedKeepsRetryJitterDistinct(t *testing.T) {
 	}
 }
 
-// TestServerV2CodecNegotiation drives the hello handshake over a raw lane:
-// a peer whose hello arrives in binary v2 must be answered in v2 (the
-// server flips that lane's outbound codec), while a v1 peer keeps v1 —
-// negotiation is per lane, keyed on the hello frame's version byte.
-func TestServerV2CodecNegotiation(t *testing.T) {
-	sys := workload.Simple()
-	srv, addr, done := startServer(t, sys, simpleController(t, sys),
-		WithPeriodTimeout(100*time.Millisecond))
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		res, err := srv.Run(ctx)
-		done <- serverOutcome{res, err}
-	}()
-
-	for _, tc := range []struct {
-		name  string
-		codec lane.Codec
-		proc  int
-		want  byte
-	}{
-		{"v2-hello-gets-v2-ack", lane.BinaryV2, 0, lane.FrameVersionBinaryV2},
-		{"v1-hello-gets-v1-ack", lane.Binary, 1, lane.FrameVersionBinary},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			conn, err := lane.Dial(addr, time.Second, lane.WithConnCodec(tc.codec))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() { _ = conn.Close() }()
-			hello := &lane.Message{Type: lane.TypeHello, Hello: lane.Hello{Processor: tc.proc, Node: tc.name}}
-			if err := conn.Send(hello, time.Second); err != nil {
-				t.Fatal(err)
-			}
-			ack, err := conn.Receive(2 * time.Second)
-			if err != nil || ack.Type != lane.TypeRates {
-				t.Fatalf("join ack = %+v, %v; want rates", ack, err)
-			}
-			if got := conn.LastFrameVersion(); got != tc.want {
-				t.Fatalf("ack frame version = 0x%02x, want 0x%02x", got, tc.want)
-			}
-		})
-	}
-	cancel()
-	<-done
-}
-
-// TestServerV2DeltaConvergesUnderDupAndReorder is the delta-compaction
-// end-to-end check: a fully v2 fleet converges to the set points while the
-// server's outbound rate lanes duplicate and reorder frames and the
-// agents' reports cross a lossy plan. Stale-frame guards make duplicated
-// and displaced rate frames idempotent; if delta subsetting desynchronized
-// agent state, the plant would actuate wrong rates and the tail would miss
-// the set points.
-func TestServerV2DeltaConvergesUnderDupAndReorder(t *testing.T) {
+// TestServerV2ConvergesUnderDupAndReorder: a fully v2 fleet converges to
+// the set points while the server's outbound rate lanes duplicate and
+// reorder frames and the agents' reports cross a lossy plan. Every rates
+// frame carries absolute values for all hosted tasks, and the agents'
+// stale-frame guard makes duplicated and displaced frames idempotent; if
+// either failed, the plant would actuate wrong rates and the tail would
+// miss the set points.
+func TestServerV2ConvergesUnderDupAndReorder(t *testing.T) {
 	sys := workload.Simple()
 	template := fault.TransportPlan{DupProb: 0.15, ReorderProb: 0.08, Seed: 11}
 	res := runOK(t, &Fleet{Sys: sys, Ctrl: simpleController(t, sys),
@@ -166,27 +123,115 @@ func TestServerV2DeltaConvergesUnderDupAndReorder(t *testing.T) {
 	}
 }
 
-// TestServerMixedCodecFleetConverges runs one v2 agent, one v1 agent, and
-// the v1 default on the server: per-frame auto-detection plus per-lane
-// negotiation must let the codecs interleave on one fleet with no loss of
-// control quality.
-func TestServerMixedCodecFleetConverges(t *testing.T) {
-	sys := workload.Simple()
-	codecs := []lane.Codec{lane.BinaryV2, lane.JSONv0}
-	res := runOK(t, &Fleet{Sys: sys, Ctrl: simpleController(t, sys),
-		Server: []Option{WithPeriods(60), WithTrace(true), WithPeriodTimeout(5 * time.Second)},
-		Agent: func(p int) []Option {
-			return []Option{WithETF(sim.ConstantETF(1)), WithCodec(codecs[p%len(codecs)])}
-		}})
-	if res.Periods != 60 || res.Joins != sys.Processors {
-		t.Fatalf("periods=%d joins=%d, want 60 and %d", res.Periods, res.Joins, sys.Processors)
+// TestMismatchedCodecLaneFailsClosed: a lane has one codec, fixed at both
+// ends, so an agent framing in another codec than the server's is refused
+// at its hello. The agent fails fast with an error instead of joining on
+// frames the server would misread, no join is booked, and the server keeps
+// running.
+func TestMismatchedCodecLaneFailsClosed(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		server, agent lane.Codec
+	}{
+		{"v1-server-v2-agent", lane.Binary, lane.BinaryV2},
+		{"v2-server-v1-agent", lane.BinaryV2, lane.Binary},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := workload.Simple()
+			srv, addr, done := startServer(t, sys, simpleController(t, sys),
+				WithPeriodTimeout(100*time.Millisecond), WithCodec(tc.server))
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			go func() {
+				res, err := srv.Run(ctx)
+				done <- serverOutcome{res, err}
+			}()
+
+			const ioTimeout = 3 * time.Second
+			start := time.Now() //eucon:wallclock-ok measuring how fast the agent fails
+			err := RunAgent(ctx, sys, 0, addr, WithCodec(tc.agent), WithIOTimeout(ioTimeout))
+			elapsed := time.Since(start) //eucon:wallclock-ok measuring how fast the agent fails
+			if err == nil {
+				t.Fatal("agent on a mismatched codec returned nil, want an error")
+			}
+			if elapsed >= ioTimeout {
+				t.Fatalf("agent took %v to fail, want under its %v I/O timeout", elapsed, ioTimeout)
+			}
+			select {
+			case out := <-done:
+				t.Fatalf("server stopped after a mismatched lane: %+v", out)
+			default:
+			}
+			cancel()
+			out := <-done
+			if out.err != nil {
+				t.Fatal(out.err)
+			}
+			if out.res.Joins != 0 || out.res.Rejoins != 0 {
+				t.Fatalf("joins=%d rejoins=%d, want a mismatched lane never admitted", out.res.Joins, out.res.Rejoins)
+			}
+		})
 	}
-	sp := simpleController(t, sys).SetPoints()
-	final := res.Utilization[len(res.Utilization)-1]
-	for p, v := range final {
-		if math.Abs(v-sp[p]) > 0.05 {
-			t.Errorf("u(P%d) converged to %.4f, want %.4f ± 0.05", p+1, v, sp[p])
+}
+
+// TestCanceledAgentClosesLane: canceling an agent closes its lane at once,
+// even while it is blocked waiting for rates. Otherwise it sits out its
+// whole I/O timeout, and the server waits on a member that is still
+// connected but will never report. A raw server acks the hello and then
+// stays silent.
+func TestCanceledAgentClosesLane(t *testing.T) {
+	sys := workload.Simple()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ln.Close() }()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	agentDone := make(chan error, 1)
+	go func() {
+		agentDone <- RunAgent(ctx, sys, 0, ln.Addr().String(), WithIOTimeout(10*time.Second))
+	}()
+
+	nc, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := lane.NewConn(nc)
+	defer func() { _ = conn.Close() }()
+	var m lane.Message
+	if err := conn.ReceiveInto(&m, 5*time.Second); err != nil || m.Type != lane.TypeHello {
+		t.Fatalf("first frame = %v, %v; want hello", m.Type, err)
+	}
+	ack := &lane.Message{Type: lane.TypeRates, Rates: lane.Rates{Period: 0, Values: sys.InitialRates()}}
+	if err := conn.Send(ack, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// The agent's period-0 report proves it is past the join-ack and
+	// blocked waiting for period-0 rates that never come.
+	if err := conn.ReceiveInto(&m, 5*time.Second); err != nil || m.Type != lane.TypeUtilizationBatch {
+		t.Fatalf("second frame = %v, %v; want a report", m.Type, err)
+	}
+
+	cancel()
+	select {
+	case err := <-agentDone:
+		if err != nil {
+			t.Fatalf("canceled agent returned %v, want nil", err)
 		}
+	case <-time.After(time.Second):
+		t.Fatal("canceled agent still blocked after 1s")
+	}
+	for {
+		err := conn.ReceiveInto(&m, 5*time.Second)
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, io.EOF) {
+			t.Fatalf("server side read %v, want EOF", err)
+		}
+		break
 	}
 }
 

@@ -36,7 +36,6 @@ type srvEvent struct {
 	kind  eventKind
 	conn  *lane.Conn
 	hello lane.Hello
-	v2    bool                  // evJoin: the hello arrived in binary v2
 	batch lane.UtilizationBatch // samples are a private copy
 	err   error                 // evLeave: nil for a clean shutdown notice
 }
@@ -49,95 +48,24 @@ type member struct {
 	tasks []int32 // hosted task indices, immutable once built
 }
 
-// deltaKeyframeEvery bounds how many delta-compacted rate frames a v2 lane
-// sends between full frames. A lost or reordered delta can leave the agent
-// holding stale rates for the tasks that frame touched; the next keyframe
-// restores every hosted task, so the divergence window is at most this
-// many periods.
-const deltaKeyframeEvery = 16
-
-// rateDelta compacts successive rate frames for one binary-v2 member:
-// values unchanged since the previous frame handed to the transport are
-// omitted (most rates repeat period to period once the fleet converges, so
-// the common frame shrinks to a few bytes), with periodic keyframes and an
-// explicit resync after an injected drop. Owned by the member's queue
-// writer goroutine; never shared.
-type rateDelta struct {
-	tasks    []int32   // the member's hosted tasks, immutable, ascending
-	last     []float64 // values as of the last frame handed to the transport
-	haveLast bool
-	sinceKey int
-	resync   bool
-	tbuf     []int32
-	vbuf     []float64
-}
-
-func newRateDelta(tasks []int32) *rateDelta {
-	return &rateDelta{
-		tasks: tasks,
-		last:  make([]float64, len(tasks)),
-		tbuf:  make([]int32, 0, len(tasks)), // non-nil: an empty delta is a sparse frame, not a full vector
-		vbuf:  make([]float64, 0, len(tasks)),
-	}
-}
-
-// shrink rewrites m in place to the changed-value subset when eligible and
-// returns a restore function putting the original slices back (the queue
-// recycles them after the send). The frame's values are recorded
-// optimistically; a send that turns out dropped must flag resync so the
-// next frame is full.
-func (d *rateDelta) shrink(m *lane.Message) func() {
-	vals := m.Rates.Values
-	if !d.haveLast || d.resync || d.sinceKey >= deltaKeyframeEvery || len(vals) != len(d.tasks) {
-		copy(d.last, vals)
-		d.haveLast = len(vals) == len(d.tasks)
-		d.resync = false
-		d.sinceKey = 0
-		return func() {}
-	}
-	d.sinceKey++
-	d.tbuf = d.tbuf[:0]
-	d.vbuf = d.vbuf[:0]
-	for i, t := range d.tasks {
-		if vals[i] != d.last[i] { //eucon:float-exact delta keys on bit-identical repetition; any numeric change must be resent
-			d.tbuf = append(d.tbuf, t)
-			d.vbuf = append(d.vbuf, vals[i])
-			d.last[i] = vals[i]
-		}
-	}
-	origT, origV := m.Rates.Tasks, m.Rates.Values
-	m.Rates.Tasks, m.Rates.Values = d.tbuf, d.vbuf
-	return func() { m.Rates.Tasks, m.Rates.Values = origT, origV }
-}
-
 // sendFuncFor builds a member's queue SendFunc: plain sends on a clean
 // lane; retry plus tolerated-drop accounting when a per-peer fault plan is
-// installed; delta compaction of rate frames when the peer negotiated
-// binary v2. The function runs serially on the member's queue writer
-// goroutine.
-func (s *Server) sendFuncFor(sender lane.Sender, faulty, v2 bool, p int, tasks []int32, injected *atomic.Uint64) lane.SendFunc {
+// installed. Every rates frame carries the member's full set of hosted
+// tasks as absolute values, so a lost, duplicated or reordered frame is
+// repaired by the next one. The function runs serially on the member's
+// queue writer goroutine.
+func (s *Server) sendFuncFor(sender lane.Sender, faulty bool, p int, injected *atomic.Uint64) lane.SendFunc {
 	retry := retryPolicy(s.opt.seed, p)
-	var compact *rateDelta
-	if v2 {
-		compact = newRateDelta(tasks)
-	}
 	return func(ctx context.Context, m *lane.Message) error {
-		if compact != nil && m.Type == lane.TypeRates {
-			restore := compact.shrink(m)
-			defer restore()
-		}
 		if !faulty {
 			return sender.Send(m, s.opt.ioTimeout)
 		}
 		err := lane.SendRetry(ctx, sender, m, s.opt.ioTimeout, retry)
 		if errors.Is(err, lane.ErrInjectedDrop) {
 			// Lost to the fault plan even after retries: tolerated. The
-			// agent rides out the missed actuation on its current rates; a
-			// v2 lane resynchronizes with a full frame next period.
+			// agent rides out the missed actuation on its current rates
+			// until the next frame.
 			injected.Add(1)
-			if compact != nil {
-				compact.resync = true
-			}
 			return nil
 		}
 		return err
@@ -293,11 +221,7 @@ func (s *Server) serveLane(ctx context.Context, conn *lane.Conn) {
 		_ = conn.Close()
 		return
 	}
-	// A hello framed in binary v2 advertises that this peer decodes v2:
-	// the control loop switches the lane's outbound codec and enables
-	// delta-compacted rate frames in response.
-	v2 := conn.LastFrameVersion() == lane.FrameVersionBinaryV2
-	if !s.post(ctx, srvEvent{kind: evJoin, conn: conn, hello: m.Hello, v2: v2}) {
+	if !s.post(ctx, srvEvent{kind: evJoin, conn: conn, hello: m.Hello}) {
 		_ = conn.Close()
 		return
 	}
@@ -520,9 +444,6 @@ func (s *Server) control(ctx context.Context) (*ServerResult, error) {
 					conn:  ev.conn,
 					tasks: hostedTasks(s.sys, p),
 				}
-				if ev.v2 {
-					ev.conn.SetCodec(lane.BinaryV2)
-				}
 				var sender lane.Sender = ev.conn
 				faulty := false
 				if s.opt.peerFaults != nil {
@@ -532,7 +453,7 @@ func (s *Server) control(ctx context.Context) (*ServerResult, error) {
 					}
 				}
 				mb.queue = lane.NewSendQueue(
-					s.sendFuncFor(sender, faulty, ev.v2, p, mb.tasks, &injectedDrops),
+					s.sendFuncFor(sender, faulty, p, &injectedDrops),
 					s.opt.queueDepth)
 				mb.queue.Start(ctx)
 				members[p] = mb

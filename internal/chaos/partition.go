@@ -42,8 +42,8 @@ const (
 // goodbye) and heals it at Stop (a fresh agent rejoins); FeedbackDrop
 // installs seeded probabilistic loss on the processor's lanes — both
 // directions, so report loss exercises hold-last substitution and rate
-// loss exercises the agents' stale-frame tolerance and the v2 delta
-// resync — active only while the server's period is inside the window.
+// loss exercises the agents' stale-frame tolerance — active only while
+// the server's period is inside the window.
 //
 // The invariant set: the run completes without a server error (a
 // controller restart would surface exactly there), the membership ledger
@@ -85,9 +85,10 @@ func checkPartition(ctx context.Context, specs []fault.Spec, opts Options) (prob
 			agent.WithMembershipTimeout(partitionMembershipTimeout),
 			agent.WithIOTimeout(partitionIOTimeout),
 			agent.WithTrace(true),
+			agent.WithCodec(lane.BinaryV2),
 		},
 		Agent: func(p int) []agent.Option {
-			// Binary v2: the delta-compacted rate path runs under the loss.
+			// Binary v2 on both ends: the varint rate path runs under the loss.
 			return []agent.Option{
 				agent.WithETF(sim.ConstantETF(1)),
 				agent.WithSamplingPeriod(workload.SamplingPeriod),

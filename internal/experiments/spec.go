@@ -213,21 +213,11 @@ func runWith(ctx context.Context, spec Spec, sys *task.System, wp workloadParams
 
 // Sweep runs spec once per execution-time factor, serially in the caller's
 // goroutine, and summarizes P1's steady-state utilization per point — the
-// Figure 4/5 series. Results are identical to SweepParallel with any
-// worker count.
+// Figure 4/5 series. It is SweepParallel at one worker, so its results are
+// identical to SweepParallel's with any worker count.
 func Sweep(ctx context.Context, spec Spec, etfs []float64) ([]SweepPoint, error) {
-	spec = spec.normalized()
-	sw, err := newSweep(spec, etfs)
-	if err != nil {
-		return nil, err
-	}
-	w := sw.newWorker()
-	for job := 0; job < sw.jobs(); job++ {
-		if err := w.run(ctx, job); err != nil {
-			return nil, err
-		}
-	}
-	return sw.points()
+	spec.Parallelism = 1
+	return SweepParallel(ctx, spec, etfs)
 }
 
 // SweepParallel is Sweep fanned across a worker pool: the (etf,

@@ -31,15 +31,30 @@ type Codec interface {
 // decode with zero allocations into reused buffers.
 var Binary Codec = binaryCodec{}
 
-// JSONv0 is the human-readable JSON fallback codec, kept for debugging
-// and for migrating mixed fleets (receivers auto-detect the codec per
-// frame). One JSON object per body, e.g.
+// JSONv0 is the human-readable JSON fallback codec, kept for debugging.
+// One JSON object per body, e.g.
 //
 //	{"type":"rates","rates":{"period":7,"values":[0.5,1.2]}}
 var JSONv0 Codec = jsonCodec{}
 
+// ParseCodec maps a codec's command-line name — binary, binary2 or json —
+// to the codec.
+func ParseCodec(name string) (Codec, error) {
+	switch name {
+	case "binary":
+		return Binary, nil
+	case "binary2":
+		return BinaryV2, nil
+	case "json":
+		return JSONv0, nil
+	default:
+		return nil, fmt.Errorf("unknown codec %q (want binary, binary2, or json)", name)
+	}
+}
+
 // binaryVersion tags binary v1 bodies. It must never collide with '{'
-// (0x7b), the first byte of a JSON body, for auto-detection to work.
+// (0x7b), the first byte of a JSON body, so a JSON peer on a binary lane
+// fails closed at the version byte.
 const binaryVersion = 0x01
 
 // maxBinaryCount bounds any element count a binary frame can legally
@@ -173,7 +188,12 @@ func decodeRatesV1Payload(d *decoder, m *Message) error {
 	r.Tasks = r.Tasks[:0]
 	if sparse {
 		for i := 0; i < n && d.err == nil; i++ {
-			r.Tasks = append(r.Tasks, int32(d.u32("rates task index")))
+			t := d.u32("rates task index")
+			if t > math.MaxInt32 {
+				d.err = fmt.Errorf("%w: rates task index %d exceeds int32", ErrMalformedFrame, t)
+				break
+			}
+			r.Tasks = append(r.Tasks, int32(t))
 		}
 		if r.Tasks == nil {
 			r.Tasks = []int32{} // keep sparse-with-no-tasks distinct from full-vector
@@ -269,7 +289,11 @@ func (d *decoder) f64(what string) float64 {
 // actually remaining (elemSize per element), so a hostile count can never
 // drive a large allocation or a long loop over a short body.
 func (d *decoder) count(what string, elemSize int) int {
-	n := d.u32(what)
+	return d.fits(what, d.u32(what), elemSize)
+}
+
+// fits validates an element count n just read (see count).
+func (d *decoder) fits(what string, n, elemSize int) int {
 	if d.err != nil {
 		return 0
 	}
@@ -423,5 +447,35 @@ func (jsonCodec) Decode(body []byte, m *Message) error {
 	default:
 		return fmt.Errorf("%w: unknown message type %q", ErrMalformedFrame, f.Type)
 	}
+	if !binaryFits(m) {
+		return fmt.Errorf("%w: %s frame field outside the binary wire ranges", ErrMalformedFrame, m.Type)
+	}
 	return nil
+}
+
+// binaryFits reports whether every field of m fits the binary wire format
+// — uint32 indices and periods, uint16-length strings, one value per
+// sparse task — so a JSON frame can carry nothing a binary frame cannot.
+func binaryFits(m *Message) bool {
+	u32 := func(v int) bool { return v >= 0 && int64(v) <= math.MaxUint32 }
+	switch m.Type {
+	case TypeHello:
+		return u32(m.Hello.Processor) && len(m.Hello.Node) <= math.MaxUint16
+	case TypeUtilizationBatch:
+		return u32(m.Batch.Processor) && u32(m.Batch.First)
+	case TypeRates:
+		if m.Rates.Tasks != nil && len(m.Rates.Tasks) != len(m.Rates.Values) {
+			return false
+		}
+		for _, t := range m.Rates.Tasks {
+			if t < 0 {
+				return false
+			}
+		}
+		return u32(m.Rates.Period)
+	case TypeShutdown:
+		return len(m.Shutdown.Reason) <= math.MaxUint16
+	default: //eucon:exhaustive-default only decoded types reach here
+		return false
+	}
 }

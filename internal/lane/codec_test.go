@@ -1,10 +1,13 @@
 package lane
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
+	"net"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // messageFixtures covers every message type, including sparse rates and
@@ -174,9 +177,18 @@ func TestDecodeMalformedFailsClosed(t *testing.T) {
 			b = append(b, 0x7f, 0xff, 0xff, 0xff)
 			return b
 		}()},
+		{"task-index-overflow", func() []byte {
+			// A sparse v1 rates frame naming task 2^32-1, which no int32
+			// task index can hold.
+			b := []byte{binaryVersion, byte(TypeRates), 0, 0, 0, 9, rateFlagSparse, 0, 0, 0, 1}
+			b = append(b, 0xff, 0xff, 0xff, 0xff)
+			return append(b, 0, 0, 0, 0, 0, 0, 0, 0)
+		}()},
 		{"json-truncated", []byte(`{"type":"rates","per`)},
 		{"json-unknown-type", []byte(`{"type":"gossip"}`)},
 		{"json-empty-object", []byte(`{}`)},
+		{"json-negative-processor", []byte(`{"type":"hello","hello":{"processor":-1}}`)},
+		{"json-tasks-without-values", []byte(`{"type":"rates","rates":{"period":1,"tasks":[3],"values":[]}}`)},
 		{"v2-version-only", []byte{binaryV2Version}},
 		{"v2-unknown-type", []byte{binaryV2Version, 0xee}},
 		{"v2-truncated-payload", validV2[:len(validV2)-1]},
@@ -200,11 +212,34 @@ func TestDecodeMalformedFailsClosed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var m Message
-			if err := DecodeFrame(tc.body, &m); !errors.Is(err, ErrMalformedFrame) {
-				t.Fatalf("DecodeFrame(%x) = %v, want ErrMalformedFrame", tc.body, err)
+			// Every codec must refuse every case: a body malformed for its
+			// own codec, and a well-formed one of another codec.
+			for _, codec := range []Codec{Binary, BinaryV2, JSONv0} {
+				var m Message
+				if err := codec.Decode(tc.body, &m); !errors.Is(err, ErrMalformedFrame) {
+					t.Fatalf("%s.Decode(%x) = %v, want ErrMalformedFrame", codec.Name(), tc.body, err)
+				}
 			}
 		})
+	}
+}
+
+// TestParseCodec pins the one table of -codec names.
+func TestParseCodec(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Codec
+	}{
+		{"binary", Binary},
+		{"binary2", BinaryV2},
+		{"json", JSONv0},
+		{"binary.v1", nil},
+		{"", nil},
+	} {
+		got, err := ParseCodec(tc.name)
+		if got != tc.want || (err == nil) != (tc.want != nil) {
+			t.Errorf("ParseCodec(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
 	}
 }
 
@@ -257,73 +292,81 @@ func TestBinarySteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestAutoDetectTruncationMidStream is the lossy-network recovery case: a
-// frame body truncated mid-stream (the sender died, the fault plan cut the
-// write, the length prefix promised more than arrived) must fail closed,
-// and the NEXT frame on the same lane — possibly from a different codec,
-// since detection is per frame — must decode normally. Auto-detect state
-// is per body, so one poisoned frame never wedges the stream.
-func TestAutoDetectTruncationMidStream(t *testing.T) {
-	binBody, err := Binary.AppendEncode(nil, &Message{
+// TestTruncationMidStreamFailsClosed is the lossy-network recovery case,
+// run through a Conn of each codec: a frame whose body was cut short (the
+// sender died, the fault plan cut the write) must fail closed, and the
+// NEXT frame on the same lane must decode normally. Decoding keeps no state
+// between bodies, so one poisoned frame never wedges the stream.
+func TestTruncationMidStreamFailsClosed(t *testing.T) {
+	rates := &Message{
 		Type:  TypeRates,
 		Rates: Rates{Period: 40, Tasks: []int32{2, 7}, Values: []float64{0.4, 0.9}},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	v2Body, err := BinaryV2.AppendEncode(nil, &Message{
-		Type:  TypeRates,
-		Rates: Rates{Period: 41, Tasks: []int32{2, 7}, Values: []float64{0.4, 0.9}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonBody := []byte(`{"type":"rates","rates":{"period":42,"values":[0.5,0.25]}}`)
-	cases := []struct {
-		name      string
-		truncated []byte // arrives first: must fail closed
-		next      []byte // arrives second: must decode
-	}{
-		{"binary-then-json", binBody[:len(binBody)/2], jsonBody},
-		{"binary2-then-json", v2Body[:len(v2Body)/2], jsonBody},
-		{"json-then-binary", jsonBody[:len(jsonBody)/2], binBody},
-		{"binary2-then-binary", v2Body[:len(v2Body)-3], binBody},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var m Message
-			if err := DecodeFrame(tc.truncated, &m); !errors.Is(err, ErrMalformedFrame) {
-				t.Fatalf("truncated frame: got %v, want ErrMalformedFrame", err)
-			}
-			m = Message{}
-			if err := DecodeFrame(tc.next, &m); err != nil {
-				t.Fatalf("frame after truncated one failed to decode: %v", err)
-			}
-			if m.Type != TypeRates {
-				t.Fatalf("frame after truncated one decoded as %v, want rates", m.Type)
-			}
-		})
+	for _, codec := range []Codec{Binary, BinaryV2, JSONv0} {
+		body, err := codec.AppendEncode(nil, rates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name      string
+			truncated []byte // arrives first: must fail closed
+		}{
+			{"half", body[:len(body)/2]},
+			{"tail", body[:len(body)-3]},
+		} {
+			t.Run(codec.Name()+"/"+tc.name, func(t *testing.T) {
+				na, nb := net.Pipe()
+				defer func() { _ = na.Close(); _ = nb.Close() }()
+				send, recv := NewConn(na, WithConnCodec(codec)), NewConn(nb, WithConnCodec(codec))
+				sent := make(chan error, 1)
+				go func() {
+					frame := binary.BigEndian.AppendUint32(nil, uint32(len(tc.truncated)))
+					if _, err := na.Write(append(frame, tc.truncated...)); err != nil {
+						sent <- err
+						return
+					}
+					sent <- send.Send(rates, time.Second)
+				}()
+				var m Message
+				if err := recv.ReceiveInto(&m, time.Second); !errors.Is(err, ErrMalformedFrame) {
+					t.Fatalf("truncated frame: got %v, want ErrMalformedFrame", err)
+				}
+				m = Message{}
+				if err := recv.ReceiveInto(&m, time.Second); err != nil {
+					t.Fatalf("frame after truncated one failed to decode: %v", err)
+				}
+				if m.Type != TypeRates || m.Rates.Period != 40 {
+					t.Fatalf("frame after truncated one decoded as %v period %d, want rates period 40", m.Type, m.Rates.Period)
+				}
+				if err := <-sent; err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 
-// TestBinaryV2VersionByte pins the wire tag v2 negotiation keys on.
+// TestBinaryV2VersionByte pins v2's wire tag: even a hello, whose payload
+// is v1's, carries it, so a v1 lane refuses a v2 peer at its first frame.
 func TestBinaryV2VersionByte(t *testing.T) {
 	body, err := BinaryV2.AppendEncode(nil, &Message{Type: TypeHello, Hello: Hello{Processor: 3, Node: "n"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if body[0] != FrameVersionBinaryV2 {
-		t.Fatalf("first byte = 0x%02x, want 0x%02x", body[0], FrameVersionBinaryV2)
+	if body[0] != binaryV2Version {
+		t.Fatalf("first byte = 0x%02x, want 0x%02x", body[0], binaryV2Version)
 	}
 	var m Message
-	if err := DecodeFrame(body, &m); err != nil || m.Hello.Processor != 3 {
-		t.Fatalf("auto-detect of v2 hello: %+v, %v", m.Hello, err)
+	if err := BinaryV2.Decode(body, &m); err != nil || m.Hello.Processor != 3 {
+		t.Fatalf("v2 hello: %+v, %v", m.Hello, err)
+	}
+	if err := Binary.Decode(body, &m); !errors.Is(err, ErrMalformedFrame) {
+		t.Fatalf("v1 decode of a v2 hello = %v, want ErrMalformedFrame", err)
 	}
 }
 
-// TestBinaryV2SparseEmptyDistinct: an empty sparse frame (a delta that
-// says "nothing changed") must stay distinct from a full-vector frame
-// through a v2 round trip.
+// TestBinaryV2SparseEmptyDistinct: an empty sparse frame must stay
+// distinct from a full-vector frame through a v2 round trip.
 func TestBinaryV2SparseEmptyDistinct(t *testing.T) {
 	sparse := &Message{Type: TypeRates, Rates: Rates{Period: 5, Tasks: []int32{}, Values: []float64{}}}
 	body, err := BinaryV2.AppendEncode(nil, sparse)
@@ -363,9 +406,9 @@ func TestBinaryV2RejectsNonAscending(t *testing.T) {
 	}
 }
 
-// TestBinaryV2SparseSmallerThanV1 pins the point of v2: a small changed
-// subset out of a large task set costs a couple of bytes per element, not
-// v1's fixed 12.
+// TestBinaryV2SparseSmallerThanV1 pins the point of v2: a sparse rates
+// element costs a varint index gap plus its value, not v1's fixed 12
+// bytes.
 func TestBinaryV2SparseSmallerThanV1(t *testing.T) {
 	m := &Message{Type: TypeRates, Rates: Rates{
 		Period: 100,

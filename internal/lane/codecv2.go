@@ -6,35 +6,18 @@ import (
 	"math"
 )
 
-// BinaryV2 is the delta-friendly binary codec (v2). Hello, utilization
-// batch, and shutdown payloads are identical to v1 behind the 0x02 version
-// byte; rates frames replace v1's fixed-width layout with varints — the
-// period and element count are uvarints, and sparse task indices are
-// encoded as ascending index gaps. A changed-subset rates frame (the
-// controller resends only the rates that moved since the last delivered
-// frame, most of which repeat period to period) therefore costs a couple
-// of bytes per changed task instead of 12, which makes retransmission
-// under loss cheaper exactly when the network is worst.
-//
-// The codec is negotiated per lane: an agent that sends its hello in v2
-// advertises that it decodes v2, and the server switches that lane's
-// outbound codec (and enables delta subsetting) in response. Receivers
-// always auto-detect per frame from the version byte, so v2, v1, and JSON
-// v0 frames interleave freely on one lane.
+// BinaryV2 is the varint binary codec (v2). Hello, utilization batch, and
+// shutdown payloads are identical to v1 behind the 0x02 version byte;
+// rates frames replace v1's fixed-width layout with varints — the period
+// and element count are uvarints, and sparse task indices are encoded as
+// ascending index gaps, so a rates frame costs about one byte per task
+// index instead of four. Both ends of a lane must be configured with it:
+// v1 and JSON decoders reject its version byte, and it rejects theirs.
 var BinaryV2 Codec = binaryV2Codec{}
 
 // binaryV2Version tags binary v2 bodies. Like v1 it must never collide
 // with '{' (0x7b), the first byte of a JSON body.
 const binaryV2Version = 0x02
-
-// Frame version bytes as they appear as the first body byte on the wire,
-// exported so the membership layer can read a lane's advertised codec off
-// its hello frame (Conn.LastFrameVersion).
-const (
-	FrameVersionBinary   byte = binaryVersion
-	FrameVersionBinaryV2 byte = binaryV2Version
-	FrameVersionJSON     byte = '{'
-)
 
 type binaryV2Codec struct{}
 
@@ -123,7 +106,7 @@ func (binaryV2Codec) Decode(body []byte, m *Message) error {
 	if sparse {
 		elem = 9 // ≥1-byte gap varint + 8-byte value
 	}
-	n := d.countVar("rates count", elem)
+	n := d.fits("rates count", d.uvarint("rates count"), elem)
 	r.Tasks = r.Tasks[:0]
 	r.Values = r.Values[:0]
 	if sparse {
@@ -163,19 +146,4 @@ func (d *decoder) uvarint(what string) int {
 	}
 	d.off += n
 	return int(v)
-}
-
-// countVar reads a uvarint element count and validates it against the
-// bytes actually remaining (elemSize minimum per element), mirroring
-// decoder.count for the varint layout.
-func (d *decoder) countVar(what string, elemSize int) int {
-	n := d.uvarint(what)
-	if d.err != nil {
-		return 0
-	}
-	if n > maxBinaryCount || n*elemSize > len(d.buf)-d.off {
-		d.err = fmt.Errorf("%w: %s %d exceeds remaining body (%d bytes)", ErrMalformedFrame, what, n, len(d.buf)-d.off)
-		return 0
-	}
-	return n
 }

@@ -5,12 +5,13 @@
 //
 // The wire format is a 4-byte big-endian frame length followed by one
 // encoded message body, capped at MaxFrameSize to bound memory under a
-// misbehaving peer. Two codecs produce bodies behind the Codec interface:
+// misbehaving peer. Three codecs produce bodies behind the Codec interface:
 // the compact versioned binary format (Binary, the default — zero
-// allocations per frame in steady state) and the human-readable JSON v0
-// fallback (JSONv0). Receivers auto-detect the codec per frame from the
-// first body byte, so mixed-codec clusters interoperate and a fleet can be
-// migrated one process at a time.
+// allocations per frame in steady state), its varint-rates variant
+// (BinaryV2), and the human-readable JSON v0 fallback (JSONv0). A Conn
+// speaks one codec in both directions, fixed when it is made: both ends of
+// a lane must be configured alike, and a frame in any other codec fails
+// closed with ErrMalformedFrame.
 //
 // Messages are typed: MessageType discriminates a Message union whose
 // payloads (Hello, UtilizationBatch, Rates, Shutdown) carry only the
@@ -139,8 +140,9 @@ type Message struct {
 // ConnOption configures a Conn.
 type ConnOption func(*Conn)
 
-// WithConnCodec selects the codec used for outgoing frames (incoming
-// frames are auto-detected). The default is Binary.
+// WithConnCodec selects the codec the Conn encodes and decodes every frame
+// with. The peer must use the same one: a frame in another codec fails
+// closed with ErrMalformedFrame. The default is Binary.
 func WithConnCodec(c Codec) ConnOption {
 	return func(conn *Conn) {
 		if c != nil {
@@ -153,16 +155,17 @@ func WithConnCodec(c Codec) ConnOption {
 type Conn struct {
 	nc net.Conn
 
+	codec Codec // the lane's one codec, immutable after NewConn
+
 	writeMu sync.Mutex
-	codec   Codec  // outgoing codec, guarded by writeMu (see SetCodec)
 	wbuf    []byte // reusable frame buffer, guarded by writeMu
 
-	rbuf    []byte // reusable body buffer, owned by the single reader
-	lastVer byte   // version byte of the last received frame, owned by the single reader
+	rhdr [4]byte // length prefix buffer, owned by the single reader
+	rbuf []byte  // reusable body buffer, owned by the single reader
 }
 
-// NewConn wraps a net.Conn. With no options frames are sent in the
-// binary format.
+// NewConn wraps a net.Conn. With no options frames are sent and received
+// in the binary format.
 func NewConn(nc net.Conn, opts ...ConnOption) *Conn {
 	c := &Conn{nc: nc, codec: Binary}
 	for _, opt := range opts {
@@ -190,25 +193,6 @@ func DialContext(ctx context.Context, addr string, timeout time.Duration, opts .
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.nc.Close() }
-
-// SetCodec switches the codec used for subsequent outgoing frames. Safe to
-// call concurrently with Send; incoming frames are always auto-detected, so
-// a codec switch never has to be synchronized with the peer.
-func (c *Conn) SetCodec(codec Codec) {
-	if codec == nil {
-		return
-	}
-	c.writeMu.Lock()
-	c.codec = codec
-	c.writeMu.Unlock()
-}
-
-// LastFrameVersion reports the version byte (first body byte) of the most
-// recently received frame — FrameVersionBinary, FrameVersionBinaryV2, or
-// FrameVersionJSON — and 0 before any frame arrives. Owned by the single
-// reader goroutine, like ReceiveInto itself; the membership layer reads it
-// right after a hello frame to learn what the peer's sender emits.
-func (c *Conn) LastFrameVersion() byte { return c.lastVer }
 
 // RemoteAddr reports the peer address.
 func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
@@ -243,22 +227,21 @@ func (c *Conn) Send(m *Message, deadline time.Duration) error {
 	return nil
 }
 
-// ReceiveInto reads one frame into m, auto-detecting the codec from the
-// first body byte and applying the deadline to the whole read (zero
-// deadline means no timeout). m's slice capacity is reused, so
-// steady-state receives of batch and rates frames do not allocate. Only
-// one goroutine may receive on a Conn at a time.
+// ReceiveInto reads one frame into m, decoding it with the connection's
+// codec and applying the deadline to the whole read (zero deadline means
+// no timeout). m's slice capacity is reused, so steady-state receives of
+// batch and rates frames do not allocate. Only one goroutine may receive
+// on a Conn at a time.
 func (c *Conn) ReceiveInto(m *Message, deadline time.Duration) error {
 	if deadline > 0 {
 		if err := c.nc.SetReadDeadline(time.Now().Add(deadline)); err != nil { //eucon:wallclock-ok operational I/O deadline, never feeds control output
 			return fmt.Errorf("lane: set read deadline: %w", err)
 		}
 	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(c.nc, lenBuf[:]); err != nil {
+	if _, err := io.ReadFull(c.nc, c.rhdr[:]); err != nil {
 		return fmt.Errorf("lane: read frame length: %w", err)
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := binary.BigEndian.Uint32(c.rhdr[:])
 	if n > MaxFrameSize {
 		return fmt.Errorf("lane: frame of %d bytes: %w", n, ErrFrameTooLarge)
 	}
@@ -269,10 +252,7 @@ func (c *Conn) ReceiveInto(m *Message, deadline time.Duration) error {
 	if _, err := io.ReadFull(c.nc, body); err != nil {
 		return fmt.Errorf("lane: read frame body: %w", err)
 	}
-	if n > 0 {
-		c.lastVer = body[0]
-	}
-	return DecodeFrame(body, m)
+	return c.codec.Decode(body, m)
 }
 
 // Receive reads one message, allocating a fresh Message. Hot paths should
@@ -283,24 +263,4 @@ func (c *Conn) Receive(deadline time.Duration) (*Message, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// DecodeFrame decodes one frame body into m, auto-detecting the codec: a
-// body starting with a binary version byte decodes as Binary or BinaryV2,
-// one starting with '{' as JSONv0. The decoded message copies everything it
-// needs out of body, so the caller may reuse the buffer immediately.
-func DecodeFrame(body []byte, m *Message) error {
-	if len(body) == 0 {
-		return fmt.Errorf("%w: empty body", ErrMalformedFrame)
-	}
-	switch body[0] {
-	case binaryVersion:
-		return Binary.Decode(body, m)
-	case binaryV2Version:
-		return BinaryV2.Decode(body, m)
-	case '{':
-		return JSONv0.Decode(body, m)
-	default:
-		return fmt.Errorf("%w: unknown frame version 0x%02x", ErrMalformedFrame, body[0])
-	}
 }

@@ -59,39 +59,6 @@ func TestRoundTripRates(t *testing.T) {
 	}
 }
 
-func TestMixedCodecsInterleave(t *testing.T) {
-	// A binary sender and a JSON sender on the same wire: the receiver
-	// auto-detects each frame, so mixed fleets interoperate mid-migration.
-	na, nb := net.Pipe()
-	defer func() { _ = na.Close(); _ = nb.Close() }()
-	recv := NewConn(nb)
-	c := NewConn(na)
-	go func() {
-		_ = c.Send(sample(1, 5, 0.5), time.Second)
-	}()
-	got, err := recv.Receive(time.Second)
-	if err != nil || got.Batch.First != 5 {
-		t.Fatalf("binary frame: %+v, %v", got, err)
-	}
-	// Now a JSON body over the same receiving Conn.
-	var m Message
-	body, err := JSONv0.AppendEncode(nil, sample(1, 6, 0.25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-		_, _ = na.Write(append(hdr[:], body...))
-	}()
-	if err := recv.ReceiveInto(&m, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if m.Type != TypeUtilizationBatch || m.Batch.First != 6 || m.Batch.Samples[0] != 0.25 {
-		t.Fatalf("json frame decoded as %+v", m)
-	}
-}
-
 func TestMultipleMessagesInOrder(t *testing.T) {
 	a, b := pipePair()
 	defer func() { _ = a.Close(); _ = b.Close() }()
@@ -231,4 +198,51 @@ func TestReceiveAfterPeerClose(t *testing.T) {
 		t.Fatal("Receive after peer close returned nil error")
 	}
 	_ = b.Close()
+}
+
+// replayConn is a net.Conn whose reads cycle through one encoded frame
+// forever, so ReceiveInto can be measured without a peer goroutine.
+type replayConn struct {
+	net.Conn // nil: only Read and SetReadDeadline are called
+	frame    []byte
+	off      int
+}
+
+func (r *replayConn) Read(p []byte) (int, error) {
+	n := copy(p, r.frame[r.off:])
+	r.off = (r.off + n) % len(r.frame)
+	return n, nil
+}
+
+func (r *replayConn) SetReadDeadline(time.Time) error { return nil }
+
+// TestReceiveIntoSteadyStateZeroAlloc: receiving batch and rates frames
+// into a reused Message allocates nothing once the body buffer has grown,
+// the length prefix included.
+func TestReceiveIntoSteadyStateZeroAlloc(t *testing.T) {
+	for _, codec := range []Codec{Binary, BinaryV2} {
+		for _, src := range []*Message{
+			sample(2, 100, 0.5),
+			{Type: TypeRates, Rates: Rates{Period: 100, Tasks: []int32{1, 3, 5}, Values: []float64{0.1, 0.2, 0.3}}},
+		} {
+			frame, err := codec.AppendEncode([]byte{0, 0, 0, 0}, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+			conn := NewConn(&replayConn{frame: frame}, WithConnCodec(codec))
+			var m Message
+			if err := conn.ReceiveInto(&m, time.Second); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := conn.ReceiveInto(&m, time.Second); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s %s: %v allocs per receive, want 0", codec.Name(), src.Type, allocs)
+			}
+		}
+	}
 }
