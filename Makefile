@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint lint-fixtures build test bench-smoke chaos-smoke chaos fuzz-queue fuzz-lane
+.PHONY: check fmt vet lint lint-fixtures build test bench-smoke chaos-smoke chaos fuzz-queue fuzz-lane fuzz-qp
 
 ## check: the tier-1 gate — format, vet, build, race-enabled tests, and a
 ## one-iteration benchmark smoke pass. CI and pre-commit both run this.
@@ -63,3 +63,10 @@ fuzz-queue:
 ## corpus already runs with the ordinary tests.
 fuzz-lane:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 30s ./internal/lane
+
+## fuzz-qp: fuzz the active-set solver's kept QR factor for 30 s: random
+## row sets and add/drop scripts must give the independence decisions of a
+## from-scratch QR and a factor equal to FactorQR's, bit for bit; the seed
+## corpus already runs with the ordinary tests.
+fuzz-qp:
+	$(GO) test -run '^$$' -fuzz '^FuzzIndependenceFactor$$' -fuzztime 30s ./internal/qp

@@ -101,7 +101,7 @@ func TestServerCleanLeave(t *testing.T) {
 	}()
 	// A raw lane that joins, reports once, and leaves with a shutdown
 	// notice.
-	conn, err := lane.Dial(addr, time.Second)
+	conn, err := lane.DialContext(context.Background(), addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestServerCleanLeave(t *testing.T) {
 		}
 	}
 	mustSend(&lane.Message{Type: lane.TypeHello, Hello: lane.Hello{Processor: 0, Node: "brief"}})
-	ack, err := conn.Receive(2 * time.Second)
+	ack, err := receive(conn, 2*time.Second)
 	if err != nil || ack.Type != lane.TypeRates {
 		t.Fatalf("join ack = %+v, %v; want rates", ack, err)
 	}
@@ -120,7 +120,7 @@ func TestServerCleanLeave(t *testing.T) {
 		Batch: lane.UtilizationBatch{Processor: 0, First: ack.Rates.Period, Samples: []float64{0.5}}})
 	// Half of SIMPLE has joined, so the period timer steps period 0; wait
 	// for its rates before leaving.
-	if m, err := conn.Receive(2 * time.Second); err != nil || m.Type != lane.TypeRates {
+	if m, err := receive(conn, 2*time.Second); err != nil || m.Type != lane.TypeRates {
 		t.Fatalf("period 0 = %+v, %v; want rates", m, err)
 	}
 	mustSend(&lane.Message{Type: lane.TypeShutdown, Shutdown: lane.Shutdown{Reason: "done"}})
@@ -128,7 +128,7 @@ func TestServerCleanLeave(t *testing.T) {
 	// reading to the end of the stream is the proof that the leave was
 	// processed before the server is stopped.
 	for {
-		if _, err := conn.Receive(2 * time.Second); err != nil {
+		if _, err := receive(conn, 2*time.Second); err != nil {
 			break
 		}
 	}
@@ -163,7 +163,7 @@ func TestServerRejectsOutOfRangeHello(t *testing.T) {
 			Batch: lane.UtilizationBatch{Processor: 0, Samples: []float64{0.5}}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			conn, err := lane.Dial(addr, time.Second)
+			conn, err := lane.DialContext(context.Background(), addr, time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestServerRejectsOutOfRangeHello(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The server closes the lane instead of admitting the impostor.
-			if _, err := conn.Receive(3 * time.Second); err == nil {
+			if _, err := receive(conn, 3*time.Second); err == nil {
 				t.Fatal("bad first frame was acked")
 			}
 		})
@@ -217,7 +217,7 @@ func TestServerBackpressureSlowReaderNeverBlocksControl(t *testing.T) {
 	// A slow reader on P2: joins, reports every period, but never reads
 	// rates off the socket. Its outbound server queue must absorb the
 	// stall by superseding rate frames, never blocking the control loop.
-	conn, err := lane.Dial(addr, time.Second)
+	conn, err := lane.DialContext(context.Background(), addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,4 +262,13 @@ func waitFor(t *testing.T, cond func() bool) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// receive reads one message off a raw lane into a fresh Message.
+func receive(c *lane.Conn, deadline time.Duration) (*lane.Message, error) {
+	m := new(lane.Message)
+	if err := c.ReceiveInto(m, deadline); err != nil {
+		return nil, err
+	}
+	return m, nil
 }

@@ -174,14 +174,9 @@ func NewConn(nc net.Conn, opts ...ConnOption) *Conn {
 	return c
 }
 
-// Dial connects to a controller at addr with the given timeout.
-func Dial(addr string, timeout time.Duration, opts ...ConnOption) (*Conn, error) {
-	return DialContext(context.Background(), addr, timeout, opts...)
-}
-
-// DialContext is Dial with cancellation: an already-canceled or
-// mid-dial-canceled context aborts the connection attempt with ctx.Err()
-// wrapped in the returned error.
+// DialContext connects to a controller at addr with the given timeout. An
+// already-canceled or mid-dial-canceled context aborts the connection
+// attempt with ctx.Err() wrapped in the returned error.
 func DialContext(ctx context.Context, addr string, timeout time.Duration, opts ...ConnOption) (*Conn, error) {
 	d := net.Dialer{Timeout: timeout}
 	nc, err := d.DialContext(ctx, "tcp", addr)
@@ -253,14 +248,4 @@ func (c *Conn) ReceiveInto(m *Message, deadline time.Duration) error {
 		return fmt.Errorf("lane: read frame body: %w", err)
 	}
 	return c.codec.Decode(body, m)
-}
-
-// Receive reads one message, allocating a fresh Message. Hot paths should
-// use ReceiveInto with a reused Message instead.
-func (c *Conn) Receive(deadline time.Duration) (*Message, error) {
-	m := new(Message)
-	if err := c.ReceiveInto(m, deadline); err != nil {
-		return nil, err
-	}
-	return m, nil
 }

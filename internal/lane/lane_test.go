@@ -1,6 +1,7 @@
 package lane
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -30,7 +31,7 @@ func TestRoundTrip(t *testing.T) {
 			want := sample(3, 17, 0.725)
 			done := make(chan error, 1)
 			go func() { done <- a.Send(want, time.Second) }()
-			got, err := b.Receive(time.Second)
+			got, err := receive(b, time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +51,7 @@ func TestRoundTripRates(t *testing.T) {
 	defer func() { _ = a.Close(); _ = b.Close() }()
 	want := &Message{Type: TypeRates, Rates: Rates{Period: 4, Values: []float64{0.01, 0.02, 0.005}}}
 	go func() { _ = a.Send(want, time.Second) }()
-	got, err := b.Receive(time.Second)
+	got, err := receive(b, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestConcurrentWritersDoNotInterleave(t *testing.T) {
 	}
 	seen := 0
 	for seen < 4*perWriter {
-		m, err := b.Receive(time.Second)
+		m, err := receive(b, time.Second)
 		if err != nil {
 			t.Fatalf("after %d messages: %v", seen, err)
 		}
@@ -113,7 +114,7 @@ func TestConcurrentWritersDoNotInterleave(t *testing.T) {
 func TestReceiveTimeout(t *testing.T) {
 	a, b := pipePair()
 	defer func() { _ = a.Close(); _ = b.Close() }()
-	_, err := b.Receive(20 * time.Millisecond)
+	_, err := receive(b, 20*time.Millisecond)
 	if err == nil {
 		t.Fatal("Receive with no sender returned nil error")
 	}
@@ -132,7 +133,7 @@ func TestOversizeFrameRejectedOnReceive(t *testing.T) {
 		binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
 		_, _ = a.Write(hdr[:])
 	}()
-	_, err := conn.Receive(time.Second)
+	_, err := receive(conn, time.Second)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
@@ -151,8 +152,8 @@ func TestOversizeFrameRejectedOnSend(t *testing.T) {
 }
 
 func TestDialFailure(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1", 100*time.Millisecond); err == nil {
-		t.Fatal("Dial to closed port succeeded")
+	if _, err := DialContext(context.Background(), "127.0.0.1:1", 100*time.Millisecond); err == nil {
+		t.Fatal("DialContext to closed port succeeded")
 	}
 }
 
@@ -169,14 +170,14 @@ func TestDialAndServe(t *testing.T) {
 			done <- nil
 			return
 		}
-		m, err := NewConn(nc).Receive(time.Second)
+		m, err := receive(NewConn(nc), time.Second)
 		if err != nil {
 			done <- nil
 			return
 		}
 		done <- m
 	}()
-	c, err := Dial(ln.Addr().String(), time.Second)
+	c, err := DialContext(context.Background(), ln.Addr().String(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestDialAndServe(t *testing.T) {
 func TestReceiveAfterPeerClose(t *testing.T) {
 	a, b := pipePair()
 	_ = a.Close()
-	if _, err := b.Receive(time.Second); err == nil {
+	if _, err := receive(b, time.Second); err == nil {
 		t.Fatal("Receive after peer close returned nil error")
 	}
 	_ = b.Close()
@@ -245,4 +246,13 @@ func TestReceiveIntoSteadyStateZeroAlloc(t *testing.T) {
 			}
 		}
 	}
+}
+
+// receive reads one message into a fresh Message.
+func receive(c *Conn, deadline time.Duration) (*Message, error) {
+	m := new(Message)
+	if err := c.ReceiveInto(m, deadline); err != nil {
+		return nil, err
+	}
+	return m, nil
 }

@@ -208,7 +208,7 @@ func TestFaultConnDuplicateDeliversTwice(t *testing.T) {
 	got := make(chan *Message, 2)
 	go func() {
 		for i := 0; i < 2; i++ {
-			m, err := peer.Receive(time.Second)
+			m, err := receive(peer, time.Second)
 			if err != nil {
 				t.Errorf("peer receive %d: %v", i, err)
 				return
@@ -235,7 +235,7 @@ func TestFaultConnReorderSwapsAdjacentFrames(t *testing.T) {
 	got := make(chan *Message, 2)
 	go func() {
 		for i := 0; i < 2; i++ {
-			m, err := peer.Receive(time.Second)
+			m, err := receive(peer, time.Second)
 			if err != nil {
 				t.Errorf("peer receive %d: %v", i, err)
 				return
@@ -280,7 +280,7 @@ func TestFaultConnDropAndPassThrough(t *testing.T) {
 	// Message 1 passes through intact.
 	got := make(chan *Message, 1)
 	go func() {
-		m, err := peer.Receive(time.Second)
+		m, err := receive(peer, time.Second)
 		if err != nil {
 			t.Errorf("peer receive: %v", err)
 		}
@@ -307,7 +307,7 @@ func TestSendRetryRecoversInjectedDrop(t *testing.T) {
 
 	got := make(chan *Message, 1)
 	go func() {
-		m, err := peer.Receive(time.Second)
+		m, err := receive(peer, time.Second)
 		if err != nil {
 			t.Errorf("peer receive: %v", err)
 		}

@@ -10,7 +10,12 @@ import (
 // (numerically) singular matrix.
 var ErrSingular = errors.New("mat: matrix is singular to working precision")
 
-// LU holds an LU factorization with partial pivoting: P·A = L·U.
+// LU holds an LU factorization with partial pivoting: P·A = L·U. Besides
+// FactorLU's one-shot form, an LU can be kept and refactored in place:
+// Reset hands out its storage for the next matrix and Factor factors it
+// there, so a caller that solves a fresh system every iteration allocates
+// only when a matrix outgrows every earlier one. A zero LU is ready for
+// Reset.
 type LU struct {
 	lu    *Dense // packed L (unit lower) and U (upper)
 	pivot []int  // row permutation
@@ -25,8 +30,41 @@ func FactorLU(a *Dense) (*LU, error) {
 	if a.cols != n {
 		return nil, fmt.Errorf("mat: FactorLU requires a square matrix, got %dx%d", a.rows, a.cols)
 	}
-	lu := a.Clone()
-	pivot := make([]int, n)
+	f := &LU{}
+	copy(f.Reset(n).data, a.data)
+	if err := f.Factor(); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Reset sizes f for an n×n matrix and returns the storage it will factor:
+// the caller writes the matrix into it and calls Factor. The storage is
+// reused across calls and grows only when n exceeds every earlier size.
+//
+//eucon:noalloc
+func (f *LU) Reset(n int) *Dense {
+	if f.lu == nil || cap(f.lu.data) < n*n || cap(f.pivot) < n {
+		f.grow(n) //eucon:alloc-ok storage grows only when a matrix outgrows every earlier one
+	}
+	f.lu.rows, f.lu.cols, f.lu.data = n, n, f.lu.data[:n*n]
+	f.pivot = f.pivot[:n]
+	return f.lu
+}
+
+func (f *LU) grow(n int) {
+	f.lu = &Dense{data: make([]float64, n*n)}
+	f.pivot = make([]int, n)
+}
+
+// Factor factors the matrix written into Reset's storage in place. It
+// returns ErrSingular when a pivot underflows working precision, after
+// which f holds no usable factor.
+//
+//eucon:noalloc
+func (f *LU) Factor() error {
+	n := f.lu.rows
+	lu, pivot := f.lu, f.pivot
 	sign := 1
 	for i := range pivot {
 		pivot[i] = i
@@ -41,7 +79,7 @@ func FactorLU(a *Dense) (*LU, error) {
 			}
 		}
 		if max < 1e-300 {
-			return nil, fmt.Errorf("factor LU at column %d: %w", k, ErrSingular)
+			return fmt.Errorf("factor LU at column %d: %w", k, ErrSingular) //eucon:alloc-ok error path
 		}
 		if p != k {
 			swapRows(lu, p, k)
@@ -62,7 +100,8 @@ func FactorLU(a *Dense) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, pivot: pivot, sign: sign}, nil
+	f.sign = sign
+	return nil
 }
 
 func swapRows(m *Dense, i, j int) {
@@ -80,6 +119,21 @@ func (f *LU) SolveVec(b []float64) ([]float64, error) {
 		return nil, fmt.Errorf("mat: LU solve length mismatch: %d vs %d", len(b), n)
 	}
 	x := make([]float64, n)
+	if err := f.SolveVecTo(x, b); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveVecTo solves A·x = b into x without allocating; x and b have the
+// factored matrix's order and must not alias.
+//
+//eucon:noalloc
+func (f *LU) SolveVecTo(x, b []float64) error {
+	n := f.lu.rows
+	if len(b) != n || len(x) != n {
+		return fmt.Errorf("mat: LU solve length mismatch: %d/%d vs %d", len(b), len(x), n) //eucon:alloc-ok error path
+	}
 	// Apply permutation.
 	for i := 0; i < n; i++ {
 		x[i] = b[f.pivot[i]]
@@ -101,11 +155,11 @@ func (f *LU) SolveVec(b []float64) ([]float64, error) {
 			s += ri[j] * x[j]
 		}
 		if math.Abs(ri[i]) < 1e-300 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		x[i] = (x[i] - s) / ri[i]
 	}
-	return x, nil
+	return nil
 }
 
 // Det returns the determinant of the factored matrix.
@@ -115,15 +169,6 @@ func (f *LU) Det() float64 {
 		d *= f.lu.At(i, i)
 	}
 	return d
-}
-
-// SolveVec solves A·x = b directly (factor + solve).
-func SolveVec(a *Dense, b []float64) ([]float64, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveVec(b)
 }
 
 // Det returns the determinant of a square matrix (0 when singular).

@@ -8,22 +8,45 @@ import (
 	"testing/quick"
 )
 
+// luSolve and leastSquares are the factor-then-solve round trips the
+// package's one-shot solvers used to wrap.
+func luSolve(a *Dense, b []float64) ([]float64, error) {
+	f, err := FactorLU(a)
+	if err != nil {
+		return nil, err
+	}
+	return f.SolveVec(b)
+}
+
+func leastSquares(a *Dense, b []float64) ([]float64, error) {
+	f, err := FactorQR(a)
+	if err != nil {
+		return nil, err
+	}
+	m, n := a.Dims()
+	x := make([]float64, n)
+	if err := f.SolveLeastSquaresTo(x, make([]float64, m), b); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
 func TestLUSolveKnown(t *testing.T) {
 	a := MustFromRows([][]float64{{2, 1}, {1, 3}})
-	x, err := SolveVec(a, []float64{3, 5})
+	x, err := luSolve(a, []float64{3, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 2x + y = 3, x + 3y = 5 → x = 4/5, y = 7/5.
 	if !VecEqual(x, []float64{0.8, 1.4}, 1e-12) {
-		t.Fatalf("SolveVec = %v, want [0.8 1.4]", x)
+		t.Fatalf("luSolve = %v, want [0.8 1.4]", x)
 	}
 }
 
 func TestLUSolveSingular(t *testing.T) {
 	a := MustFromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := SolveVec(a, []float64{1, 2}); !errors.Is(err, ErrSingular) {
-		t.Fatalf("SolveVec on singular matrix: err = %v, want ErrSingular", err)
+	if _, err := luSolve(a, []float64{1, 2}); !errors.Is(err, ErrSingular) {
+		t.Fatalf("luSolve on singular matrix: err = %v, want ErrSingular", err)
 	}
 }
 
@@ -41,7 +64,7 @@ func TestLUSolveResidualProperty(t *testing.T) {
 			want[i] = rng.NormFloat64()
 		}
 		b := a.MulVec(want)
-		got, err := SolveVec(a, b)
+		got, err := luSolve(a, b)
 		if err != nil {
 			return false
 		}
@@ -65,6 +88,46 @@ func TestLUDet(t *testing.T) {
 func TestLUNonSquare(t *testing.T) {
 	if _, err := FactorLU(New(2, 3)); err == nil {
 		t.Fatal("FactorLU on non-square matrix returned nil error")
+	}
+}
+
+// TestLUReuseMatchesFactorLU refactors one LU through matrices of
+// changing order, smaller after larger, and requires FactorLU's bits from
+// every one: the storage is reused, the arithmetic is FactorLU's.
+func TestLUReuseMatchesFactorLU(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var lu LU
+	for _, k := range []int{3, 1, 5, 5, 2, 6, 0} {
+		a := randomDense(rng, k, k)
+		b := make([]float64, k)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		copy(lu.Reset(k).data, a.data)
+		if err := lu.Factor(); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]float64, k)
+		if err := lu.SolveVecTo(got, b); err != nil {
+			t.Fatal(err)
+		}
+		f, err := FactorLU(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := f.SolveVec(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitsEqual(lu.lu.data, f.lu.data) || lu.sign != f.sign || !bitsEqual(got, want) {
+			t.Fatalf("order %d: the reused LU differs from FactorLU: x %v vs %v", k, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		copy(lu.Reset(4).data, MustFromRows([][]float64{{4, 1, 0, 0}, {1, 4, 1, 0}, {0, 1, 4, 1}, {0, 0, 1, 4}}).data)
+		_ = lu.Factor()
+	}); n > 2 {
+		t.Fatalf("refactoring a smaller matrix allocates %v times beyond building its input", n)
 	}
 }
 
@@ -123,24 +186,24 @@ func TestCholeskyRandomSPDProperty(t *testing.T) {
 func TestLeastSquaresExact(t *testing.T) {
 	// Square nonsingular system: least squares must equal the exact solution.
 	a := MustFromRows([][]float64{{2, 0}, {0, 3}})
-	x, err := LeastSquares(a, []float64{4, 9})
+	x, err := leastSquares(a, []float64{4, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !VecEqual(x, []float64{2, 3}, 1e-12) {
-		t.Fatalf("LeastSquares = %v, want [2 3]", x)
+		t.Fatalf("leastSquares = %v, want [2 3]", x)
 	}
 }
 
 func TestLeastSquaresOverdetermined(t *testing.T) {
 	// Fit y = a + b·t to points (0,1), (1,2), (2,3): exact line a=1, b=1.
 	a := MustFromRows([][]float64{{1, 0}, {1, 1}, {1, 2}})
-	x, err := LeastSquares(a, []float64{1, 2, 3})
+	x, err := leastSquares(a, []float64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !VecEqual(x, []float64{1, 1}, 1e-12) {
-		t.Fatalf("LeastSquares = %v, want [1 1]", x)
+		t.Fatalf("leastSquares = %v, want [1 1]", x)
 	}
 }
 
@@ -155,7 +218,7 @@ func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x, err := LeastSquares(a, b)
+		x, err := leastSquares(a, b)
 		if err != nil {
 			return false
 		}
@@ -168,15 +231,15 @@ func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 }
 
 func TestLeastSquaresUnderdeterminedRejected(t *testing.T) {
-	if _, err := LeastSquares(New(2, 3), []float64{1, 2}); err == nil {
-		t.Fatal("LeastSquares with rows < cols returned nil error")
+	if _, err := leastSquares(New(2, 3), []float64{1, 2}); err == nil {
+		t.Fatal("leastSquares with rows < cols returned nil error")
 	}
 }
 
 func TestQRRankDeficient(t *testing.T) {
 	a := MustFromRows([][]float64{{1, 1}, {1, 1}, {1, 1}})
-	if _, err := LeastSquares(a, []float64{1, 2, 3}); !errors.Is(err, ErrSingular) {
-		t.Fatalf("LeastSquares(rank-deficient): err = %v, want ErrSingular", err)
+	if _, err := leastSquares(a, []float64{1, 2, 3}); !errors.Is(err, ErrSingular) {
+		t.Fatalf("leastSquares(rank-deficient): err = %v, want ErrSingular", err)
 	}
 }
 

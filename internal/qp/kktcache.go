@@ -45,10 +45,12 @@ func (c *kktCache) bind(a *mat.Dense) {
 }
 
 // solveRows makes sure H⁻¹·a_w is in hinv for every working row.
+//
+//eucon:noalloc
 func (c *kktCache) solveRows(hchol *mat.SPDFactor, a *mat.Dense, working []int) error {
 	if c.hinv == nil {
-		c.hinv = make([]float64, c.m*c.n)
-		c.gram = make([]float64, c.m*c.m)
+		c.hinv = make([]float64, c.m*c.n) //eucon:alloc-ok the tables are made once per constraint storage
+		c.gram = make([]float64, c.m*c.m) //eucon:alloc-ok the tables are made once per constraint storage
 		nan := math.NaN()
 		for i := 0; i < c.m; i++ {
 			c.hinv[i*c.n] = nan

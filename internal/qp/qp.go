@@ -26,8 +26,16 @@
 // size, at most the variable count) instead of (n+k)×(n+k). H and A do not
 // change between iterations — through an LSI, not between solves either —
 // so the columns H⁻¹·aᵢ and the entries aᵢ·H⁻¹·aⱼ are each derived once
-// (kktCache) and an iteration assembles S by lookup: what it still pays for
-// is the LU solve of S and the QR independence test of a candidate row.
+// (kktCache) and an iteration assembles S by lookup. The Householder QR of
+// Awᵀ that decides whether a candidate row is independent is kept across
+// iterations as well: an add appends one column, a drop refactors only the
+// columns behind the dropped one, and the test itself reflects the
+// candidate through the kept columns in O(n·k). What an iteration still
+// pays for is the O(k³) LU of S, factored in workspace storage. The kept
+// factor and the LU run FactorQR's and FactorLU's own kernels in their
+// order, so every decision and every iterate is, bit for bit, what
+// from-scratch FactorQR and FactorLU calls give; and a warm iterative solve
+// allocates only the Result it returns.
 //
 // Certify checks a solution independently of how it was found: with the
 // multipliers an LSI keeps (LSI.Multipliers), four KKT residuals that all
@@ -137,6 +145,18 @@ type workspace struct {
 	cache       kktCache
 	stats       solveStats
 
+	// qr is the Householder QR of Awᵀ, one column per working row in
+	// working-set order, kept across iterations: a drop truncates it at the
+	// dropped position and the next independence test factors the working
+	// rows it lacks. y and r are that test's least-squares solution and
+	// residual.
+	qr   mat.QR
+	y, r []float64
+	// lu factors the Schur complement S of solveKKT, whose right-hand side
+	// and multipliers live in rhs and mult.
+	lu        mat.LU
+	rhs, mult []float64
+
 	// lambda holds the multipliers of the last KKT solve scattered by
 	// constraint row (zero off the working set). Only an LSI keeps them
 	// (keepLambda): its buffer is sized once, while a one-shot Solve would
@@ -162,11 +182,17 @@ func (ws *workspace) ensure(n, m int) {
 		ws.g = make([]float64, n)
 		ws.hg = make([]float64, n)
 		ws.p = make([]float64, n)
+		ws.y = make([]float64, n)
+		ws.r = make([]float64, n)
+		ws.rhs = make([]float64, n)
+		ws.mult = make([]float64, n)
 	}
 	ws.x = ws.x[:n]
 	ws.g = ws.g[:n]
 	ws.hg = ws.hg[:n]
 	ws.p = ws.p[:n]
+	ws.r = ws.r[:n]
+	ws.qr.Reset(n)
 	if cap(ws.inWorking) < m {
 		ws.inWorking = make([]bool, m)
 	}
@@ -246,7 +272,7 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 		if len(working) >= n || inWorking[i] {
 			return false
 		}
-		if math.Abs(mat.Dot(a.RowView(i), x)-b[i]) <= tol && addIfIndependent(a, working, i) {
+		if math.Abs(mat.Dot(a.RowView(i), x)-b[i]) <= tol && ws.addIfIndependent(a, working, i) {
 			working = append(working, i)
 			inWorking[i] = true
 			return true
@@ -283,6 +309,7 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 			last := working[len(working)-1]
 			working = working[:len(working)-1]
 			inWorking[last] = false
+			ws.qr.Truncate(len(working))
 			st.drops++
 			continue
 		}
@@ -309,6 +336,7 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 			dropped := working[minIdx]
 			working = append(working[:minIdx], working[minIdx+1:]...)
 			inWorking[dropped] = false
+			ws.qr.Truncate(minIdx)
 			st.drops++
 			continue
 		}
@@ -335,7 +363,7 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 			x[i] += alpha * p[i]
 		}
 		if blocking >= 0 && len(working) < n {
-			if addIfIndependent(a, working, blocking) {
+			if ws.addIfIndependent(a, working, blocking) {
 				working = append(working, blocking)
 				inWorking[blocking] = true
 				st.adds++
@@ -364,27 +392,58 @@ func result(h *mat.Dense, f, x []float64, iter int, working []int, status Status
 }
 
 // addIfIndependent reports whether row idx of a is linearly independent of
-// the rows already in the working set (so the KKT system stays nonsingular).
-func addIfIndependent(a *mat.Dense, working []int, idx int) bool {
-	if len(working) == 0 {
-		return mat.Norm2(a.RowView(idx)) > 0
-	}
-	// Solve min‖Awᵀy − aᵢ‖: a tiny residual means aᵢ ∈ span(rows of Aw).
-	n := a.Cols()
-	awt := mat.New(n, len(working))
-	for j, w := range working {
-		row := a.RowView(w)
-		for i := 0; i < n; i++ {
-			awt.Set(i, j, row[i])
-		}
+// the rows already in the working set (so the KKT system stays nonsingular)
+// and, when it is, appends the row's column to the kept factor ws.qr; the
+// caller then appends idx to the working set.
+//
+// The test is the least-squares problem min‖Awᵀy − aᵢ‖: a tiny residual
+// means aᵢ ∈ span(rows of Aw). Its arithmetic is FactorQR of Awᵀ followed by
+// SolveLeastSquaresTo and the residual's norm, in that order, but the
+// reflectors of the working rows are the kept ones, so a test costs
+// O(n·k) instead of a fresh O(n·k²) factorization, and Qᵀ·aᵢ, which the
+// test forms anyway, is the new column's state before its own reflector.
+//
+//eucon:noalloc
+func (ws *workspace) addIfIndependent(a *mat.Dense, working []int, idx int) bool {
+	f := &ws.qr
+	for j := f.Cols(); j < len(working); j++ { // the rows a drop cut off
+		f.Stage(a.RowView(working[j]))
+		f.Commit()
 	}
 	ai := a.RowView(idx)
-	y, err := mat.LeastSquares(awt, ai)
-	if err != nil {
-		return true // rank-deficient basis is handled by the KKT fallback
+	z := f.Stage(ai)
+	k := len(working)
+	if k == 0 {
+		if !(mat.Norm2(ai) > 0) {
+			return false
+		}
+		f.Commit()
+		return true
 	}
-	res := mat.VecSub(awt.MulVec(y), ai)
-	return mat.Norm2(res) > 1e-9*(1+mat.Norm2(ai))
+	// A rank-deficient basis fails the back-substitution; the row is then
+	// admitted and the KKT fallback handles the degenerate system.
+	if y := ws.y[:k]; f.SolveR(y, z) {
+		// r = Awᵀ·y, each entry summed over the working rows in order as
+		// Dense.MulVec sums a row, then ‖r − aᵢ‖ as Norm2 forms it.
+		r := ws.r
+		clear(r)
+		for j, w := range working {
+			row, yj := a.RowView(w), y[j]
+			for i := range r {
+				r[i] += row[i] * yj
+			}
+		}
+		var ss float64
+		for i, v := range ai {
+			d := r[i] - v
+			ss += d * d
+		}
+		if !(math.Sqrt(ss) > 1e-9*(1+mat.Norm2(ai))) {
+			return false
+		}
+	}
+	f.Commit()
+	return true
 }
 
 // solveKKT solves the equality-constrained subproblem
@@ -396,11 +455,15 @@ func addIfIndependent(a *mat.Dense, working []int, idx int) bool {
 // Schur complement S = Aw·H⁻¹·Awᵀ, so the only dense solve is k×k; the
 // H⁻¹·a_w columns and the entries of S are constants of (H, A) and come
 // from ws.cache, which derives each one once.
-// Both returned slices alias workspace storage valid until the next call.
+// The Schur system is assembled and factored in workspace storage, so a
+// warm call allocates nothing. Both returned slices alias workspace storage
+// valid until the next call.
+//
+//eucon:noalloc
 func solveKKT(hchol *mat.SPDFactor, a *mat.Dense, working []int, g []float64, ws *workspace) (p, lambda []float64, err error) {
 	hg := ws.hg
 	if err := hchol.SolveVecTo(hg, g); err != nil {
-		return nil, nil, fmt.Errorf("solve KKT system: %w", err)
+		return nil, nil, fmt.Errorf("solve KKT system: %w", err) //eucon:alloc-ok error path
 	}
 	p = ws.p
 	k := len(working)
@@ -412,18 +475,21 @@ func solveKKT(hchol *mat.SPDFactor, a *mat.Dense, working []int, g []float64, ws
 	}
 	cache := &ws.cache
 	if err := cache.solveRows(hchol, a, working); err != nil {
-		return nil, nil, fmt.Errorf("solve KKT system: %w", err)
+		return nil, nil, fmt.Errorf("solve KKT system: %w", err) //eucon:alloc-ok error path
 	}
 	// S·λ = −Aw·H⁻¹·g with S[i][j] = a_i·H⁻¹·a_j.
-	s := mat.New(k, k)
-	rhs := make([]float64, k)
+	s := ws.lu.Reset(k)
+	rhs := ws.rhs[:k]
 	for i, w := range working {
 		cache.gramRow(s.RowView(i), a, w, working)
 		rhs[i] = -mat.Dot(a.RowView(w), hg)
 	}
-	lambda, err = mat.SolveVec(s, rhs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("solve KKT system: %w", err)
+	lambda = ws.mult[:k]
+	if err := ws.lu.Factor(); err != nil {
+		return nil, nil, fmt.Errorf("solve KKT system: %w", err) //eucon:alloc-ok error path
+	}
+	if err := ws.lu.SolveVecTo(lambda, rhs); err != nil {
+		return nil, nil, fmt.Errorf("solve KKT system: %w", err) //eucon:alloc-ok error path
 	}
 	// p = −H⁻¹·g − Σ λ_j·H⁻¹·a_j.
 	hinv, n := cache.hinv, len(p)
