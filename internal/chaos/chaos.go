@@ -127,11 +127,11 @@ type Options struct {
 	// Campaign selects the run configuration (workload + controller +
 	// clause alphabet); the zero value is the canonical SIMPLE campaign.
 	Campaign Campaign
-	// Explicit runs every scenario with an explicit law attached
-	// (core.Config.Explicit). The law changes no rate, so the invariant
-	// set, violations, and shrunken reproducers are unchanged; campaigns
-	// with it on prove that, and that the hit/miss bookkeeping holds up
-	// under fault storms.
+	// Explicit runs every SIMPLE scenario a second time with an explicit
+	// law attached (core.Config.Explicit). The law is documented to change
+	// no rate, so the second trace must be bit-identical to the first, and
+	// its hits + misses must equal the controller steps; anything else is
+	// a violation.
 	Explicit bool
 
 	// seedBug, when non-nil, plants a controller bug for harness
@@ -259,11 +259,41 @@ func Check(ctx context.Context, specs []fault.Spec, opts Options) (problems []st
 	}
 
 	sys := workload.Simple()
+	tr, ctrl, err := runSimple(ctx, sys, specs, opts, false)
+	if err != nil {
+		return []string{err.Error()}, stats
+	}
+	stats.bestIterate, stats.regularized, stats.held = ctrl.ContainmentCounts()
+	stats.book(tr)
+	problems = inspect(tr, sys, opts.Periods, reconvergeTol)
+	if !opts.Explicit {
+		return problems, stats
+	}
+	etr, ectrl, err := runSimple(ctx, sys, specs, opts, true)
+	if err != nil {
+		return append(problems, fmt.Sprintf("explicit law: %v", err)), stats
+	}
+	if d := traceDivergence(tr, etr); d != "" {
+		problems = append(problems, fmt.Sprintf("explicit law changed the trace: %s", d))
+	}
+	steps := 0
+	for _, ps := range etr.Periods {
+		steps += 1 - ps.ControlSkipped
+	}
+	if hits, misses := ectrl.ExplicitCounts(); hits+misses != steps {
+		problems = append(problems, fmt.Sprintf("explicit law booked %d hits + %d misses over %d controller steps", hits, misses, steps))
+	}
+	return problems, stats
+}
+
+// runSimple runs one simulation of the canonical SIMPLE configuration
+// under specs, with or without the explicit law attached.
+func runSimple(ctx context.Context, sys *task.System, specs []fault.Spec, opts Options, explicit bool) (*sim.Trace, *core.Controller, error) {
 	ccfg := workload.SimpleController()
-	ccfg.Explicit = opts.Explicit
+	ccfg.Explicit = explicit
 	ctrl, err := core.New(sys, nil, ccfg)
 	if err != nil {
-		return []string{fmt.Sprintf("build controller: %v", err)}, stats
+		return nil, nil, fmt.Errorf("build controller: %w", err)
 	}
 	var rc sim.Controller = ctrl
 	if opts.seedBug != nil {
@@ -281,16 +311,13 @@ func Check(ctx context.Context, specs []fault.Spec, opts Options) (problems []st
 		DisableGuards:  opts.DisableGuards,
 	})
 	if err != nil {
-		return []string{fmt.Sprintf("configure simulator: %v", err)}, stats
+		return nil, nil, fmt.Errorf("configure simulator: %w", err)
 	}
 	tr, err := s.RunContext(ctx)
 	if err != nil {
-		return []string{fmt.Sprintf("run failed: %v", err)}, stats
+		return nil, nil, fmt.Errorf("run failed: %w", err)
 	}
-
-	stats.bestIterate, stats.regularized, stats.held = ctrl.ContainmentCounts()
-	stats.book(tr)
-	return inspect(tr, sys, opts.Periods, reconvergeTol), stats
+	return tr, ctrl, nil
 }
 
 // book records a simulated run's feedback-policy and guard counters.

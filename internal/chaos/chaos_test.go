@@ -57,11 +57,12 @@ func TestCampaignSmokeClean(t *testing.T) {
 }
 
 // TestCampaignExplicitClean re-runs the clean campaign with the explicit
-// control law in the loop: the offline-compiled controller must hold every
-// invariant under the same fault storms, with zero violations and zero
-// guard firings — the chaos-harness acceptance run for explicit MPC.
+// law attached: under the same fault storms, each run's trace must be
+// bit-identical to the run without it, and its hits + misses must equal
+// the controller steps, with zero violations and zero guard firings — the
+// chaos-harness acceptance run for explicit MPC.
 func TestCampaignExplicitClean(t *testing.T) {
-	rep, err := Run(context.Background(), Options{Seed: 1, Scenarios: 10, Explicit: true})
+	rep, err := Run(context.Background(), Options{Seed: 1, Scenarios: 25, Explicit: true})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

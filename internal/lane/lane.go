@@ -189,9 +189,6 @@ func DialContext(ctx context.Context, addr string, timeout time.Duration, opts .
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.nc.Close() }
 
-// RemoteAddr reports the peer address.
-func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
-
 // Send encodes m with the connection's codec and writes one frame,
 // applying the deadline to the whole write (zero deadline means no
 // timeout). The frame buffer is reused across calls, so steady-state
