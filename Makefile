@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint lint-fixtures build test bench-smoke chaos-smoke chaos fuzz-queue fuzz-lane fuzz-qp
+.PHONY: check fmt vet lint lint-fixtures build test bench-smoke chaos-smoke chaos fuzz-queue fuzz-lane fuzz-qp fuzz-mpc
 
 ## check: the tier-1 gate — format, vet, build, race-enabled tests, and a
 ## one-iteration benchmark smoke pass. CI and pre-commit both run this.
@@ -70,3 +70,11 @@ fuzz-lane:
 ## corpus already runs with the ordinary tests.
 fuzz-qp:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndependenceFactor$$' -fuzztime 30s ./internal/qp
+
+## fuzz-mpc: fuzz the controller's analytic start point for 30 s on
+## SIMPLE, MEDIUM and LARGE-8: Δr = 0 when feasible, else a feasible t*·c
+## toward the R_min corner with a formerly violated row tight, and the
+## relaxed variant exactly when the corner is infeasible; the seed corpus
+## already runs with the ordinary tests.
+fuzz-mpc:
+	$(GO) test -run '^$$' -fuzz '^FuzzStartPoint$$' -fuzztime 30s ./internal/mpc

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/rtsyslab/eucon/internal/workload"
 )
@@ -128,5 +129,29 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 				t.Errorf("%s trace has %d periods, want %d", e.ID, len(tr.Utilization), DefaultPeriods)
 			}
 		})
+	}
+}
+
+// TestCentralizedLarge128Runs runs centralized EUCON on LARGE-128 (640
+// tasks) at etf 1 for 2 periods and holds it to a 10-s wall budget. Each
+// overloaded period's active-set solve starts at the smallest feasible step
+// toward the R_min corner; started at the corner itself, these 2 periods
+// took 74.0 s on a 2-core box.
+func TestCentralizedLarge128Runs(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("LARGE-128 centralized run skipped under -short and -race")
+	}
+	begin := time.Now()
+	tr, err := Run(context.Background(), Spec{Workload: WorkloadLarge128, Controller: KindEUCON, Periods: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(begin)
+	t.Logf("2 periods of centralized LARGE-128 at etf 1 in %v", wall)
+	if len(tr.Utilization) != 2 {
+		t.Fatalf("%d periods traced, want 2", len(tr.Utilization))
+	}
+	if wall > 10*time.Second {
+		t.Fatalf("2 periods took %v, over the 10-s budget", wall)
 	}
 }

@@ -51,6 +51,15 @@ func (f *QR) Reset(m int) {
 	f.m, f.n = m, 0
 }
 
+// Reserve makes room for cols columns at the current row count, keeping
+// the factored ones, so a factor that later grows to cols columns
+// allocates nothing on the way.
+func (f *QR) Reserve(cols int) {
+	if cols*f.m > len(f.v) || cols > len(f.rdiag) {
+		f.grow(cols)
+	}
+}
+
 // Cols reports how many columns f has factored.
 //
 //eucon:noalloc

@@ -15,10 +15,10 @@ func (c *Controller) NominalProblem() (cmat *mat.Dense, d []float64, a *mat.Dens
 // multipliers are an earlier solve's: the step's own are all zero.
 func (c *Controller) LastSolution() (x, lambda []float64) { return c.z0, c.lsi.Multipliers() }
 
-// IterativeStart writes into z0 the point the iterative solve of the most
-// recent StepTo's problem starts from when rates were applied, and returns
-// the constraint variant that point is feasible for.
-func (c *Controller) IterativeStart(z0, rates []float64) (a *mat.Dense, b []float64) {
-	a, b, _ = c.start(z0, rates)
-	return a, b
+// StartFor fills the constraint right-hand side for the measurements u and
+// the applied rates, then picks the iterative solve's start into z0 as
+// StepTo would: the constraint variant, and whether it is the relaxed one.
+func (c *Controller) StartFor(z0, u, rates []float64) (a *mat.Dense, b []float64, relaxed bool) {
+	c.fillConstraintRHS(u, rates)
+	return c.start(z0, rates)
 }

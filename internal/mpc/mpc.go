@@ -595,11 +595,20 @@ func (c *Controller) solveIterative(rates []float64) (x []float64, iters int, ou
 // start picks the iterative solve's starting point into z0 and the
 // constraint variant it is feasible for, analytically: the solver has no
 // phase-1. Δr = 0 is feasible unless a processor is over its set point (or a
-// rate is outside its box); then "all rates to R_min" is the most
-// aggressive recovery available — F is non-negative, so if even that
-// violates the output constraints, the constraint set is infeasible and
-// the hard utilization constraints are relaxed for this period, starting
-// inside the rate box (boxStart).
+// rate is outside its box); then the corner move c = R_min − r(k−1), "all
+// rates to R_min", is the most aggressive recovery available — F is
+// non-negative, so if even the corner violates the output constraints, the
+// constraint set is infeasible and the hard utilization constraints are
+// relaxed for this period, starting inside the rate box (boxStart).
+//
+// When the corner is feasible the solve starts at t*·c, the smallest
+// feasible step toward it: t* = max bᵢ/(aᵢ·c) over the rows violated at
+// Δr = 0 (every such row has bᵢ < 0 and, the corner satisfying it,
+// aᵢ·c < 0). Every row holds at both ends of the segment, so it holds at
+// t*·c, and the row that sets t* is tight there. The corner itself is a
+// vertex with every box row active, which the solver would then spend
+// dozens of drops leaving; t*·c seeds the last violated output row and the
+// warm rows active there.
 func (c *Controller) start(z0, rates []float64) (a *mat.Dense, b []float64, relaxed bool) {
 	clear(z0)
 	if maxViolation(c.aFull, c.bFull, z0) <= 1e-9 {
@@ -608,11 +617,21 @@ func (c *Controller) start(z0, rates []float64) (a *mat.Dense, b []float64, rela
 	for j := 0; j < c.m; j++ {
 		z0[j] = c.rmin[j] - rates[j]
 	}
-	if maxViolation(c.aFull, c.bFull, z0) <= 1e-9 || c.cfg.DisableOutputConstraints {
-		return c.aFull, c.bFull, false
+	if maxViolation(c.aFull, c.bFull, z0) > 1e-9 && !c.cfg.DisableOutputConstraints {
+		c.boxStart(z0, rates)
+		return c.aBox, c.bBox, true
 	}
-	c.boxStart(z0, rates)
-	return c.aBox, c.bBox, true
+	var t float64
+	for i, bi := range c.bFull {
+		if bi < -1e-9 {
+			t = math.Max(t, bi/mat.Dot(c.aFull.RowView(i), z0))
+		}
+	}
+	t = math.Min(t, 1) // a row the corner meets only within 1e-9 puts its ratio past 1
+	for j := 0; j < c.m; j++ {
+		z0[j] *= t
+	}
+	return c.aFull, c.bFull, false
 }
 
 // boxStart writes the move clamp(r) − r into z0's first block and zeroes

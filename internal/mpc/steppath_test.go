@@ -63,7 +63,9 @@ func TestStepToMatchesStepBitwise(t *testing.T) {
 	nan := math.NaN()
 	scripted := [][]float64{
 		{0.9, 0.7, 0.85, 0.6}, {1.3, 1.2, 0.5, 0.4}, // overload: constraints active
-		{4, 4, 4, 4}, {1.1, 1.05, 1.2, 1.3}, // infeasible even at R_min: output constraints relaxed
+		{4, 4, 4, 4},         // infeasible even at R_min: output constraints relaxed
+		{1.5, 1.5, 1.5, 1.5}, // still infeasible; capped at 6 iterations, too far from stationary: regularized
+		{1.1, 1.05, 1.2, 1.3},
 		{nan, 0.5, 0.5, 0.5}, // poisoned: hold rung
 		{0.6, 0.6, 0.9, 0.2}, {0.2, 0.2, 0.2, 0.2}, {0.1, 0.1, 0.9, 0.9},
 		{0.8, 0.8, 0.8, 0.8}, {0.82, 0.825, 0.82, 0.825}, // recovery into the interior
@@ -206,7 +208,7 @@ func TestInteriorSolveMatchesIterativeBitwise(t *testing.T) {
 			misses++
 			// Off the interior, start where the controller does, on the
 			// constraint variant that start is feasible for.
-			sa, sb := ctrl.IterativeStart(start, applied)
+			sa, sb, _ := ctrl.StartFor(start, u, applied)
 			res, err := iterative.Solve(d, sa, sb, start)
 			if err != nil {
 				t.Fatalf("row %d: iterative solve from the controller's start: %v", k, err)

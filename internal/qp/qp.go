@@ -31,11 +31,14 @@
 // iterations as well: an add appends one column, a drop refactors only the
 // columns behind the dropped one, and the test itself reflects the
 // candidate through the kept columns in O(n·k). What an iteration still
-// pays for is the O(k³) LU of S, factored in workspace storage. The kept
-// factor and the LU run FactorQR's and FactorLU's own kernels in their
-// order, so every decision and every iterate is, bit for bit, what
-// from-scratch FactorQR and FactorLU calls give; and a warm iterative solve
-// allocates only the Result it returns.
+// pays for is the O(k³) LU of S, factored in workspace storage. The
+// workspace reserves the kept QR and the LU at the variable count, the
+// most rows a working set can hold, so a working set that grows row by row
+// from a small seed never regrows either mid-solve. The kept factor and the
+// LU run FactorQR's and FactorLU's own kernels in their order, so every
+// decision and every iterate is, bit for bit, what from-scratch FactorQR
+// and FactorLU calls give; and a warm iterative solve allocates only the
+// Result it returns.
 //
 // Certify checks a solution independently of how it was found: with the
 // multipliers an LSI keeps (LSI.Multipliers), four KKT residuals that all
@@ -192,7 +195,12 @@ func (ws *workspace) ensure(n, m int) {
 	ws.hg = ws.hg[:n]
 	ws.p = ws.p[:n]
 	ws.r = ws.r[:n]
+	// A working set never exceeds the variable count: reserve the kept QR
+	// and the Schur LU at that size up front, so a working set that grows
+	// row by row never reallocates either mid-solve.
 	ws.qr.Reset(n)
+	ws.qr.Reserve(n)
+	ws.lu.Reset(n)
 	if cap(ws.inWorking) < m {
 		ws.inWorking = make([]bool, m)
 	}

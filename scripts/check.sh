@@ -65,6 +65,11 @@ if [ -z "$digests_a" ] || [ "$digests_a" != "$digests_b" ]; then
 fi
 echo "$exp_rep_a"
 
+# The goldens pin trajectories bit for bit, so they cannot judge a change
+# that moves an iterate on purpose (the active-set start point at t*·c moved
+# every one). Such a change re-pins them once; the KKT certificate on every
+# solve (TestRecordedStepsCertify, TestReplayedSolvesCertify) and
+# TestPaperClaims are what accept the new trajectories.
 echo "==> golden digests vs scripts/golden/ (fig4/fig5 sweeps, proc2-crash-recover, kitchen-sink, LARGE-128, LARGE-1024; -race skips the LARGE two)"
 go test ./cmd/euconsim -run TestGoldenDigests
 
