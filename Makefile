@@ -66,10 +66,13 @@ fuzz-lane:
 
 ## fuzz-qp: fuzz the active-set solver's kept QR factor for 30 s: random
 ## row sets and add/drop scripts must give the independence decisions of a
-## from-scratch QR and a factor equal to FactorQR's, bit for bit; the seed
-## corpus already runs with the ordinary tests.
+## from-scratch QR and a factor equal to FactorQR's, bit for bit; then its
+## sparse row form for 30 s: row products over the nonzeros must equal the
+## dense sums, bit for bit. The seed corpora already run with the ordinary
+## tests.
 fuzz-qp:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndependenceFactor$$' -fuzztime 30s ./internal/qp
+	$(GO) test -run '^$$' -fuzz '^FuzzRowForm$$' -fuzztime 30s ./internal/qp
 
 ## fuzz-mpc: fuzz the controller's analytic start point for 30 s on
 ## SIMPLE, MEDIUM and LARGE-8: Δr = 0 when feasible, else a feasible t*·c

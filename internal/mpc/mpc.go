@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/rtsyslab/eucon/internal/empc"
 	"github.com/rtsyslab/eucon/internal/mat"
@@ -611,7 +612,9 @@ func (c *Controller) solveIterative(rates []float64) (x []float64, iters int, ou
 // warm rows active there.
 func (c *Controller) start(z0, rates []float64) (a *mat.Dense, b []float64, relaxed bool) {
 	clear(z0)
-	if maxViolation(c.aFull, c.bFull, z0) <= 1e-9 {
+	// At Δr = +0 every aᵢ·z0 is exactly +0 (a +0-started sum of ±0 terms;
+	// A is finite), so row i's violation is −bᵢ and the test reads b alone.
+	if !slices.ContainsFunc(c.bFull, func(bi float64) bool { return bi < -1e-9 }) {
 		return c.aFull, c.bFull, false
 	}
 	for j := 0; j < c.m; j++ {

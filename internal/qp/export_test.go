@@ -6,10 +6,6 @@ import (
 	"github.com/rtsyslab/eucon/internal/mat"
 )
 
-// MaxViolation is the feasibility measure Solve and mpc's start-point
-// selection share.
-var MaxViolation = maxViolation
-
 // SolveStats is what the most recent iterative solve did to its working
 // set (see solveStats).
 type SolveStats struct {

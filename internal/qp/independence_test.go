@@ -58,6 +58,7 @@ func runScript(t testing.TB, a *mat.Dense, ops []scriptOp) []bool {
 	n := a.Cols()
 	ws := &workspace{}
 	ws.ensure(n, a.Rows())
+	ws.cache.bind(a) // the residual walks the row form, as in solveActiveSet
 	var working []int
 	var decisions []bool
 	for s, op := range ops {

@@ -7,41 +7,115 @@ import (
 )
 
 // kktCache holds what an active-set iteration would otherwise re-derive
-// from two constants, the Hessian factor and the constraint matrix: the
-// vectors H⁻¹·aᵢ and the entries aᵢ·H⁻¹·aⱼ of the Schur complement. Both
-// tables are indexed by constraint row number and filled on first use by
-// the calls solveKKT would make every iteration (the factor's SolveVecTo on
-// the row, mat.Dot of a row with a solved row), so a stored value has the
-// bits a recomputation would. The two orders of a pair are separate
-// entries: Dot(aᵢ, H⁻¹aⱼ) and Dot(aⱼ, H⁻¹aᵢ) can differ in the last bit.
+// from two constants, the Hessian factor and the constraint matrix: A's
+// nonzeros in compressed sparse row form, the vectors H⁻¹·aᵢ and the
+// entries aᵢ·H⁻¹·aⱼ of the Schur complement. The two tables are indexed by
+// constraint row number and filled on first use by the calls solveKKT
+// would make every iteration (the factor's SolveVecTo on the row, mat.Dot
+// of a row with a solved row), so a stored value has the bits a
+// recomputation would. The two orders of a pair are separate entries:
+// Dot(aᵢ, H⁻¹aⱼ) and Dot(aⱼ, H⁻¹aᵢ) can differ in the last bit.
+//
+// The row form serves every product of a constraint row with a vector that
+// is not a Cholesky solve: the start's feasibility and activity tests, the
+// line search and the independence test's residual. Its kernels (rowDot,
+// addRow) visit a row's nonzeros in column order, as mat.Dot visits every
+// entry, and their results are bit for bit the dense ones whenever the
+// vector is finite. A sum that starts at +0 is never −0: round-to-nearest
+// gives +0 for every exact zero sum except (−0) + (−0). A skipped term
+// aᵢⱼ·vⱼ with aᵢⱼ = ±0 and vⱼ finite is ±0, and s + (±0) = s for every s
+// but −0, so leaving it out changes no bit. A non-finite vⱼ at a zero
+// coefficient is where the two part: the dense term 0·±Inf or 0·NaN is NaN,
+// which the row form never forms.
 //
 // A cache describes one constraint storage, identified by the address of
 // its first element (holding it also keeps the storage alive), so a
-// row-prefix view shares its parent's tables. Nothing is allocated until a
-// row first enters a working set. "Unset" is NaN — an entry of gram, the
-// first element of a row of hinv — so there is no side table; a value that
+// row-prefix view shares its parent's row form and tables. The row form is
+// built when a storage is first bound; the tables are allocated when a row
+// first enters a working set. "Unset" is NaN — an entry of gram, the first
+// element of a row of hinv — so there is no side table; a value that
 // really is NaN is recomputed on every use, which yields the same NaN.
 type kktCache struct {
 	base *float64
-	m, n int       // table dimensions: rows of the storage, variables
-	hinv []float64 // m×n, row i = H⁻¹·aᵢ
-	gram []float64 // m×m, entry (i, j) = Dot(aᵢ, H⁻¹·aⱼ)
+	m, n int // table dimensions: rows of the storage, variables
+	// Row i's nonzeros are vals[start[i]:start[i+1]], in columns
+	// cols[start[i]:start[i+1]], ascending.
+	start []int
+	cols  []int
+	vals  []float64
+	hinv  []float64 // m×n, row i = H⁻¹·aᵢ
+	gram  []float64 // m×m, entry (i, j) = Dot(aᵢ, H⁻¹·aⱼ)
 }
 
 // bind points the cache at the constraint matrix of the coming solve. The
-// tables survive when a is the storage they describe or a row prefix of it
-// and are dropped otherwise.
+// row form and tables survive when a is the storage they describe or a row
+// prefix of it; otherwise they are dropped and the row form is rebuilt.
 //
 //eucon:noalloc
 func (c *kktCache) bind(a *mat.Dense) {
-	if a == nil || a.Rows() == 0 || a.Cols() == 0 {
-		return // no row can enter a working set
+	if a == nil || a.Rows() == 0 {
+		return // no row to test or to enter a working set
 	}
-	base := &a.RowView(0)[0]
-	if base == c.base && a.Cols() == c.n && a.Rows() <= c.m {
+	m, n := a.Rows(), a.Cols()
+	var base *float64 // nil for a matrix without columns: every row is empty
+	if n > 0 {
+		base = &a.RowView(0)[0]
+	}
+	if base == c.base && n == c.n && m <= c.m {
 		return
 	}
-	*c = kktCache{base: base, m: a.Rows(), n: a.Cols()}
+	*c = kktCache{base: base, m: m, n: n}
+	nnz := 0
+	for i := 0; i < m; i++ {
+		for _, v := range a.RowView(i) {
+			if v != 0 { //eucon:float-exact the zero pattern: a term with an exact ±0 coefficient adds nothing (see kktCache)
+				nnz++
+			}
+		}
+	}
+	c.start = make([]int, m+1)    //eucon:alloc-ok the row form is built once per constraint storage
+	c.cols = make([]int, nnz)     //eucon:alloc-ok the row form is built once per constraint storage
+	c.vals = make([]float64, nnz) //eucon:alloc-ok the row form is built once per constraint storage
+	k := 0
+	for i := 0; i < m; i++ {
+		for j, v := range a.RowView(i) {
+			if v != 0 { //eucon:float-exact the zero pattern, as counted above
+				c.cols[k], c.vals[k] = j, v
+				k++
+			}
+		}
+		c.start[i+1] = k
+	}
+}
+
+// rowDot returns aᵢ·v summed over row i's nonzeros in column order: for a
+// finite v, the bits of mat.Dot(aᵢ, v).
+//
+//eucon:noalloc
+func (c *kktCache) rowDot(i int, v []float64) float64 {
+	lo, hi := c.start[i], c.start[i+1]
+	cols := c.cols[lo:hi]
+	vals := c.vals[lo:hi]
+	vals = vals[:len(cols)] // lets the compiler drop the vals[k] bounds check
+	var s float64
+	for k, j := range cols {
+		s += vals[k] * v[j]
+	}
+	return s
+}
+
+// addRow adds y·aᵢ to r over row i's nonzeros: for a finite y, the bits of
+// r[j] += aᵢⱼ·y over every column j.
+//
+//eucon:noalloc
+func (c *kktCache) addRow(r []float64, i int, y float64) {
+	lo, hi := c.start[i], c.start[i+1]
+	cols := c.cols[lo:hi]
+	vals := c.vals[lo:hi]
+	vals = vals[:len(cols)] // as in rowDot
+	for k, j := range cols {
+		r[j] += vals[k] * y
+	}
 }
 
 // solveRows makes sure H⁻¹·a_w is in hinv for every working row.

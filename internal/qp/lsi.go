@@ -88,11 +88,12 @@ func NewLSI(c *mat.Dense, opts Options) (*LSI, error) {
 // ordering.
 //
 // Like C, a constraint matrix is captured by reference and must not be
-// mutated after it has been passed in: the solver remembers H⁻¹·aᵢ and
-// aᵢ·H⁻¹·aⱼ for the rows that have entered a working set, keyed on the
-// matrix storage, and reuses them for as long as the same storage (or a
-// mat.Dense.RowPrefix view of it, under the same row numbers) keeps being
-// passed. Handing in a different matrix drops what was remembered.
+// mutated after it has been passed in: the solver remembers the matrix's
+// nonzeros by row, and H⁻¹·aᵢ and aᵢ·H⁻¹·aⱼ for the rows that have entered
+// a working set, keyed on the matrix storage, and reuses them for as long
+// as the same storage (or a mat.Dense.RowPrefix view of it, under the same
+// row numbers) keeps being passed, to Solve or to SolveInteriorTo. Handing
+// in a different matrix drops what was remembered.
 func (s *LSI) Solve(d []float64, a *mat.Dense, b []float64, x0 []float64) (*Result, error) {
 	n := s.c.Cols()
 	if len(d) != s.c.Rows() {
@@ -175,7 +176,12 @@ func (s *LSI) Structured() (banded bool, bandwidth int) {
 //  3. The line search evaluates step = (b_i − Dot(a_i, x))/denom at x = 0;
 //     b_i − (+0) == b_i for every float64, so step = b_i/denom bitwise.
 //     Any blocking step < 1 means the iterative path would add a
-//     constraint: not interior, fall back.
+//     constraint: not interior, fall back. Both paths form denom = a_i·p
+//     over a_i's nonzeros only (kktCache.rowDot), and for a finite p that
+//     is Dot(a_i, p) bit for bit: the +0-initialized sum is never −0, so
+//     each skipped term a_ij·p_j = ±0 (a_ij = ±0, p_j finite) leaves it
+//     unchanged. The paths share the kernel, so a non-finite p_j at a zero
+//     coefficient, where the dense term would be NaN, is skipped by both.
 //  4. The update x_i += 1.0·p_i from x = 0 and the iteration-1 stationarity
 //     check (g = H·x + f, p = −H⁻¹g, ‖p‖∞ ≤ tol·(1 + ‖x‖∞)) are replicated
 //     literally; ‖−v‖∞ == ‖v‖∞ exactly, so the second p is never
@@ -192,6 +198,10 @@ func (s *LSI) SolveInteriorTo(x []float64, d []float64, a *mat.Dense, b []float6
 	if len(b) != m {
 		return 0, false
 	}
+	// Bound before any guard, so the storage the controller's first step
+	// hands in is the one the row form and tables describe.
+	rows := &s.ws.cache
+	rows.bind(a)
 	maxIter := s.opts.MaxIter
 	if maxIter <= 0 {
 		maxIter = 50*(n+m) + 100 // mirrors Options.withDefaults
@@ -233,7 +243,7 @@ func (s *LSI) SolveInteriorTo(x []float64, d []float64, a *mat.Dense, b []float6
 	}
 	// Guard 3: the full Newton step must be unblocked by every constraint.
 	for i := 0; i < m; i++ {
-		denom := mat.Dot(a.RowView(i), p)
+		denom := rows.rowDot(i, p)
 		if denom <= tol {
 			continue
 		}

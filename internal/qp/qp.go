@@ -30,15 +30,22 @@
 // Awᵀ that decides whether a candidate row is independent is kept across
 // iterations as well: an add appends one column, a drop refactors only the
 // columns behind the dropped one, and the test itself reflects the
-// candidate through the kept columns in O(n·k). What an iteration still
-// pays for is the O(k³) LU of S, factored in workspace storage. The
-// workspace reserves the kept QR and the LU at the variable count, the
-// most rows a working set can hold, so a working set that grows row by row
-// from a small seed never regrows either mid-solve. The kept factor and the
-// LU run FactorQR's and FactorLU's own kernels in their order, so every
-// decision and every iterate is, bit for bit, what from-scratch FactorQR
-// and FactorLU calls give; and a warm iterative solve allocates only the
-// Result it returns.
+// candidate through the kept columns in O(n·k). A is sparse by
+// construction (a rate-box row has at most M nonzeros, an output row is a
+// row of F), so the cache also keeps its nonzeros by row, built once per
+// constraint storage: the start's feasibility and activity tests, the line
+// search and the independence test's residual walk only those, and the
+// line search costs O(nnz(A)) per iteration instead of O(m·n). What an
+// iteration still pays for is the O(k³) LU of S, factored in workspace
+// storage, and the Cholesky solve for H⁻¹·g. The workspace reserves the
+// kept QR and the LU at the variable count, the most rows a working set
+// can hold, so a working set that grows row by row from a small seed never
+// regrows either mid-solve. The kept factor and the LU run FactorQR's and
+// FactorLU's own kernels in their order, and a sum over a row's nonzeros
+// has the bits of the dense sum for a finite vector, so every decision and
+// every iterate is, bit for bit, what from-scratch FactorQR and FactorLU
+// calls and dense row products give; and a warm iterative solve allocates
+// only the Result it returns.
 //
 // Certify checks a solution independently of how it was found: with the
 // multipliers an LSI keeps (LSI.Multipliers), four KKT residuals that all
@@ -143,10 +150,13 @@ type Result struct {
 // zero workspace is ready for use; ensure sizes it on demand.
 type workspace struct {
 	x, g, hg, p []float64
-	working     []int
-	inWorking   []bool
-	cache       kktCache
-	stats       solveStats
+	// excess holds aᵢ·x0 − bᵢ for every row: the start's feasibility test
+	// and the seeding activity test read it, x not moving in between.
+	excess    []float64
+	working   []int
+	inWorking []bool
+	cache     kktCache
+	stats     solveStats
 
 	// qr is the Householder QR of Awᵀ, one column per working row in
 	// working-set order, kept across iterations: a drop truncates it at the
@@ -203,8 +213,10 @@ func (ws *workspace) ensure(n, m int) {
 	ws.lu.Reset(n)
 	if cap(ws.inWorking) < m {
 		ws.inWorking = make([]bool, m)
+		ws.excess = make([]float64, m)
 	}
 	ws.inWorking = ws.inWorking[:m]
+	ws.excess = ws.excess[:m]
 	for i := range ws.inWorking {
 		ws.inWorking[i] = false
 	}
@@ -262,11 +274,20 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 	opts = opts.withDefaults(n, m)
 
 	ws.ensure(n, m)
-	ws.cache.bind(a)
+	rows := &ws.cache
+	rows.bind(a)
 	st := &ws.stats
 	x := ws.x
 	copy(x, x0)
-	if v := maxViolation(a, b, x); v > feasTol {
+	excess := ws.excess
+	var v float64
+	for i := 0; i < m; i++ {
+		excess[i] = rows.rowDot(i, x) - b[i]
+		if excess[i] > v {
+			v = excess[i]
+		}
+	}
+	if v > feasTol {
 		return nil, fmt.Errorf("qp: x0 violates constraints by %g: %w", v, ErrInfeasible)
 	}
 
@@ -280,7 +301,7 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 		if len(working) >= n || inWorking[i] {
 			return false
 		}
-		if math.Abs(mat.Dot(a.RowView(i), x)-b[i]) <= tol && ws.addIfIndependent(a, working, i) {
+		if math.Abs(excess[i]) <= tol && ws.addIfIndependent(a, working, i) {
 			working = append(working, i)
 			inWorking[i] = true
 			return true
@@ -354,12 +375,11 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 			if inWorking[i] {
 				continue
 			}
-			ai := a.RowView(i)
-			denom := mat.Dot(ai, p)
+			denom := rows.rowDot(i, p)
 			if denom <= tol {
 				continue
 			}
-			step := (b[i] - mat.Dot(ai, x)) / denom
+			step := (b[i] - rows.rowDot(i, x)) / denom
 			if step < alpha {
 				alpha, blocking = step, i
 			}
@@ -432,14 +452,13 @@ func (ws *workspace) addIfIndependent(a *mat.Dense, working []int, idx int) bool
 	// admitted and the KKT fallback handles the degenerate system.
 	if y := ws.y[:k]; f.SolveR(y, z) {
 		// r = Awᵀ·y, each entry summed over the working rows in order as
-		// Dense.MulVec sums a row, then ‖r − aᵢ‖ as Norm2 forms it.
+		// Dense.MulVec sums a row, then ‖r − aᵢ‖ as Norm2 forms it. The sum
+		// runs over the nonzeros, which for a finite y gives the same bits
+		// (see kktCache).
 		r := ws.r
 		clear(r)
 		for j, w := range working {
-			row, yj := a.RowView(w), y[j]
-			for i := range r {
-				r[i] += row[i] * yj
-			}
+			ws.cache.addRow(r, w, y[j])
 		}
 		var ss float64
 		for i, v := range ai {
@@ -513,17 +532,4 @@ func solveKKT(hchol *mat.SPDFactor, a *mat.Dense, working []int, g []float64, ws
 
 func objective(h *mat.Dense, f []float64, x []float64) float64 {
 	return 0.5*mat.Dot(x, h.MulVec(x)) + mat.Dot(f, x)
-}
-
-func maxViolation(a *mat.Dense, b, x []float64) float64 {
-	if a == nil {
-		return 0
-	}
-	var v float64
-	for i := 0; i < a.Rows(); i++ {
-		if d := mat.Dot(a.RowView(i), x) - b[i]; d > v {
-			v = d
-		}
-	}
-	return v
 }

@@ -3,6 +3,7 @@ package qp_test
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/rtsyslab/eucon/internal/core"
@@ -208,11 +209,12 @@ func (s *side) solve(r *replayer, rates []float64) solved {
 	}
 	out := solved{a: r.a, b: r.b}
 	clear(s.z0)
-	if qp.MaxViolation(out.a, out.b, s.z0) > 1e-9 {
+	// At Δr = 0 every aᵢ·0 is +0, so row i is violated exactly when bᵢ < −1e-9.
+	if slices.ContainsFunc(out.b, func(bi float64) bool { return bi < -1e-9 }) {
 		for j := 0; j < r.m; j++ { // the corner move c = R_min − r
 			s.z0[j] = r.rmin[j] - rates[j]
 		}
-		if qp.MaxViolation(out.a, out.b, s.z0) > 1e-9 {
+		if maxViolation(out.a, out.b, s.z0) > 1e-9 {
 			out.relaxed = true
 			out.a, out.b = r.aBox, r.b[:r.aBox.Rows()]
 			clear(s.z0)
@@ -243,6 +245,18 @@ func (s *side) solve(r *replayer, rates []float64) solved {
 	s.prevRelaxed = out.relaxed
 	out.res, out.x, out.iters = res, res.X, res.Iterations
 	return out
+}
+
+// maxViolation is the largest amount by which z violates a·z ≤ b (0 when
+// z is feasible), as mpc measures the corner.
+func maxViolation(a *mat.Dense, b, z []float64) float64 {
+	var v float64
+	for i := 0; i < a.Rows(); i++ {
+		if d := mat.Dot(a.RowView(i), z) - b[i]; d > v {
+			v = d
+		}
+	}
+	return v
 }
 
 // checkAgainstOracle requires the replayed solve to be the one the real
