@@ -68,11 +68,14 @@ fuzz-lane:
 ## row sets and add/drop scripts must give the independence decisions of a
 ## from-scratch QR and a factor equal to FactorQR's, bit for bit; then its
 ## sparse row form for 30 s: row products over the nonzeros must equal the
-## dense sums, bit for bit. The seed corpora already run with the ordinary
-## tests.
+## dense sums, bit for bit; then whole solves for 30 s: small random
+## least-squares problems must get, bit for bit, the answer of a reference
+## loop that recomputes everything densely every iteration. The seed
+## corpora already run with the ordinary tests.
 fuzz-qp:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndependenceFactor$$' -fuzztime 30s ./internal/qp
 	$(GO) test -run '^$$' -fuzz '^FuzzRowForm$$' -fuzztime 30s ./internal/qp
+	$(GO) test -run '^$$' -fuzz '^FuzzSolveMatchesReference$$' -fuzztime 30s ./internal/qp
 
 ## fuzz-mpc: fuzz the controller's analytic start point for 30 s on
 ## SIMPLE, MEDIUM and LARGE-8: Δr = 0 when feasible, else a feasible t*·c

@@ -7,17 +7,30 @@ import (
 )
 
 // SolveStats is what the most recent iterative solve did to its working
-// set (see solveStats).
+// set and how many of its iterations reused H⁻¹·g or the LU of S (see
+// solveStats).
 type SolveStats struct {
 	WarmOffered, WarmAdmitted, Seeded, Adds, Drops int
+	HgKept, LUKept                                 int
 }
 
-// LastSolveStats reports the working-set counters of the receiver's most
-// recent Solve (zero after a solve that never reached the active-set loop).
+// LastSolveStats reports the counters of the receiver's most recent Solve
+// (zero after a solve that never reached the active-set loop).
 func (s *LSI) LastSolveStats() SolveStats {
 	st := s.ws.stats
-	return SolveStats{st.warmOffered, st.warmAdmitted, st.seeded, st.adds, st.drops}
+	return SolveStats{st.warmOffered, st.warmAdmitted, st.seeded, st.adds, st.drops, st.hgKept, st.luKept}
 }
+
+// ReferenceSolve runs the test oracle referenceSolve on the problem the
+// receiver's next Solve(d, a, b, x0) poses, warm-start set included, and
+// returns its Result, multipliers by row and error.
+func (s *LSI) ReferenceSolve(d []float64, a *mat.Dense, b, x0 []float64) (*Result, []float64, error) {
+	return referenceSolve(s.c, d, a, b, x0, s.warm, s.opts)
+}
+
+// SameSolve reports how a solve differs from the reference's, to the bit
+// ("" when it does not; see sameSolve).
+var SameSolve = sameSolve
 
 // DropCaches forgets every remembered H⁻¹·aᵢ and Gram entry, so the next
 // solve derives each one again the way a fresh LSI would.

@@ -19,19 +19,21 @@ const lsiRegularization = 1e-8
 //	subject to A·x ≤ b
 //
 // Building an LSI once and calling Solve per right-hand side caches
-// H = 2·(CᵀC + εI), its Cholesky factorization, and Cᵀ across solves, and
-// reuses all solver scratch buffers — the MPC controller's steady-state
-// hot path. An LSI additionally warm-starts each solve from the previous
+// H = 2·(CᵀC + εI), its Cholesky factorization, and the nonzeros of H, C
+// and Cᵀ by row (the products H·x, Cᵀ·d and C·x walk only those) across
+// solves, and reuses all solver scratch buffers — the MPC controller's
+// steady-state hot path. An LSI additionally warm-starts each solve from the previous
 // solve's active set, and its iterative solves share a kktCache: what an
 // active-set iteration derives from H and a constraint row alone is
 // computed the first time that row is in a working set and looked up
 // afterwards. It is not safe for concurrent use; independent goroutines
 // must each own an LSI.
 type LSI struct {
-	c     *mat.Dense // retained to report the true least-squares objective
-	ct    *mat.Dense
+	c     *mat.Dense // the stack; its dimensions check d and x0
 	h     *mat.Dense
 	hchol *mat.SPDFactor
+	// Row forms of H, C (the true least-squares objective) and Cᵀ (f).
+	hrows, crows, ctrows rowForm
 
 	f     []float64 // −2·Cᵀd scratch
 	resid []float64 // C·x − d scratch
@@ -65,18 +67,20 @@ func NewLSI(c *mat.Dense, opts Options) (*LSI, error) {
 		return nil, fmt.Errorf("qp: factor least-squares Hessian: %v: %w", err, ErrSingular)
 	}
 	return &LSI{
-		c:     c,
-		ct:    ct,
-		h:     h,
-		hchol: hchol,
-		f:     make([]float64, n),
-		resid: make([]float64, c.Rows()),
-		ws:    workspace{keepLambda: true},
-		opts:  opts,
-		ix:    make([]float64, n),
-		ig:    make([]float64, n),
-		ihg:   make([]float64, n),
-		ip:    make([]float64, n),
+		c:      c,
+		h:      h,
+		hchol:  hchol,
+		hrows:  newRowForm(h),
+		crows:  newRowForm(c),
+		ctrows: newRowForm(ct),
+		f:      make([]float64, n),
+		resid:  make([]float64, c.Rows()),
+		ws:     workspace{keepLambda: true},
+		opts:   opts,
+		ix:     make([]float64, n),
+		ig:     make([]float64, n),
+		ihg:    make([]float64, n),
+		ip:     make([]float64, n),
 	}, nil
 }
 
@@ -102,17 +106,17 @@ func (s *LSI) Solve(d []float64, a *mat.Dense, b []float64, x0 []float64) (*Resu
 	if len(x0) != n {
 		return nil, fmt.Errorf("qp: x0 has length %d, want %d", len(x0), n)
 	}
-	s.ct.MulVecTo(s.f, d)
+	s.ctrows.mulVecTo(s.f, d)
 	for i := range s.f {
 		s.f[i] *= -2
 	}
-	res, err := solveActiveSet(s.h, s.hchol, s.f, a, b, x0, s.warm, s.opts, &s.ws)
+	res, err := solveActiveSet(s.h, &s.hrows, s.hchol, s.f, a, b, x0, s.warm, s.opts, &s.ws)
 	if err != nil {
 		return res, err
 	}
 	s.warm = append(s.warm[:0], res.Active...)
 	// Report the true least-squares objective rather than the QP form.
-	s.c.MulVecTo(s.resid, res.X)
+	s.crows.mulVecTo(s.resid, res.X)
 	var obj float64
 	for i, v := range s.resid {
 		r := v - d[i]
@@ -172,7 +176,8 @@ func (s *LSI) Structured() (banded bool, bandwidth int) {
 //     back conservatively.
 //  2. With an empty working set, iteration 0 computes g = H·0 + f. Each
 //     H·0 row sum is exactly +0 (same argument), so g_i = 0 + f_i, then
-//     p = −H⁻¹g via the cached Cholesky factor — replicated literally.
+//     p = −H⁻¹g via the cached Cholesky factor — replicated literally. f is
+//     −2·Cᵀd over Cᵀ's row form, the kernel Solve uses.
 //  3. The line search evaluates step = (b_i − Dot(a_i, x))/denom at x = 0;
 //     b_i − (+0) == b_i for every float64, so step = b_i/denom bitwise.
 //     Any blocking step < 1 means the iterative path would add a
@@ -183,10 +188,11 @@ func (s *LSI) Structured() (banded bool, bandwidth int) {
 //     unchanged. The paths share the kernel, so a non-finite p_j at a zero
 //     coefficient, where the dense term would be NaN, is skipped by both.
 //  4. The update x_i += 1.0·p_i from x = 0 and the iteration-1 stationarity
-//     check (g = H·x + f, p = −H⁻¹g, ‖p‖∞ ≤ tol·(1 + ‖x‖∞)) are replicated
-//     literally; ‖−v‖∞ == ‖v‖∞ exactly, so the second p is never
-//     materialized. On convergence solveActiveSet returns x unchanged with
-//     no multiplier to check (empty working set).
+//     check (g = H·x + f over H's row form, p = −H⁻¹g, ‖p‖∞ ≤ tol·(1 +
+//     ‖x‖∞)) are replicated literally; x moved, so solveActiveSet forms g
+//     and H⁻¹g afresh there too. ‖−v‖∞ == ‖v‖∞ exactly, so the second p is
+//     never materialized. On convergence solveActiveSet returns x
+//     unchanged with no multiplier to check (empty working set).
 //
 //eucon:noalloc
 func (s *LSI) SolveInteriorTo(x []float64, d []float64, a *mat.Dense, b []float64) (iters int, ok bool) {
@@ -218,7 +224,7 @@ func (s *LSI) SolveInteriorTo(x []float64, d []float64, a *mat.Dense, b []float6
 		}
 	}
 	// f = −2·Cᵀd, exactly as Solve fills it.
-	s.ct.MulVecTo(s.f, d)
+	s.ctrows.mulVecTo(s.f, d)
 	for i := range s.f {
 		s.f[i] *= -2
 	}
@@ -257,7 +263,7 @@ func (s *LSI) SolveInteriorTo(x []float64, d []float64, a *mat.Dense, b []float6
 		ix[i] = 0 + 1.0*p[i]
 	}
 	// Iteration 1: confirm stationarity at the Newton point.
-	s.h.MulVecTo(g, ix)
+	s.hrows.mulVecTo(g, ix)
 	for i := range g {
 		g[i] += s.f[i]
 	}

@@ -33,19 +33,25 @@
 // candidate through the kept columns in O(n·k). A is sparse by
 // construction (a rate-box row has at most M nonzeros, an output row is a
 // row of F), so the cache also keeps its nonzeros by row, built once per
-// constraint storage: the start's feasibility and activity tests, the line
-// search and the independence test's residual walk only those, and the
-// line search costs O(nnz(A)) per iteration instead of O(m·n). What an
-// iteration still pays for is the O(k³) LU of S, factored in workspace
-// storage, and the Cholesky solve for H⁻¹·g. The workspace reserves the
-// kept QR and the LU at the variable count, the most rows a working set
-// can hold, so a working set that grows row by row from a small seed never
-// regrows either mid-solve. The kept factor and the LU run FactorQR's and
-// FactorLU's own kernels in their order, and a sum over a row's nonzeros
-// has the bits of the dense sum for a finite vector, so every decision and
-// every iterate is, bit for bit, what from-scratch FactorQR and FactorLU
-// calls and dense row products give; and a warm iterative solve allocates
-// only the Result it returns.
+// constraint storage, as an LSI keeps those of H, C and Cᵀ: the start's
+// feasibility and activity tests, the line search, the independence test's
+// residual, the KKT right-hand side and the products H·x, Cᵀ·d and C·x walk
+// only those. An iteration also reuses what did not move: g = H·x + f and
+// H⁻¹·g are formed again only after a step that changed a bit of x (a drop
+// or a zero step leaves them), and the LU of S is kept with the working
+// list it factors, so an iteration on the same list only solves with it.
+// What an iteration still pays for, once x has moved, is the Cholesky solve
+// for H⁻¹·g and the product H·x; the O(k³) LU of S after every add or drop;
+// the independence test's QR column on an add; and the line search. The
+// workspace reserves the kept QR and the LU at the variable count, the most
+// rows a working set can hold, so a working set that grows row by row from
+// a small seed never regrows either mid-solve. The kept factor and the LU
+// run FactorQR's and FactorLU's own kernels in their order, a reused value
+// is a function of bits that did not change, and a sum over a row's
+// nonzeros has the bits of the dense sum for a finite vector, so every
+// decision and every iterate is, bit for bit, what from-scratch FactorQR
+// and FactorLU calls, a fresh H⁻¹·g and dense products every iteration
+// give; and a warm iterative solve allocates only the Result it returns.
 //
 // Certify checks a solution independently of how it was found: with the
 // multipliers an LSI keeps (LSI.Multipliers), four KKT residuals that all
@@ -165,9 +171,12 @@ type workspace struct {
 	// residual.
 	qr   mat.QR
 	y, r []float64
-	// lu factors the Schur complement S of solveKKT, whose right-hand side
-	// and multipliers live in rhs and mult.
+	// lu factors the Schur complement S of solveKKT for the working rows
+	// in factored, in order (empty: no factor), so an iteration on the same
+	// list solves with it again. S's right-hand side and multipliers live
+	// in rhs and mult.
 	lu        mat.LU
+	factored  []int
 	rhs, mult []float64
 
 	// lambda holds the multipliers of the last KKT solve scattered by
@@ -187,6 +196,8 @@ type solveStats struct {
 	seeded       int // working-set size at entry, admitted warm rows included
 	adds         int // blocking rows added by the line search
 	drops        int // rows dropped: negative multiplier or degenerate KKT system
+	hgKept       int // iterations that reused H⁻¹·g: x did not move since it was formed
+	luKept       int // iterations that reused the LU of S: same working list as the last factor
 }
 
 func (ws *workspace) ensure(n, m int) {
@@ -211,6 +222,10 @@ func (ws *workspace) ensure(n, m int) {
 	ws.qr.Reset(n)
 	ws.qr.Reserve(n)
 	ws.lu.Reset(n)
+	if cap(ws.factored) < n {
+		ws.factored = make([]int, 0, n)
+	}
+	ws.factored = ws.factored[:0]
 	if cap(ws.inWorking) < m {
 		ws.inWorking = make([]bool, m)
 		ws.excess = make([]float64, m)
@@ -246,17 +261,18 @@ func Solve(h *mat.Dense, f []float64, a *mat.Dense, b []float64, x0 []float64, o
 	if err != nil {
 		return nil, fmt.Errorf("qp: factor H: %v: %w", err, ErrSingular)
 	}
-	return solveActiveSet(h, hchol, f, a, b, x0, nil, opts, &workspace{})
+	hrows := newRowForm(h)
+	return solveActiveSet(h, &hrows, hchol, f, a, b, x0, nil, opts, &workspace{})
 }
 
 // solveActiveSet is the primal active-set loop behind Solve and LSI.Solve.
-// hchol is the (possibly banded) factorization of h; ws supplies reusable
-// scratch. warm lists constraint indices to try first when seeding the
-// working set (the active set of the previous, similar solve). Only
-// constraints that are actually active at the starting point are
-// admitted, so warm starting changes the search order but never
+// hrows is h's row form and hchol its (possibly banded) factorization; ws
+// supplies reusable scratch. warm lists constraint indices to try first
+// when seeding the working set (the active set of the previous, similar
+// solve). Only constraints that are actually active at the starting point
+// are admitted, so warm starting changes the search order but never
 // correctness. Out-of-range indices are ignored.
-func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dense, b []float64, x0 []float64, warm []int, opts Options, ws *workspace) (*Result, error) {
+func solveActiveSet(h *mat.Dense, hrows *rowForm, hchol *mat.SPDFactor, f []float64, a *mat.Dense, b []float64, x0 []float64, warm []int, opts Options, ws *workspace) (*Result, error) {
 	n := len(f)
 	m := 0
 	if a != nil {
@@ -323,12 +339,28 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 
 	iter := 0
 	stationarity := math.Inf(1) // scaled norm of the most recent KKT step
+	// g = H·x + f, H⁻¹·g and 1 + ‖x‖∞ are functions of x: they are formed
+	// again only after a step that changed a bit of x, never after a drop,
+	// a zero step or a step that rounds away.
+	moved, scale := true, 0.0
 	for ; iter < opts.MaxIter; iter++ {
-		h.MulVecTo(ws.g, x)
-		for i := range ws.g {
-			ws.g[i] += f[i]
+		var err error
+		if moved {
+			hrows.mulVecTo(ws.g, x)
+			for i := range ws.g {
+				ws.g[i] += f[i]
+			}
+			if err = hchol.SolveVecTo(ws.hg, ws.g); err != nil {
+				err = fmt.Errorf("solve KKT system: %w", err)
+			}
+			moved, scale = err != nil, 1+mat.NormInf(x)
+		} else {
+			st.hgKept++
 		}
-		p, lambda, err := solveKKT(hchol, a, working, ws.g, ws)
+		var p, lambda []float64
+		if err == nil {
+			p, lambda, err = solveKKT(hchol, a, working, ws.hg, ws)
+		}
 		if err != nil {
 			// Degenerate working set: drop the most recently added
 			// constraint and retry.
@@ -348,9 +380,9 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 				ws.lambda[w] = lambda[wi]
 			}
 		}
-		scale := 1 + mat.NormInf(x)
-		stationarity = mat.NormInf(p) / scale
-		if mat.NormInf(p) <= tol*scale {
+		pNorm := mat.NormInf(p)
+		stationarity = pNorm / scale
+		if pNorm <= tol*scale {
 			// Stationary on the working set: check multipliers.
 			minIdx, minVal := -1, -tol
 			for wi, l := range lambda {
@@ -388,7 +420,9 @@ func solveActiveSet(h *mat.Dense, hchol *mat.SPDFactor, f []float64, a *mat.Dens
 			alpha = 0
 		}
 		for i := range x {
-			x[i] += alpha * p[i]
+			xi := x[i] + alpha*p[i]
+			moved = moved || math.Float64bits(xi) != math.Float64bits(x[i])
+			x[i] = xi
 		}
 		if blocking >= 0 && len(working) < n {
 			if ws.addIfIndependent(a, working, blocking) {
@@ -477,21 +511,17 @@ func (ws *workspace) addIfIndependent(a *mat.Dense, working []int, idx int) bool
 //
 //	min ½pᵀHp + gᵀp  s.t.  Aw·p = 0
 //
-// returning the step p and the Lagrange multipliers of the working
-// constraints. It uses the cached Cholesky factorization of H and the
-// Schur complement S = Aw·H⁻¹·Awᵀ, so the only dense solve is k×k; the
-// H⁻¹·a_w columns and the entries of S are constants of (H, A) and come
-// from ws.cache, which derives each one once.
-// The Schur system is assembled and factored in workspace storage, so a
-// warm call allocates nothing. Both returned slices alias workspace storage
-// valid until the next call.
+// from hg = H⁻¹·g, returning the step p and the Lagrange multipliers of
+// the working constraints. It uses the Schur complement S = Aw·H⁻¹·Awᵀ, so
+// the only dense solve is k×k; the H⁻¹·a_w columns and the entries of S
+// are constants of (H, A) and come from ws.cache, which derives each one
+// once. S is assembled and factored in workspace storage, and only when
+// the working list differs from the one the kept factor describes, so a
+// warm call allocates nothing. Both returned slices alias workspace
+// storage valid until the next call.
 //
 //eucon:noalloc
-func solveKKT(hchol *mat.SPDFactor, a *mat.Dense, working []int, g []float64, ws *workspace) (p, lambda []float64, err error) {
-	hg := ws.hg
-	if err := hchol.SolveVecTo(hg, g); err != nil {
-		return nil, nil, fmt.Errorf("solve KKT system: %w", err) //eucon:alloc-ok error path
-	}
+func solveKKT(hchol *mat.SPDFactor, a *mat.Dense, working []int, hg []float64, ws *workspace) (p, lambda []float64, err error) {
 	p = ws.p
 	k := len(working)
 	if k == 0 {
@@ -505,16 +535,29 @@ func solveKKT(hchol *mat.SPDFactor, a *mat.Dense, working []int, g []float64, ws
 		return nil, nil, fmt.Errorf("solve KKT system: %w", err) //eucon:alloc-ok error path
 	}
 	// S·λ = −Aw·H⁻¹·g with S[i][j] = a_i·H⁻¹·a_j.
-	s := ws.lu.Reset(k)
+	kept := len(ws.factored) == k
+	for i := 0; kept && i < k; i++ {
+		kept = ws.factored[i] == working[i]
+	}
+	if kept {
+		ws.stats.luKept++
+	} else {
+		ws.factored = ws.factored[:0] // the storage is about to be overwritten
+		s := ws.lu.Reset(k)
+		for i, w := range working {
+			cache.gramRow(s.RowView(i), w, working)
+		}
+		if err := ws.lu.Factor(); err != nil {
+			return nil, nil, fmt.Errorf("solve KKT system: %w", err) //eucon:alloc-ok error path
+		}
+		ws.factored = ws.factored[:k] // reserved at n by ensure
+		copy(ws.factored, working)
+	}
 	rhs := ws.rhs[:k]
 	for i, w := range working {
-		cache.gramRow(s.RowView(i), a, w, working)
-		rhs[i] = -mat.Dot(a.RowView(w), hg)
+		rhs[i] = -cache.rowDot(w, hg)
 	}
 	lambda = ws.mult[:k]
-	if err := ws.lu.Factor(); err != nil {
-		return nil, nil, fmt.Errorf("solve KKT system: %w", err) //eucon:alloc-ok error path
-	}
 	if err := ws.lu.SolveVecTo(lambda, rhs); err != nil {
 		return nil, nil, fmt.Errorf("solve KKT system: %w", err) //eucon:alloc-ok error path
 	}

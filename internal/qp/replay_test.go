@@ -175,6 +175,7 @@ type side struct {
 	lsi         *qp.LSI
 	z0, x       []float64
 	prevRelaxed bool
+	reference   bool // also solve every problem with qp's test oracle
 }
 
 func newSide(t *testing.T, r *replayer) *side {
@@ -196,6 +197,11 @@ type solved struct {
 	step    float64 // t* when the solve started at t*·c toward "all rates to R_min", else 0
 	a       *mat.Dense
 	b       []float64
+	// The oracle's answer (side.reference): for an interior solve, the
+	// iterative solve from Δr = 0 that it stands in for.
+	ref       *qp.Result
+	refLambda []float64
+	refErr    error
 }
 
 // solve mirrors mpc.StepTo's solve selection for the replayer's current
@@ -205,7 +211,11 @@ func (s *side) solve(r *replayer, rates []float64) solved {
 	r.t.Helper()
 	if iters, ok := s.lsi.SolveInteriorTo(s.x, r.d, r.a, r.b); ok {
 		s.prevRelaxed = false
-		return solved{x: s.x, iters: iters, a: r.a, b: r.b}
+		out := solved{x: s.x, iters: iters, a: r.a, b: r.b}
+		if s.reference {
+			out.ref, out.refLambda, out.refErr = s.lsi.ReferenceSolve(r.d, r.a, r.b, make([]float64, len(s.x)))
+		}
+		return out
 	}
 	out := solved{a: r.a, b: r.b}
 	clear(s.z0)
@@ -237,6 +247,9 @@ func (s *side) solve(r *replayer, rates []float64) solved {
 	}
 	if out.relaxed != s.prevRelaxed {
 		s.lsi.ResetWarmStart()
+	}
+	if s.reference {
+		out.ref, out.refLambda, out.refErr = s.lsi.ReferenceSolve(r.d, out.a, out.b, s.z0)
 	}
 	res, err := s.lsi.Solve(r.d, out.a, out.b, s.z0)
 	if err != nil {
@@ -390,20 +403,84 @@ func TestActiveSetAnatomyMediumDynamic(t *testing.T) {
 	}
 }
 
+// replays are the two closed-loop runs the bitwise tests replay: the
+// recorded MEDIUM dynamic-etf rows followed by the scripted overload /
+// infeasible tail (so full ↔ rate-box switches occur), and the LARGE-8
+// step-up run.
+var replays = []struct {
+	name string
+	rec  func(*testing.T) recording
+	tail [][]float64
+}{
+	{"MEDIUM dynamic-etf + scripted tail", recordMediumDynamic, scriptedTail},
+	{"LARGE-8 step-up", recordLargeStepUp, nil},
+}
+
+// TestSolvesMatchReferenceBitwise holds the solver to qp's test oracle
+// (referenceSolve: every iteration from scratch, every product dense) over
+// both replays: every iterative solve's Result and multipliers, and every
+// interior solve's iterate and iteration count, to the bit. It logs the
+// share of active-set iterations (loop passes, the converging one
+// included) that reused H⁻¹·g because x had not moved, and that reused the
+// LU of S because the working list had not changed (on LARGE-8, the
+// large-central benchmark workload, about 24 % and 31 %), and requires
+// both reuses on each replay, so the comparison covers them.
+func TestSolvesMatchReferenceBitwise(t *testing.T) {
+	for _, tc := range replays {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := tc.rec(t)
+			r := newReplayer(t, rec)
+			s := newSide(t, r)
+			s.reference = true
+			var interior, iterative, passes, hgKept, luKept int
+			step := func(u, rates []float64, filter bool) {
+				t.Helper()
+				k := r.period
+				r.next(u, rates, filter)
+				got := s.solve(r, rates)
+				r.checkAgainstOracle(got, rates)
+				if got.res == nil {
+					interior++
+					if got.refErr != nil || got.ref.Iterations != got.iters || len(got.ref.Active) != 0 || !sameBits(got.ref.X, got.x) {
+						t.Fatalf("period %d: interior solve x=%v in %d iterations, reference %+v (%v)", k, got.x, got.iters, got.ref, got.refErr)
+					}
+					return
+				}
+				if diff := qp.SameSolve(got.res, s.lsi.Multipliers(), nil, got.ref, got.refLambda, got.refErr); diff != "" {
+					t.Fatalf("period %d: %s\nsolver    %+v\nreference %+v (%v)", k, diff, *got.res, got.ref, got.refErr)
+				}
+				st := s.lsi.LastSolveStats()
+				iterative++
+				passes += got.iters + 1 // a converged solve's Iterations omits the converging pass
+				hgKept += st.HgKept
+				luKept += st.LUKept
+			}
+			for k := range rec.u {
+				step(rec.u[k], rec.rates[k], true)
+			}
+			for _, u := range tc.tail {
+				step(u, append([]float64(nil), r.out.NewRates...), false)
+			}
+			share := func(v int) float64 { return 100 * float64(v) / float64(passes) }
+			t.Logf("%d periods: %d interior, %d iterative solves over %d iterations; H⁻¹·g reused in %d (%.1f%%), the LU of S in %d (%.1f%%)",
+				r.period, interior, iterative, passes, hgKept, share(hgKept), luKept, share(luKept))
+			if iterative == 0 {
+				t.Fatal("no iterative solve to compare")
+			}
+			if hgKept == 0 || luKept == 0 {
+				t.Fatalf("H⁻¹·g reused in %d iterations, the LU of S in %d: the comparison never reached a reuse", hgKept, luKept)
+			}
+		})
+	}
+}
+
 // TestCachedSolvesMatchUncachedBitwise is the oracle for the LSI's cache:
 // over the recorded MEDIUM dynamic-etf rows followed by the scripted
 // overload / infeasible tail (so full ↔ rate-box switches occur), and over
 // the LARGE-8 step-up run, a long-lived LSI and a twin whose caches are
 // dropped before every solve return the same result to the bit.
 func TestCachedSolvesMatchUncachedBitwise(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		rec  func(*testing.T) recording
-		tail [][]float64
-	}{
-		{"MEDIUM dynamic-etf + scripted tail", recordMediumDynamic, scriptedTail},
-		{"LARGE-8 step-up", recordLargeStepUp, nil},
-	} {
+	for _, tc := range replays {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := tc.rec(t)
 			r := newReplayer(t, rec)

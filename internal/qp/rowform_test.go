@@ -26,7 +26,8 @@ func denseAddRow(r, row []float64, y float64) {
 
 // checkRowForm binds a fresh cache to a and requires the row-form kernels
 // to give, for every row, the bits of the dense sums with x: mat.Dot, and
-// an accumulation of y·aᵢ over all rows into a vector that starts at +0.
+// an accumulation of y·aᵢ over all rows into a vector that starts at +0;
+// and, for the whole matrix, the bits of Dense.MulVecTo.
 func checkRowForm(t testing.TB, a *mat.Dense, x []float64, y float64) {
 	t.Helper()
 	var c kktCache
@@ -59,6 +60,15 @@ func checkRowForm(t testing.TB, a *mat.Dense, x []float64, y float64) {
 				t.Fatalf("rows 0..%d times %g, column %d: row form %g (%#x), dense %g (%#x)",
 					i, y, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
 			}
+		}
+	}
+	got, want = make([]float64, m), make([]float64, m)
+	c.mulVecTo(got, x)
+	a.MulVecTo(want, x)
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%v · %v, row %d: row form %g (%#x), Dense.MulVecTo %g (%#x)",
+				a, x, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 }
@@ -97,7 +107,9 @@ func rowStarts(a *mat.Dense) []int {
 // dense term 0·NaN or 0·Inf, which is NaN, and the row form never forms
 // it. At a nonzero coefficient both sums see the entry. The solver's
 // iterates are finite (a start is checked, a step is a finite multiple of
-// a Cholesky solve), so this never decides anything there.
+// a Cholesky solve), and the controller hands it only finite measurements
+// and rates (mpc.Controller.StepTo holds the rates otherwise), so this
+// never decides anything there.
 func TestRowFormNonFiniteEntries(t *testing.T) {
 	a := mat.MustFromRows([][]float64{{2, 0, -1}})
 	var c kktCache
@@ -114,6 +126,12 @@ func TestRowFormNonFiniteEntries(t *testing.T) {
 		c.addRow(r, 0, 1)
 		if r[1] != 0 {
 			t.Fatalf("row form added into a zero column: %v", r)
+		}
+		got, want := []float64{0}, []float64{0}
+		c.mulVecTo(got, x)
+		a.MulVecTo(want, x)
+		if got[0] != 1.5 || !math.IsNaN(want[0]) {
+			t.Fatalf("product with %g at a zero coefficient: row form %g, Dense.MulVecTo %g; want 1.5 and NaN", bad, got[0], want[0])
 		}
 		x = []float64{bad, 0, 0.5}
 		s, d := c.rowDot(0, x), mat.Dot(a.RowView(0), x)
@@ -195,7 +213,8 @@ func TestLineSearchClampsNegativeStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := &workspace{keepLambda: true}
-	res, err := solveActiveSet(h, hchol, f, a, b, x0, nil, Options{}, ws)
+	hrows := newRowForm(h)
+	res, err := solveActiveSet(h, &hrows, hchol, f, a, b, x0, nil, Options{}, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
