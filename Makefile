@@ -80,7 +80,10 @@ fuzz-qp:
 ## fuzz-mpc: fuzz the controller's analytic start point for 30 s on
 ## SIMPLE, MEDIUM and LARGE-8: Δr = 0 when feasible, else a feasible t*·c
 ## toward the R_min corner with a formerly violated row tight, and the
-## relaxed variant exactly when the corner is infeasible; the seed corpus
-## already runs with the ordinary tests.
+## relaxed variant exactly when the corner is infeasible; then whole
+## warm-chained control steps for 30 s on the same workloads: no step on
+## finite inputs may hold, and every step must certify to 1e-8. The seed
+## corpora already run with the ordinary tests.
 fuzz-mpc:
 	$(GO) test -run '^$$' -fuzz '^FuzzStartPoint$$' -fuzztime 30s ./internal/mpc
+	$(GO) test -run '^$$' -fuzz '^FuzzStepTo$$' -fuzztime 30s ./internal/mpc

@@ -73,7 +73,7 @@ func run() int {
 		return 1
 	}
 	fmt.Printf("chaos campaign: %s seed=%d scenarios=%d periods=%d\n", campaign, rep.Seed, rep.Scenarios, rep.Periods)
-	fmt.Printf("containment:    best-iterate=%d regularized=%d held=%d\n", rep.BestIterate, rep.Regularized, rep.Held)
+	fmt.Printf("containment:    held=%d\n", rep.Held)
 	fmt.Printf("degradation:    held-samples=%d skipped-periods=%d\n", rep.HeldSamples, rep.SkippedPeriods)
 	fmt.Printf("guard firings:  %d\n", rep.GuardFirings)
 	if rep.Ok() {

@@ -280,8 +280,7 @@ func faultReport(ctx context.Context, w io.Writer, list string, explicit bool) e
 	}
 	fmt.Fprintf(w, "feedback-missing\t%d\nfeedback-stale\t%d\nheld-samples\t%d\ncontrol-skipped\t%d\nrate-cmd-faults\t%d\nprocs-down-periods\t%d\ncrash-shed-jobs\t%d\n",
 		missing, stale, held, skipped, cmd, down, tr.Stats.CrashShedJobs)
-	fmt.Fprintf(w, "solver-best-iterate\t%d\nsolver-regularized\t%d\nsolver-held\t%d\n",
-		tr.Stats.ContainmentBestIterate, tr.Stats.ContainmentRegularized, tr.Stats.ContainmentHeld)
+	fmt.Fprintf(w, "solver-held\t%d\n", tr.Stats.ContainmentHeld)
 	fmt.Fprintf(w, "guard-firings\t%d\n",
 		tr.Stats.GuardRateFirings+tr.Stats.GuardUtilFirings+tr.Stats.GuardPoolFirings)
 	if explicit {

@@ -176,10 +176,10 @@ type Report struct {
 	Periods   int
 	// Violations lists every scenario that broke an invariant.
 	Violations []Violation
-	// BestIterate, Regularized, and Held sum the controller's
-	// degradation-ladder counters across all scenarios: how often
-	// containment engaged (and at which rung) while invariants held.
-	BestIterate, Regularized, Held int
+	// Held sums the controller's held steps (a failed solve or
+	// non-finite inputs) across all scenarios: how often containment
+	// engaged while invariants held.
+	Held int
 	// HeldSamples and SkippedPeriods sum the missing-feedback policy's
 	// counters (sim.HoldLast) across all scenarios.
 	HeldSamples, SkippedPeriods int
@@ -193,9 +193,9 @@ func (r *Report) Ok() bool { return len(r.Violations) == 0 }
 
 // runStats aggregates one scenario run's degradation observability.
 type runStats struct {
-	bestIterate, regularized, held int
-	heldSamples, skipped           int
-	guardFirings                   int
+	held                 int
+	heldSamples, skipped int
+	guardFirings         int
 }
 
 // Run executes a chaos campaign: Scenarios seeded scenarios, each a full
@@ -215,8 +215,6 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		}
 		scn := GenerateFor(opts.Campaign, opts.Seed, i, opts.MaxClauses, opts.Periods)
 		problems, stats := Check(ctx, scn.Specs, opts)
-		rep.BestIterate += stats.bestIterate
-		rep.Regularized += stats.regularized
 		rep.Held += stats.held
 		rep.HeldSamples += stats.heldSamples
 		rep.SkippedPeriods += stats.skipped
@@ -263,7 +261,7 @@ func Check(ctx context.Context, specs []fault.Spec, opts Options) (problems []st
 	if err != nil {
 		return []string{err.Error()}, stats
 	}
-	stats.bestIterate, stats.regularized, stats.held = ctrl.ContainmentCounts()
+	_, _, stats.held = ctrl.ContainmentCounts()
 	stats.book(tr)
 	problems = inspect(tr, sys, opts.Periods, reconvergeTol)
 	if !opts.Explicit {

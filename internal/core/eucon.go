@@ -188,15 +188,15 @@ func (c *Controller) Step(_ int, u, rates []float64) ([]float64, error) {
 func (c *Controller) AntiWindupSyncs() int { return c.mpc.AntiWindupSyncs() }
 
 // ContainmentCounts implements sim.ContainmentReporter: how many control
-// steps since construction or Reset were resolved below the MPC's nominal
-// solve paths (best-iterate acceptances, Tikhonov-regularized re-solves,
-// and held periods — see the mpc degradation ladder).
+// steps since construction or Reset held the applied rates because the
+// MPC's solve failed or its inputs were non-finite. The first two results
+// are always 0 (see mpc.Controller.ContainmentCounts).
 func (c *Controller) ContainmentCounts() (bestIterate, regularized, held int) {
 	return c.mpc.ContainmentCounts()
 }
 
-// LastOutcome reports which rung of the MPC degradation ladder produced
-// the most recent control move.
+// LastOutcome reports how the MPC produced the most recent control move
+// (see mpc.SolveOutcome).
 func (c *Controller) LastOutcome() mpc.SolveOutcome { return c.mpc.LastOutcome() }
 
 // SetPoints returns the current utilization set points.

@@ -101,8 +101,8 @@ type Controller struct {
 	// messages counts utilization reports + plan announcements exchanged.
 	messages int
 	periods  int
-	// outcomes[o] counts local solves resolved by degradation-ladder rung
-	// o across all periods — on a healthy steady state every count but
+	// outcomes[o] counts local solves with mpc.SolveOutcome o across all
+	// periods — on a healthy steady state every count but
 	// SolveOK stays zero.
 	outcomes [mpc.SolveExplicitMiss + 1]int
 
@@ -390,9 +390,8 @@ func (c *Controller) Reset() {
 	c.outcomes = [mpc.SolveExplicitMiss + 1]int{}
 }
 
-// OutcomeCounts reports how many local solves each degradation-ladder
-// rung resolved, indexed by mpc.SolveOutcome, across all periods since
-// construction or Reset.
+// OutcomeCounts reports how many local solves had each outcome, indexed
+// by mpc.SolveOutcome, across all periods since construction or Reset.
 func (c *Controller) OutcomeCounts() [mpc.SolveExplicitMiss + 1]int { return c.outcomes }
 
 // Messages reports the total number of control-plane messages exchanged so

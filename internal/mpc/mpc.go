@@ -101,23 +101,13 @@ type Controller struct {
 	aFull *mat.Dense // rate box + output constraints (output part empty when disabled)
 	aBox  *mat.Dense // rate box only: a view of aFull's leading rows (the relaxation fallback)
 
-	// Tikhonov fallback solver: the stack [C; √λ·I] against the rate box,
-	// used when the nominal solve fails numerically (see solveIterative's
-	// degradation ladder). Built once at construction; nil only if its
-	// Hessian cannot be factored, in which case the ladder skips straight to
-	// holding.
-	lsiReg *qp.LSI
-
-	// Containment counters (cleared by Reset): how many Steps were
-	// resolved by each below-nominal rung of the degradation ladder.
-	bestIterates int
-	regularized  int
-	heldSteps    int
-	lastOutcome  SolveOutcome
+	// heldSteps counts the Steps that held the applied rates (cleared by
+	// Reset).
+	heldSteps   int
+	lastOutcome SolveOutcome
 
 	// Per-period scratch (right-hand sides and starting point).
-	dregBuf     []float64 // d extended with the Tikhonov zero targets
-	dbuf        []float64 // d: the leading part of dregBuf
+	dbuf        []float64 // d
 	bFull, bBox []float64 // bBox is bFull's rate-box prefix, so one fill serves both
 	z0          []float64 // the step's stacked solution; the iterative solve's starting point while it runs
 	prevRelaxed bool      // which constraint variant the warm-start set refers to
@@ -139,12 +129,13 @@ type Controller struct {
 	gainZ   []float64 // basis solution, cmat cols
 }
 
-// SolveOutcome classifies how a Step obtained its control move — which
-// rung of the numerical-failure degradation ladder produced the applied
-// rates. The ladder never lets a solver failure escape as an error or a
-// non-finite rate: each rung is strictly more conservative than the one
-// above it, and the bottom rung (holding the applied rates) is always
-// available.
+// SolveOutcome classifies how a Step obtained its control move: a solve
+// with the full constraint set, a solve with the output constraints
+// relaxed, or the hold rung. A solver failure never escapes as an error or
+// a non-finite rate: every error of the solve, and every non-finite input,
+// holds the applied rates. SolveBestIterate and SolveRegularized are no
+// longer produced; they keep their values, so the outcomes below them
+// keep theirs.
 //
 //eucon:exhaustive
 type SolveOutcome int
@@ -157,19 +148,14 @@ const (
 	// overload) and were dropped for the period; the tracking term still
 	// steers utilization toward the set points.
 	SolveRelaxed
-	// SolveBestIterate: the solver hit its iteration cap, but the best
-	// iterate is feasible, finite, and nearly stationary (KKT residual
-	// within bestIterateResidualBound), so it was applied as-is.
+	// SolveBestIterate is not produced: an iteration-capped solve holds.
 	SolveBestIterate
-	// SolveRegularized: the solve failed outright (singular system, or an
-	// iteration-capped iterate too far from stationary) and a
-	// Tikhonov-regularized re-solve against the always-feasible rate box
-	// produced the move instead.
+	// SolveRegularized is not produced: a failed solve holds.
 	SolveRegularized
-	// SolveHeld: every rung above failed; the controller held the
-	// last-applied rates (Δr = 0). The move memory reconciles itself
-	// through the anti-windup resync on the next Step, so no windup
-	// accumulates while holding.
+	// SolveHeld: the solve failed (any qp error) or an input was
+	// non-finite; the controller held the last-applied rates (Δr = 0). The
+	// move memory reconciles itself through the anti-windup resync on the
+	// next Step, so no windup accumulates while holding.
 	SolveHeld
 	// SolveExplicit: SolveOK while an explicit law is attached — the query
 	// lay in the law's interior critical region, where the interior solve
@@ -178,9 +164,9 @@ const (
 	SolveExplicit
 	// SolveExplicitMiss: an explicit law is attached but the interior solve
 	// did not resolve the step (a constrained critical region, off-map or
-	// non-finite parameters); the iterative solver and its degradation
-	// ladder produced the move. Reported through ExplicitCounts and
-	// LastExplicitOutcome — a step's Outcome always carries the ladder rung
+	// non-finite parameters); the iterative solver or the hold rung
+	// produced the move. Reported through ExplicitCounts and
+	// LastExplicitOutcome — a step's Outcome always carries the outcome
 	// that actually produced the rates.
 	SolveExplicitMiss
 )
@@ -207,9 +193,9 @@ func (o SolveOutcome) String() string {
 	}
 }
 
-// Degraded reports whether the outcome came from a containment rung below
-// the normal solve paths (best-iterate, regularized, or held). An explicit
-// hit is a nominal solve; an explicit miss is classified by the ladder rung
+// Degraded reports whether the outcome came from below the normal solve
+// paths: held (or the retired best-iterate and regularized). An explicit
+// hit is a nominal solve; an explicit miss is classified by the outcome
 // that actually produced the move, not by the miss itself.
 func (o SolveOutcome) Degraded() bool {
 	switch o {
@@ -220,20 +206,6 @@ func (o SolveOutcome) Degraded() bool {
 	}
 	return false
 }
-
-// bestIterateResidualBound is the acceptance threshold for an
-// iteration-capped solve: the best iterate is applied when its scaled KKT
-// step norm (qp.Result.Stationarity) is at most this bound. The receding
-// horizon re-solves every period, so a near-stationary move is safe to
-// apply; anything farther off falls through to the regularized re-solve.
-const bestIterateResidualBound = 1e-2
-
-// tikhonovWeightFrac sizes the Tikhonov term of the fallback solver
-// relative to the least-squares stack: √λ = tikhonovWeightFrac·max(1, ‖C‖max),
-// i.e. λ caps the Hessian condition number near 1/tikhonovWeightFrac² while
-// biasing the move toward Δr = 0 (the safest direction when the nominal
-// problem is numerically sick).
-const tikhonovWeightFrac = 0.1
 
 // StepResult reports one control computation.
 type StepResult struct {
@@ -251,9 +223,8 @@ type StepResult struct {
 	OutputConstraintsRelaxed bool
 	// SolverIterations counts active-set iterations used.
 	SolverIterations int
-	// Outcome reports which rung of the degradation ladder produced
-	// NewRates (see SolveOutcome). NewRates is finite and within the rate
-	// box for every outcome.
+	// Outcome reports how NewRates was produced (see SolveOutcome).
+	// NewRates is finite and within the rate box for every outcome.
 	Outcome SolveOutcome
 }
 
@@ -316,22 +287,7 @@ func New(f *mat.Dense, setPoints, rmin, rmax []float64, cfg Config) (*Controller
 	c.bFull = make([]float64, c.aFull.Rows())
 	c.bBox = c.bFull[:2*nz]
 	c.z0 = make([]float64, nz)
-
-	// Tikhonov fallback: min ‖C·z − d‖² + λ‖z‖² as the augmented stack
-	// [C; √λ·I] with zero targets on the new rows. λ is sized from C so the
-	// fallback Hessian is well conditioned even when CᵀC is numerically
-	// singular; a factorization failure here (pathological weights) just
-	// removes the rung — the ladder then degrades from a failed nominal
-	// solve directly to holding rates.
-	sqrtLam := tikhonovWeightFrac * math.Max(1, c.cmat.MaxAbs())
-	creg := mat.StackV(c.cmat, mat.Identity(nz).Scale(sqrtLam))
-	if reg, err := qp.NewLSI(creg, cfg.Solver); err == nil {
-		c.lsiReg = reg
-	}
-	// The zero targets of the Tikhonov rows are never written: d is the
-	// leading part of the regularized right-hand side.
-	c.dregBuf = make([]float64, creg.Rows())
-	c.dbuf = c.dregBuf[:c.cmat.Rows()]
+	c.dbuf = make([]float64, c.cmat.Rows())
 	return c, nil
 }
 
@@ -373,12 +329,7 @@ func (c *Controller) Reset() {
 	c.haveLast = false
 	c.windupSyncs = 0
 	c.lsi.ResetWarmStart()
-	if c.lsiReg != nil {
-		c.lsiReg.ResetWarmStart()
-	}
 	c.prevRelaxed = false
-	c.bestIterates = 0
-	c.regularized = 0
 	c.heldSteps = 0
 	c.lastOutcome = SolveOK
 	c.explicitHits = 0
@@ -387,12 +338,13 @@ func (c *Controller) Reset() {
 }
 
 // ContainmentCounts reports how many Steps since construction or Reset
-// were resolved by each below-nominal rung of the degradation ladder.
+// held the applied rates. The first two results, the retired best-iterate
+// and regularized rungs, are always 0.
 func (c *Controller) ContainmentCounts() (bestIterate, regularized, held int) {
-	return c.bestIterates, c.regularized, c.heldSteps
+	return 0, 0, c.heldSteps
 }
 
-// LastOutcome reports the degradation-ladder rung of the most recent Step.
+// LastOutcome reports the SolveOutcome of the most recent Step.
 func (c *Controller) LastOutcome() SolveOutcome { return c.lastOutcome }
 
 // AntiWindupSyncs reports how many per-task move-memory entries had to be
@@ -402,7 +354,7 @@ func (c *Controller) AntiWindupSyncs() int { return c.windupSyncs }
 
 // ExplicitCounts reports how many steps since construction or Reset, taken
 // with a law attached, the interior solve resolved (hits) versus left to
-// the iterative solver and its ladder (misses). Both are zero when no law
+// the iterative solver or the hold rung (misses). Both are zero when no law
 // has ever been attached.
 func (c *Controller) ExplicitCounts() (hits, misses int) {
 	return c.explicitHits, c.explicitMisses
@@ -450,18 +402,19 @@ func (c *Controller) NewStepResult() *StepResult {
 // zero allocations and the exact bits the iterative solve would produce
 // (its guards are the conditions under which that solve completes in one
 // unblocked Newton step from Δr = 0). Otherwise the iterative active-set
-// solve and its degradation ladder (see SolveOutcome) produce the move.
+// solve produces the move.
 //
 // StepTo contains every numerical failure of the underlying QP solve and
 // never lets one escape: the returned error is non-nil only for caller
 // bugs (wrong vector lengths), and NewRates is always finite and inside
-// the rate box. A non-finite measurement or rate vector short-circuits to
-// the hold rung — steering the plant on NaN would poison the move memory.
+// the rate box. Any error of the iterative solve selects the hold rung, and
+// so does a non-finite measurement or rate vector, before any solve —
+// steering the plant on NaN would poison the move memory.
 //
 // An attached explicit law does not change the path: it is bookkeeping.
 // Every step with a law attached counts as a hit (the interior solve
 // resolved it — the law's interior critical region — reported as
-// SolveExplicit) or a miss (anything else; Outcome carries the ladder rung).
+// SolveExplicit) or a miss (anything else; Outcome carries the outcome).
 //
 //eucon:noalloc
 func (c *Controller) StepTo(out *StepResult, u, rates []float64) error {
@@ -486,7 +439,7 @@ func (c *Controller) StepTo(out *StepResult, u, rates []float64) error {
 			x, outcome = c.z0, SolveOK
 			c.prevRelaxed = false
 		} else {
-			x, iters, outcome, relaxed = c.solveIterative(rates) //eucon:alloc-ok off the interior the active-set solve and its ladder allocate
+			x, iters, outcome, relaxed = c.solveIterative(rates) //eucon:alloc-ok off the interior the active-set solve allocates its Result
 			copy(c.z0, x)
 		}
 	}
@@ -536,12 +489,12 @@ func (c *Controller) pre(u, rates []float64) error {
 	return nil
 }
 
-// solveIterative is the step off the interior: an analytic starting point,
-// the warm-started active-set solve, and the degradation ladder. It reads
-// the right-hand sides StepTo filled and returns the stacked solution with
-// its iteration count, the ladder rung that produced it, and whether the
-// move was solved without the output constraints; a nil solution selects
-// the hold rung.
+// solveIterative is the step off the interior: an analytic starting point
+// and the warm-started active-set solve. It reads the right-hand sides
+// StepTo filled and returns the stacked solution with its iteration count,
+// its outcome, and whether the move was solved without the output
+// constraints. Any solver error, or a non-finite move, returns a nil
+// solution, which selects the hold rung.
 func (c *Controller) solveIterative(rates []float64) (x []float64, iters int, outcome SolveOutcome, relaxed bool) {
 	z0 := c.z0
 	a, b, relaxed := c.start(z0, rates)
@@ -552,45 +505,13 @@ func (c *Controller) solveIterative(rates []float64) (x []float64, iters int, ou
 	}
 	res, err := c.lsi.Solve(c.dbuf, a, b, z0)
 	c.prevRelaxed = relaxed
-	outcome = SolveOK
+	if err != nil || !mat.VecFinite(res.X[:c.m]) {
+		return nil, 0, SolveHeld, false
+	}
 	if relaxed {
-		outcome = SolveRelaxed
+		return res.X, res.Iterations, SolveRelaxed, true
 	}
-	if err == nil {
-		if !mat.VecFinite(res.X[:c.m]) {
-			// Belt and braces: a converged solve can still carry non-finite
-			// values if the inputs were poisoned. Holding is the only safe
-			// move.
-			return nil, 0, SolveHeld, false
-		}
-		return res.X, res.Iterations, outcome, relaxed
-	}
-	// Degradation ladder, rung by rung. Rung 1: an iteration-capped solve
-	// still carries its best iterate, which is feasible by construction (the
-	// active-set method never leaves the feasible region); accept it when it
-	// is finite and nearly stationary.
-	if errors.Is(err, qp.ErrMaxIterations) && res != nil &&
-		res.Stationarity <= bestIterateResidualBound && mat.VecFinite(res.X) {
-		c.bestIterates++
-		return res.X, res.Iterations, SolveBestIterate, relaxed
-	}
-	// Rung 2: Tikhonov-regularized re-solve against the always-feasible rate
-	// box, biasing the move toward Δr = 0.
-	if c.lsiReg != nil {
-		c.boxStart(z0, rates)
-		reg, regErr := c.lsiReg.Solve(c.dregBuf, c.aBox, c.bBox, z0)
-		if reg != nil && mat.VecFinite(reg.X) &&
-			(regErr == nil || (errors.Is(regErr, qp.ErrMaxIterations) && reg.Stationarity <= bestIterateResidualBound)) {
-			c.regularized++
-			// The nominal solver's remembered active set describes a solve
-			// that failed; start the next period clean.
-			c.lsi.ResetWarmStart()
-			c.prevRelaxed = false
-			return reg.X, reg.Iterations, SolveRegularized, true
-		}
-	}
-	// Rung 3: hold the applied rates.
-	return nil, 0, SolveHeld, false
+	return res.X, res.Iterations, SolveOK, false
 }
 
 // start picks the iterative solve's starting point into z0 and the
@@ -651,12 +572,12 @@ func (c *Controller) boxStart(z0, rates []float64) {
 // solution x into the applied move, clamps it to the rate box, stores the
 // move memory, predicts the utilization, and writes every field of out.
 //
-// A nil x (with outcome SolveHeld) selects the bottom rung of the
-// degradation ladder: command Δr = 0, keeping the last-applied rates
-// (clipped to the box so even an out-of-range caller vector cannot
-// escape). The zeroed move memory is reconciled against the achieved move
-// by the anti-windup resync at the next step, exactly as for an actuator
-// fault, so holding accumulates no windup.
+// A nil x (with outcome SolveHeld) selects the hold rung: command Δr = 0,
+// keeping the last-applied rates (clipped to the box so even an
+// out-of-range caller vector cannot escape). The zeroed move memory is
+// reconciled against the achieved move by the anti-windup resync at the
+// next step, exactly as for an actuator fault, so holding accumulates no
+// windup.
 //
 //eucon:noalloc
 func (c *Controller) finish(out *StepResult, u, rates, x []float64, iters int, outcome SolveOutcome, relaxed bool) {

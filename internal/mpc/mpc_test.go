@@ -480,8 +480,9 @@ func TestStepToDimensionErrors(t *testing.T) {
 	}
 }
 
-// TestSolveOutcomeLadderOrder pins the degradation ladder: the rungs are
-// ordered by increasing degradation, and Degraded starts at best-iterate.
+// TestSolveOutcomeLadderOrder pins the outcome values: they are ordered by
+// increasing degradation, the retired best-iterate and regularized rungs
+// keep their places, and Degraded starts at best-iterate.
 func TestSolveOutcomeLadderOrder(t *testing.T) {
 	ladder := []SolveOutcome{SolveOK, SolveRelaxed, SolveBestIterate, SolveRegularized, SolveHeld}
 	for i := 1; i < len(ladder); i++ {

@@ -60,48 +60,63 @@ func startShapes(f *testing.F) []startShape {
 	return shapes
 }
 
-// startInput decodes data into a shape's measurements and applied rates,
-// two big-endian bytes a value, cycling through data (every value at the
-// middle of its range when data is empty): u in [0, 2], and rates across
-// the rate box and a tenth of its width either side of it.
-func (s startShape) startInput(data []byte) (u, rates []float64) {
-	k := 0
-	next := func() float64 {
-		if len(data) < 2 {
-			return 0.5
-		}
-		v := binary.BigEndian.Uint16(data[k%(len(data)-1):])
-		k += 2
-		return float64(v) / math.MaxUint16
+// inputCursor reads values in [0, 1] from fuzz data, two big-endian bytes
+// each, cycling through data (every value 0.5 when data is too short).
+type inputCursor struct {
+	data []byte
+	k    int
+}
+
+func (c *inputCursor) next() float64 {
+	if len(c.data) < 2 {
+		return 0.5
 	}
+	v := binary.BigEndian.Uint16(c.data[c.k%(len(c.data)-1):])
+	c.k += 2
+	return float64(v) / math.MaxUint16
+}
+
+// input reads a shape's measurements and applied rates from c: u in
+// [0, umax], and rates across the rate box and a tenth of its width either
+// side of it.
+func (s startShape) input(c *inputCursor, umax float64) (u, rates []float64) {
 	u = make([]float64, s.sys.Processors)
 	for i := range u {
-		u[i] = 2 * next()
+		u[i] = umax * c.next()
 	}
 	rmin, rmax := s.sys.RateBounds()
 	rates = make([]float64, len(rmin))
 	for j := range rates {
-		rates[j] = rmin[j] + (rmax[j]-rmin[j])*(1.2*next()-0.1)
+		rates[j] = rmin[j] + (rmax[j]-rmin[j])*(1.2*c.next()-0.1)
 	}
 	return u, rates
 }
 
-// encodeStart is startInput's inverse, for building seeds from readable
+// encodeInput is input's inverse, for building seeds from readable
 // values.
-func (s startShape) encodeStart(u, rates []float64) []byte {
+func (s startShape) encodeInput(u, rates []float64, umax float64) []byte {
 	rmin, rmax := s.sys.RateBounds()
 	var data []byte
 	put := func(frac float64) {
 		data = binary.BigEndian.AppendUint16(data, uint16(math.Round(math.Max(0, math.Min(1, frac))*math.MaxUint16)))
 	}
 	for _, v := range u {
-		put(v / 2)
+		put(v / umax)
 	}
 	for j, r := range rates {
 		put(((r-rmin[j])/(rmax[j]-rmin[j]) + 0.1) / 1.2)
 	}
 	return data
 }
+
+// startInput decodes data into a shape's measurements, u in [0, 2], and
+// applied rates (see input).
+func (s startShape) startInput(data []byte) (u, rates []float64) {
+	return s.input(&inputCursor{data: data}, 2)
+}
+
+// encodeStart is startInput's inverse.
+func (s startShape) encodeStart(u, rates []float64) []byte { return s.encodeInput(u, rates, 2) }
 
 // FuzzStartPoint checks the iterative solve's analytic start on SIMPLE,
 // MEDIUM and LARGE-8 over arbitrary measurements and rates. Δr = 0 when it

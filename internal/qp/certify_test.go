@@ -149,3 +149,28 @@ func TestReplayedSolvesCertify(t *testing.T) {
 		})
 	}
 }
+
+// TestCrawlSeedConverges pins the full-step rule on the fuzz seed that
+// used to crawl: 3 variables and 4 rows, where every iteration took the
+// whole KKT step on one working list with ‖p‖∞ just above tol·(1 + ‖x‖∞),
+// until the iteration cap stopped it 450 iterations in. The solve must now
+// converge within 10 iterations and certify.
+func TestCrawlSeedConverges(t *testing.T) {
+	c, a, b, x0, d := qp.CrawlProblem()
+	s, err := qp.NewLSI(c, qp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Solve(d, a, b, x0)
+	if err != nil {
+		t.Fatalf("%v (%+v)", err, res)
+	}
+	if res.Status != qp.StatusOK || res.Iterations > 10 {
+		t.Fatalf("status %v after %d iterations, want ok within 10", res.Status, res.Iterations)
+	}
+	h, f := s.QP()
+	if cert, w := scaledCertificate(h, f, a, b, res.X, s.Multipliers()); !(w <= certBound) {
+		t.Fatalf("scaled certificate %+v exceeds %g", cert, certBound)
+	}
+	t.Logf("converged in %d iterations, stationarity %.3g", res.Iterations, res.Stationarity)
+}

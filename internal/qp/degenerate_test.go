@@ -8,9 +8,8 @@ import (
 	"github.com/rtsyslab/eucon/internal/mat"
 )
 
-// Degenerate-input fixtures pinning the error contracts the MPC
-// degradation ladder is built on: ErrInfeasible and ErrMaxIterations are
-// stable sentinels, an iteration-capped solve still carries its best
+// Degenerate-input fixtures pinning the solver's error contracts:
+// ErrInfeasible and ErrMaxIterations are stable sentinels, an iteration-capped solve still carries its best
 // iterate (finite, feasible, with a populated Stationarity) in the Result,
 // and rank-deficient stacks stay solvable through the built-in
 // regularization.
@@ -18,8 +17,8 @@ import (
 // TestIterationCappedCarriesBestIterate pins the best-iterate contract:
 // capping the active-set loop yields ErrMaxIterations AND a non-nil Result
 // whose X is the last (feasible, finite) iterate with Status and
-// Stationarity describing how far it got. mpc rung 1 accepts exactly this
-// shape when the residual is small enough.
+// Stationarity describing how far it got. (The mpc controller holds its
+// rates on any solver error; the contract is the solver's own.)
 func TestIterationCappedCarriesBestIterate(t *testing.T) {
 	// Two bounds must activate one at a time; one iteration cannot finish.
 	c := mat.Identity(2)
@@ -85,8 +84,7 @@ func TestLSIInfeasibleConstraintsSentinel(t *testing.T) {
 // TestRankDeficientStackStaysSolvable pins that NewLSI accepts a
 // rank-deficient C (wide stacks are the EUCON norm: more tasks than
 // processors) thanks to the ε-ridge on CᵀC, and that repeated solves
-// against it stay finite — the property the Tikhonov rung of the
-// degradation ladder leans on.
+// against it stay finite.
 func TestRankDeficientStackStaysSolvable(t *testing.T) {
 	// Rank 1 in R²: infinitely many least-squares minimizers.
 	c := mat.MustFromRows([][]float64{{1, 1}, {2, 2}})
@@ -108,12 +106,70 @@ func TestRankDeficientStackStaysSolvable(t *testing.T) {
 }
 
 // TestSolveSingularHessian pins ErrSingular for a Hessian the Cholesky
-// factorization rejects: the ladder treats a failed factorization as "skip
-// to hold", so the sentinel must be stable.
+// factorization rejects, a stable sentinel.
 func TestSolveSingularHessian(t *testing.T) {
 	h := mat.New(2, 2) // zero matrix: not positive definite
 	_, err := Solve(h, []float64{1, 1}, nil, nil, []float64{0, 0}, Options{})
 	if !errors.Is(err, ErrSingular) {
 		t.Fatalf("err = %v, want ErrSingular", err)
+	}
+}
+
+// TestNonFiniteInputIsInfeasible pins that a start or a right-hand side b
+// with a non-finite entry is rejected with ErrInfeasible and no Result. A
+// NaN passes every comparison of the feasibility test, so without the
+// check x0 = [NaN 0] came back as a converged X = [NaN 0].
+func TestNonFiniteInputIsInfeasible(t *testing.T) {
+	h, f, a := mat.Identity(2), []float64{-1, -1}, mat.Identity(2)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name  string
+		b, x0 []float64
+	}{
+		{"NaN start", []float64{0.5, 0.5}, []float64{nan, 0}},
+		{"infinite start", []float64{0.5, 0.5}, []float64{0, -inf}},
+		{"NaN in b", []float64{0.5, nan}, []float64{0, 0}},
+		{"infinite b", []float64{inf, 0.5}, []float64{0, 0}},
+		{"no finite bound", []float64{inf, inf}, []float64{0, 0}}, // interior but for the infinities
+	} {
+		res, err := Solve(h, f, a, tc.b, tc.x0, Options{})
+		if !errors.Is(err, ErrInfeasible) || res != nil {
+			t.Errorf("%s: Solve = %+v, %v; want no Result and ErrInfeasible", tc.name, res, err)
+		}
+		s, err := NewLSI(mat.Identity(2), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := s.Solve([]float64{1, 1}, a, tc.b, tc.x0); !errors.Is(err, ErrInfeasible) || res != nil {
+			t.Errorf("%s: LSI.Solve = %+v, %v; want no Result and ErrInfeasible", tc.name, res, err)
+		}
+		if _, ok := s.SolveInteriorTo(make([]float64, 2), []float64{1, 1}, a, tc.b); ok && !mat.VecFinite(tc.b) {
+			t.Errorf("%s: SolveInteriorTo accepted a non-finite b", tc.name)
+		}
+	}
+}
+
+// TestCappedObjectiveIsLeastSquares pins one Objective form for LSI.Solve:
+// an iteration-capped Result reports ‖C·x − d‖² at its X, as a converged
+// one does, not the QP form ½xᵀHx + fᵀx (off by ‖d‖²).
+func TestCappedObjectiveIsLeastSquares(t *testing.T) {
+	c := mat.MustFromRows([][]float64{{1, 0}, {0, 2}, {1, 1}})
+	d := []float64{5, 4, -3}
+	a, b := boxConstraints([]float64{0, 0}, []float64{1, 1})
+	s, err := NewLSI(c, Options{MaxIter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Solve(d, a, b, []float64{0, 0})
+	if !errors.Is(err, ErrMaxIterations) || res == nil {
+		t.Fatalf("Solve = %+v, %v; want a capped Result", res, err)
+	}
+	var want float64
+	for i, ci := range c.MulVec(res.X) {
+		r := ci - d[i]
+		want += r * r
+	}
+	if res.Objective != want { //eucon:float-exact the solver sums the same residuals in the same order
+		t.Fatalf("capped Objective = %.17g, want ‖Cx − d‖² = %.17g", res.Objective, want)
 	}
 }

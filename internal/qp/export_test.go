@@ -55,3 +55,11 @@ func (s *LSI) CachedRows() (set, rows int) {
 // QP returns the receiver's quadratic form: H = 2·(CᵀC + εI) and f = −2·Cᵀd
 // for the d of the most recent Solve or SolveInteriorTo.
 func (s *LSI) QP() (h *mat.Dense, f []float64) { return s.h, s.f }
+
+// CrawlProblem decodes the fuzz seed whose first solve crawled to the
+// iteration cap before the full-step rule (crawlSeed): the stack C, the
+// constraints a·x ≤ b, the start x0 and that solve's right-hand side d.
+func CrawlProblem() (c, a *mat.Dense, b, x0, d []float64) {
+	pr, _ := decodeRefProblem([]byte(crawlSeed))
+	return pr.c, pr.a, pr.b, pr.x0, pr.ds[0]
+}

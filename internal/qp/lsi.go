@@ -43,7 +43,7 @@ type LSI struct {
 
 	// Scratch for SolveInteriorTo, sized once at construction so the
 	// interior solve performs zero allocations.
-	ix, ig, ihg, ip []float64
+	ig, ihg, ip []float64
 }
 
 // NewLSI prepares a reusable solver for the fixed stack C. The matrix is
@@ -77,7 +77,6 @@ func NewLSI(c *mat.Dense, opts Options) (*LSI, error) {
 		resid:  make([]float64, c.Rows()),
 		ws:     workspace{keepLambda: true},
 		opts:   opts,
-		ix:     make([]float64, n),
 		ig:     make([]float64, n),
 		ihg:    make([]float64, n),
 		ip:     make([]float64, n),
@@ -111,11 +110,11 @@ func (s *LSI) Solve(d []float64, a *mat.Dense, b []float64, x0 []float64) (*Resu
 		s.f[i] *= -2
 	}
 	res, err := solveActiveSet(s.h, &s.hrows, s.hchol, s.f, a, b, x0, s.warm, s.opts, &s.ws)
-	if err != nil {
-		return res, err
+	if res == nil {
+		return nil, err
 	}
-	s.warm = append(s.warm[:0], res.Active...)
-	// Report the true least-squares objective rather than the QP form.
+	// Report the true least-squares objective rather than the QP form, on
+	// an iteration-capped Result too.
 	s.crows.mulVecTo(s.resid, res.X)
 	var obj float64
 	for i, v := range s.resid {
@@ -123,6 +122,10 @@ func (s *LSI) Solve(d []float64, a *mat.Dense, b []float64, x0 []float64) (*Resu
 		obj += r * r
 	}
 	res.Objective = obj
+	if err != nil {
+		return res, err
+	}
+	s.warm = append(s.warm[:0], res.Active...)
 	return res, nil
 }
 
@@ -151,17 +154,17 @@ func (s *LSI) Structured() (banded bool, bandwidth int) {
 
 // SolveInteriorTo attempts the interior fast path of Solve for the
 // starting point x0 = 0: the solve that the active-set loop would complete
-// with an empty working set in one unblocked Newton step (plus the
-// confirming stationarity iteration). This is the steady-state case of the
-// EUCON controller — no rate bound or output constraint active — and the
-// interior critical region of the explicit-MPC law (internal/empc).
+// with an empty working set in one unblocked Newton step, accepted at the
+// next iteration by the full-step rule. This is the steady-state case of
+// the EUCON controller — no rate bound or output constraint active — and
+// the interior critical region of the explicit-MPC law (internal/empc).
 //
 // When it reports ok, x holds bit-for-bit the iterate that
 // Solve(d, a, b, 0) would have returned in Result.X, iters the iteration
 // count that Result would carry, and the warm-start set has been cleared
 // exactly as that Solve would leave it (the interior solve has an empty
-// active set). When it reports !ok, the receiver is untouched apart from
-// scratch buffers and the caller must run the full Solve, which will
+// active set). When it reports !ok, the receiver and x are untouched apart
+// from scratch buffers and the caller must run the full Solve, which will
 // reproduce every guard decision made here.
 //
 // Bit-identity argument, guard by guard, against solveActiveSet:
@@ -170,10 +173,10 @@ func (s *LSI) Structured() (banded bool, bandwidth int) {
 //     Every term a_ij·0 is ±0 and the +0-initialized accumulator stays +0
 //     (IEEE: +0 + ±0 = +0), so Dot is exactly +0, the row-i violation is
 //     exactly −b_i, and the seeding activity test is exactly |b_i| ≤ tol.
-//     Requiring b_i > tol for every row therefore reproduces "feasible
-//     start (feasTol = tol = 1e-9) and nothing seeds the working set"
-//     without touching the matrix; a NaN b_i fails the test and falls
-//     back conservatively.
+//     Requiring a finite b_i > tol for every row therefore reproduces
+//     "finite, feasible start (feasTol = tol = 1e-9) and nothing seeds the
+//     working set" without touching the matrix; a NaN or +Inf b_i fails
+//     the test, as it fails Solve.
 //  2. With an empty working set, iteration 0 computes g = H·0 + f. Each
 //     H·0 row sum is exactly +0 (same argument), so g_i = 0 + f_i, then
 //     p = −H⁻¹g via the cached Cholesky factor — replicated literally. f is
@@ -187,16 +190,16 @@ func (s *LSI) Structured() (banded bool, bandwidth int) {
 //     each skipped term a_ij·p_j = ±0 (a_ij = ±0, p_j finite) leaves it
 //     unchanged. The paths share the kernel, so a non-finite p_j at a zero
 //     coefficient, where the dense term would be NaN, is skipped by both.
-//  4. The update x_i += 1.0·p_i from x = 0 and the iteration-1 stationarity
-//     check (g = H·x + f over H's row form, p = −H⁻¹g, ‖p‖∞ ≤ tol·(1 +
-//     ‖x‖∞)) are replicated literally; x moved, so solveActiveSet forms g
-//     and H⁻¹g afresh there too. ‖−v‖∞ == ‖v‖∞ exactly, so the second p is
-//     never materialized. On convergence solveActiveSet returns x
-//     unchanged with no multiplier to check (empty working set).
+//
+// The unblocked step x_i = 0 + 1.0·p_i is replicated literally. Iteration
+// 1 then cannot fail: the Cholesky solve errs only on a length mismatch,
+// the empty working set gives the KKT step with no factor of S, and the
+// full-step rule sends it to the multiplier check, which an empty working
+// set passes. So solveActiveSet returns this x with one iteration.
 //
 //eucon:noalloc
 func (s *LSI) SolveInteriorTo(x []float64, d []float64, a *mat.Dense, b []float64) (iters int, ok bool) {
-	n := len(s.ix)
+	n := len(s.ip)
 	if len(x) != n || len(d) != s.c.Rows() || a == nil || a.Cols() != n {
 		return 0, false
 	}
@@ -213,13 +216,13 @@ func (s *LSI) SolveInteriorTo(x []float64, d []float64, a *mat.Dense, b []float6
 		maxIter = 50*(n+m) + 100 // mirrors Options.withDefaults
 	}
 	if maxIter < 2 {
-		// The two Newton iterations below would hit the cap mid-solve.
+		// The accepting iteration 1 would be past the cap.
 		return 0, false
 	}
-	// Guard 1: strictly feasible, nothing seeds the working set. Checked
-	// before the right-hand-side work so misses stay cheap.
+	// Guard 1: finite and strictly feasible, nothing seeds the working set.
+	// Checked before the right-hand-side work so misses stay cheap.
 	for i := 0; i < m; i++ {
-		if !(b[i] > tol) {
+		if !(b[i] > tol && b[i] <= math.MaxFloat64) {
 			return 0, false
 		}
 	}
@@ -234,7 +237,7 @@ func (s *LSI) SolveInteriorTo(x []float64, d []float64, a *mat.Dense, b []float6
 		g[i] = 0 + s.f[i]
 	}
 	if s.hchol.SolveVecTo(hg, g) != nil {
-		return 0, false // iterative path would enter the degradation ladder
+		return 0, false // the iterative path fails the same way
 	}
 	for i := range p {
 		p[i] = -hg[i]
@@ -258,23 +261,9 @@ func (s *LSI) SolveInteriorTo(x []float64, d []float64, a *mat.Dense, b []float6
 		}
 	}
 	// Unblocked step: x = 0 + 1.0·p, elementwise as the solver writes it.
-	ix := s.ix
-	for i := range ix {
-		ix[i] = 0 + 1.0*p[i]
+	for i := range x {
+		x[i] = 0 + 1.0*p[i]
 	}
-	// Iteration 1: confirm stationarity at the Newton point.
-	s.hrows.mulVecTo(g, ix)
-	for i := range g {
-		g[i] += s.f[i]
-	}
-	if s.hchol.SolveVecTo(hg, g) != nil {
-		return 0, false
-	}
-	if mat.NormInf(hg) > tol*(1+mat.NormInf(ix)) {
-		// The iterative path would keep stepping; off the fast path.
-		return 0, false
-	}
-	copy(x, ix)
 	s.warm = s.warm[:0]
 	return 1, true
 }

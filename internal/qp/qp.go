@@ -16,9 +16,17 @@
 // once and reuse it, which caches H and its Cholesky factorization and
 // keeps per-solve work allocation-light. Every solve starts from a
 // caller-supplied feasible point and never leaves the feasible region; a
-// start that violates A·x ≤ b by more than feasTol is rejected with
-// ErrInfeasible. There is no phase-1: the EUCON controller constructs its
-// starts analytically (internal/mpc).
+// start that violates A·x ≤ b by more than feasTol, or a start or b with a
+// non-finite entry, is rejected with ErrInfeasible. There is no phase-1:
+// the EUCON controller constructs its starts analytically (internal/mpc).
+//
+// An iteration stops stepping on its working list when the KKT step is
+// small (‖p‖∞ ≤ tol·(1 + ‖x‖∞)) or when the previous iteration took the
+// whole step on the same list, blocked by no row: x is then that list's
+// minimizer up to rounding, and the multipliers decide between converging
+// and dropping a row. Without the second test, a step that rounding keeps
+// just above the tolerance is taken again and again on one list, a crawl
+// that ends only at the iteration cap.
 //
 // Internally each active-set iteration solves the equality-constrained
 // subproblem through the Schur complement S = Aw·H⁻¹·Awᵀ of the cached H
@@ -67,7 +75,8 @@ import (
 )
 
 // ErrInfeasible is returned when the starting point violates the
-// constraints by more than feasTol.
+// constraints by more than feasTol, or when the start or the right-hand
+// side b has a non-finite entry.
 var ErrInfeasible = errors.New("qp: infeasible starting point")
 
 // feasTol is how far a starting point may violate A·x ≤ b.
@@ -84,7 +93,7 @@ var ErrMaxIterations = errors.New("qp: active-set iteration limit reached")
 // (the Hessian's Cholesky factorization, or a KKT system with an empty
 // working set) is numerically singular. Callers that need to keep a control
 // loop alive should treat it as "this problem cannot be solved as posed"
-// and fall back to a regularized problem or hold their previous output.
+// and hold their previous output.
 var ErrSingular = errors.New("qp: numerically singular system")
 
 // Status classifies a solve that produced an iterate (see Result.Status),
@@ -132,7 +141,8 @@ func (o Options) withDefaults(n, m int) Options {
 type Result struct {
 	// X is the minimizer (or best iterate on error).
 	X []float64
-	// Objective is ½xᵀHx + fᵀx at X.
+	// Objective is ½xᵀHx + fᵀx at X; LSI.Solve reports ‖C·x − d‖² instead,
+	// converged or iteration-capped.
 	Objective float64
 	// Iterations is the number of active-set iterations performed.
 	Iterations int
@@ -145,7 +155,9 @@ type Result struct {
 	Status Status
 	// Stationarity is the scaled norm of the last KKT step,
 	// ‖p‖∞ / (1 + ‖x‖∞) — the solver's own convergence measure. At a
-	// converged solution it is at most the tolerance; for an
+	// converged solution it is at most the tolerance, unless the solve
+	// converged by the full-step rule (see the package doc), when it may
+	// read above it: what rounding left of a step already taken. For an
 	// iteration-capped solve it quantifies how far from stationary the best
 	// iterate is (math.Inf(1) when no KKT step ever succeeded).
 	Stationarity float64
@@ -289,6 +301,11 @@ func solveActiveSet(h *mat.Dense, hrows *rowForm, hchol *mat.SPDFactor, f []floa
 	}
 	opts = opts.withDefaults(n, m)
 
+	// A NaN passes every comparison below and mat.NormInf skips it, so a
+	// non-finite start or bound would otherwise be taken for feasible.
+	if !mat.VecFinite(x0) || !mat.VecFinite(b[:m]) {
+		return nil, fmt.Errorf("qp: non-finite start or right-hand side: %w", ErrInfeasible)
+	}
 	ws.ensure(n, m)
 	rows := &ws.cache
 	rows.bind(a)
@@ -343,6 +360,10 @@ func solveActiveSet(h *mat.Dense, hrows *rowForm, hchol *mat.SPDFactor, f []floa
 	// again only after a step that changed a bit of x, never after a drop,
 	// a zero step or a step that rounds away.
 	moved, scale := true, 0.0
+	// full: the last iteration took the whole KKT step, blocked by no row,
+	// on the working list this one solves, so this one checks the
+	// multipliers whatever ‖p‖ reads (the full-step rule, package doc).
+	full := false
 	for ; iter < opts.MaxIter; iter++ {
 		var err error
 		if moved {
@@ -372,6 +393,7 @@ func solveActiveSet(h *mat.Dense, hrows *rowForm, hchol *mat.SPDFactor, f []floa
 			inWorking[last] = false
 			ws.qr.Truncate(len(working))
 			st.drops++
+			full = false
 			continue
 		}
 		if ws.keepLambda {
@@ -382,7 +404,7 @@ func solveActiveSet(h *mat.Dense, hrows *rowForm, hchol *mat.SPDFactor, f []floa
 		}
 		pNorm := mat.NormInf(p)
 		stationarity = pNorm / scale
-		if pNorm <= tol*scale {
+		if full || pNorm <= tol*scale {
 			// Stationary on the working set: check multipliers.
 			minIdx, minVal := -1, -tol
 			for wi, l := range lambda {
@@ -399,6 +421,7 @@ func solveActiveSet(h *mat.Dense, hrows *rowForm, hchol *mat.SPDFactor, f []floa
 			inWorking[dropped] = false
 			ws.qr.Truncate(minIdx)
 			st.drops++
+			full = false
 			continue
 		}
 		// Line search to the nearest blocking constraint.
@@ -419,6 +442,7 @@ func solveActiveSet(h *mat.Dense, hrows *rowForm, hchol *mat.SPDFactor, f []floa
 		if alpha < 0 {
 			alpha = 0
 		}
+		full = blocking < 0 // no row blocked, so α = 1
 		for i := range x {
 			xi := x[i] + alpha*p[i]
 			moved = moved || math.Float64bits(xi) != math.Float64bits(x[i])

@@ -42,6 +42,9 @@ func referenceSolve(c *mat.Dense, d []float64, a *mat.Dense, b, x0 []float64, wa
 		m = a.Rows()
 	}
 	opts = opts.withDefaults(n, m)
+	if !mat.VecFinite(x0) || !mat.VecFinite(b[:m]) {
+		return nil, make([]float64, m), ErrInfeasible
+	}
 	x := mat.VecClone(x0)
 	lambdaByRow := make([]float64, m)
 	excess := func(i int) float64 { return mat.Dot(a.RowView(i), x) - b[i] }
@@ -72,14 +75,11 @@ func referenceSolve(c *mat.Dense, d []float64, a *mat.Dense, b, x0 []float64, wa
 		seed(i)
 	}
 
-	// A converged solve reports ‖C·x − d‖², an iteration-capped one the QP
-	// form ½xᵀHx + fᵀx, as LSI.Solve does.
+	// Converged or capped, the objective is ‖C·x − d‖², as LSI.Solve
+	// reports it.
 	result := func(iter int, status Status, stationarity float64) *Result {
-		obj := 0.5*mat.Dot(x, h.MulVec(x)) + mat.Dot(f, x)
-		if status == StatusOK {
-			r := mat.VecSub(c.MulVec(x), d)
-			obj = mat.Dot(r, r)
-		}
+		r := mat.VecSub(c.MulVec(x), d)
+		obj := mat.Dot(r, r)
 		return &Result{
 			X: mat.VecClone(x), Objective: obj, Iterations: iter,
 			Active: append([]int(nil), working...), Status: status, Stationarity: stationarity,
@@ -87,6 +87,7 @@ func referenceSolve(c *mat.Dense, d []float64, a *mat.Dense, b, x0 []float64, wa
 	}
 	iter := 0
 	stationarity := math.Inf(1)
+	full := false // the last iteration took the whole step, blocked by no row
 	g := make([]float64, n)
 	for ; iter < opts.MaxIter; iter++ {
 		h.MulVecTo(g, x)
@@ -101,6 +102,7 @@ func referenceSolve(c *mat.Dense, d []float64, a *mat.Dense, b, x0 []float64, wa
 			last := working[len(working)-1]
 			working = working[:len(working)-1]
 			inWorking[last] = false
+			full = false
 			continue
 		}
 		clear(lambdaByRow)
@@ -109,7 +111,7 @@ func referenceSolve(c *mat.Dense, d []float64, a *mat.Dense, b, x0 []float64, wa
 		}
 		scale := 1 + mat.NormInf(x)
 		stationarity = mat.NormInf(p) / scale
-		if mat.NormInf(p) <= tol*scale {
+		if full || mat.NormInf(p) <= tol*scale {
 			minIdx, minVal := -1, -tol
 			for wi, l := range lambda {
 				if l < minVal {
@@ -121,6 +123,7 @@ func referenceSolve(c *mat.Dense, d []float64, a *mat.Dense, b, x0 []float64, wa
 			}
 			inWorking[working[minIdx]] = false
 			working = slices.Delete(working, minIdx, minIdx+1)
+			full = false
 			continue
 		}
 		alpha, blocking := 1.0, -1
@@ -139,6 +142,7 @@ func referenceSolve(c *mat.Dense, d []float64, a *mat.Dense, b, x0 []float64, wa
 		if alpha < 0 {
 			alpha = 0
 		}
+		full = blocking < 0
 		for i := range x {
 			x[i] += alpha * p[i]
 		}
@@ -253,14 +257,21 @@ var (
 	refDPalette = []float64{0, 1, -1, 4, -2.5, 10, -7, 0.3}
 )
 
-// FuzzSolveMatchesReference decodes a small constrained least-squares
-// problem and requires the solver to match referenceSolve bit for bit
-// (sameSolve) on two warm-chained LSI.Solve calls, and SolveInteriorTo,
-// when it resolves the problem from the origin, to match the reference
-// solve from the origin. H = 2·(CᵀC + εI) comes from a sparse C, A holds
-// exact ±0 entries and may repeat rows (dependent constraints), and the
-// start is feasible by construction: bᵢ = aᵢ·x0 + slack with slack ≥ 0,
-// zero slack making a row active at the start.
+// refProblem is a small constrained least-squares problem decoded from
+// fuzz input (decodeRefProblem): a stack C, constraints a·x ≤ b (a nil when
+// there are none), a feasible start x0 and two right-hand sides d.
+type refProblem struct {
+	c, a *mat.Dense
+	b    []float64
+	x0   []float64
+	ds   [2][]float64
+}
+
+// decodeRefProblem decodes FuzzSolveMatchesReference's input. H = 2·(CᵀC +
+// εI) comes from a sparse C, A holds exact ±0 entries and may repeat rows
+// (dependent constraints), and the start is feasible by construction:
+// bᵢ = aᵢ·x0 + slack with slack ≥ 0, zero slack making a row active at the
+// start. It reports false for input too short to pick the dimensions.
 //
 // Layout: byte 0 picks n (1–8), byte 1 the constraint rows m (0–16) and
 // byte 2 the rows of C (1–8). C's entries follow, one byte each. Each row
@@ -268,13 +279,74 @@ var (
 // it), anything else reads n entry bytes. Then n bytes of x0, m of slack
 // and two right-hand sides d. Every byte indexes its palette; a missing
 // byte is index 0.
+func decodeRefProblem(data []byte) (refProblem, bool) {
+	if len(data) < 3 {
+		return refProblem{}, false
+	}
+	n, m, rc := 1+int(data[0])%8, int(data[1])%17, 1+int(data[2])%8
+	data = data[3:]
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		v := int(data[0])
+		data = data[1:]
+		return v
+	}
+	pick := func(palette []float64) float64 { return palette[next()%len(palette)] }
+	var pr refProblem
+	pr.c = mat.New(rc, n)
+	for i := 0; i < rc; i++ {
+		for j := 0; j < n; j++ {
+			pr.c.Set(i, j, pick(refCPalette))
+		}
+	}
+	if m > 0 {
+		pr.a = mat.New(m, n)
+		for i := 0; i < m; i++ {
+			if kind := next(); kind%4 == 3 && i > 0 {
+				copy(pr.a.RowView(i), pr.a.RowView(kind/4%i))
+				continue
+			}
+			for j := 0; j < n; j++ {
+				pr.a.Set(i, j, pick(refAPalette))
+			}
+		}
+	}
+	pr.x0 = make([]float64, n)
+	for j := range pr.x0 {
+		pr.x0[j] = pick(refXPalette)
+	}
+	pr.b = make([]float64, m)
+	for i := range pr.b {
+		pr.b[i] = mat.Dot(pr.a.RowView(i), pr.x0) + pick(refSlack)
+	}
+	for k := range pr.ds {
+		pr.ds[k] = make([]float64, rc)
+		for i := range pr.ds[k] {
+			pr.ds[k][i] = pick(refDPalette)
+		}
+	}
+	return pr, true
+}
+
+// crawlSeed is FuzzSolveMatchesReference's input whose first solve (3
+// variables, 4 rows) took full, unblocked steps on one working list with
+// ‖p‖∞ just above tol·(1 + ‖x‖∞) until the 450-iteration cap, before the
+// full-step rule.
+const crawlSeed = "270000000000000700000011C00"
+
+// FuzzSolveMatchesReference decodes a small constrained least-squares
+// problem (decodeRefProblem) and requires the solver to match
+// referenceSolve bit for bit (sameSolve) on two warm-chained LSI.Solve
+// calls, and SolveInteriorTo, when it resolves the problem from the origin,
+// to match the reference solve from the origin.
 func FuzzSolveMatchesReference(f *testing.F) {
 	f.Add([]byte{2, 4, 3, 4, 5, 6, 7, 8, 9, 0, 4, 0, 0, 4, 1, 5, 0, 5, 1, 0, 0, 1, 0, 3, 4, 2, 5})
 	// One variable: the working set empties and a different row enters,
 	// so a factor of S kept by working-list length alone would be stale.
 	f.Add([]byte("0X1000000010"))
-	// A solve that cycles to the iteration cap.
-	f.Add([]byte("270000000000000700000011C00"))
+	f.Add([]byte(crawlSeed))
 	f.Add([]byte{13, 6, 14, 1, 15, 11, 0, 2, 8, 2, 0, 13, 10, 7, 9, 8, 6, 13, 8, 2, 8, 8, 2, 8, 15, 9,
 		4, 8, 12, 9, 8, 9, 0, 15, 2, 8, 5, 7, 2, 2, 12, 14, 12, 9, 10, 3, 15, 7, 14, 12, 11, 5, 2, 14, 3,
 		2, 7, 7, 10, 5, 2, 1, 0, 10, 6, 15, 15, 6, 8, 5, 1, 8, 14, 6, 15, 13, 14, 11, 0, 10, 15, 8, 13,
@@ -292,59 +364,16 @@ func FuzzSolveMatchesReference(f *testing.F) {
 		10, 6, 1, 6, 12, 6, 9, 0, 3, 8, 3, 15, 5, 5, 14, 4, 5, 8, 2, 7, 5, 14, 11, 3, 7, 4, 8, 4, 6, 12,
 		12})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
+		pr, ok := decodeRefProblem(data)
+		if !ok {
 			return
 		}
-		n, m, rc := 1+int(data[0])%8, int(data[1])%17, 1+int(data[2])%8
-		data = data[3:]
-		next := func() int {
-			if len(data) == 0 {
-				return 0
-			}
-			v := int(data[0])
-			data = data[1:]
-			return v
-		}
-		pick := func(palette []float64) float64 { return palette[next()%len(palette)] }
-		c := mat.New(rc, n)
-		for i := 0; i < rc; i++ {
-			for j := 0; j < n; j++ {
-				c.Set(i, j, pick(refCPalette))
-			}
-		}
-		var a *mat.Dense
-		if m > 0 {
-			a = mat.New(m, n)
-			for i := 0; i < m; i++ {
-				if kind := next(); kind%4 == 3 && i > 0 {
-					copy(a.RowView(i), a.RowView(kind/4%i))
-					continue
-				}
-				for j := 0; j < n; j++ {
-					a.Set(i, j, pick(refAPalette))
-				}
-			}
-		}
-		x0 := make([]float64, n)
-		for j := range x0 {
-			x0[j] = pick(refXPalette)
-		}
-		b := make([]float64, m)
-		for i := range b {
-			b[i] = mat.Dot(a.RowView(i), x0) + pick(refSlack)
-		}
-		ds := [2][]float64{make([]float64, rc), make([]float64, rc)}
-		for _, d := range ds {
-			for i := range d {
-				d[i] = pick(refDPalette)
-			}
-		}
-
+		c, a, b, x0, n := pr.c, pr.a, pr.b, pr.x0, pr.c.Cols()
 		s, err := NewLSI(c, Options{})
 		if err != nil {
 			t.Skip("C gives no positive definite H")
 		}
-		for k, d := range ds {
+		for k, d := range pr.ds {
 			ref, refLambda, refErr := referenceSolve(c, d, a, b, x0, s.warm, s.opts)
 			res, err := s.Solve(d, a, b, x0)
 			if diff := sameSolve(res, s.Multipliers(), err, ref, refLambda, refErr); diff != "" {
@@ -356,8 +385,8 @@ func FuzzSolveMatchesReference(f *testing.F) {
 			t.Fatal(err)
 		}
 		x := make([]float64, n)
-		if iters, ok := interior.SolveInteriorTo(x, ds[0], a, b); ok {
-			ref, _, refErr := referenceSolve(c, ds[0], a, b, make([]float64, n), nil, Options{})
+		if iters, ok := interior.SolveInteriorTo(x, pr.ds[0], a, b); ok {
+			ref, _, refErr := referenceSolve(c, pr.ds[0], a, b, make([]float64, n), nil, Options{})
 			if refErr != nil || ref.Iterations != iters || len(ref.Active) != 0 ||
 				!slices.EqualFunc(x, ref.X, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) }) {
 				t.Fatalf("interior solve: x = %v in %d iterations, reference %+v %v", x, iters, ref, refErr)

@@ -41,14 +41,14 @@ type DegradationReporter interface {
 }
 
 // ContainmentReporter is an optional interface a Controller can
-// implement to expose its numerical-failure containment counters (the MPC
-// degradation ladder of internal/mpc). cmd/euconsim and the chaos harness
-// read it after a run to report how often — and how deeply — the
-// controller had to degrade to keep the loop alive.
+// implement to expose its numerical-failure containment counter (the hold
+// rung of internal/mpc). cmd/euconsim and the chaos harness read it after
+// a run to report how often the controller had to hold its rates to keep
+// the loop alive.
 type ContainmentReporter interface {
 	// ContainmentCounts reports how many control steps since construction
-	// or Reset were resolved below the nominal solve paths: best-iterate
-	// acceptances, Tikhonov-regularized re-solves, and held periods.
+	// or Reset held the applied rates. The first two results name retired
+	// rungs (best-iterate acceptances, Tikhonov re-solves) and are 0.
 	ContainmentCounts() (bestIterate, regularized, held int)
 }
 

@@ -165,13 +165,12 @@ type Stats struct {
 	// audit found the event/job accounting out of balance (a leak or a
 	// double-recycle in the event loop).
 	GuardPoolFirings int
-	// ContainmentBestIterate, ContainmentRegularized, and ContainmentHeld
-	// mirror the controller's solver degradation-ladder counters (accepted
-	// best iterates, Tikhonov re-solves, held steps) as of the end of the
-	// run. Populated only when the controller implements
-	// ContainmentReporter; the counts are cumulative since the controller's
-	// construction or last Reset.
-	ContainmentBestIterate, ContainmentRegularized, ContainmentHeld int
+	// ContainmentHeld mirrors the controller's count of held steps (a
+	// failed solve or non-finite inputs) as of the end of the run.
+	// Populated only when the controller implements ContainmentReporter;
+	// the count is cumulative since the controller's construction or last
+	// Reset.
+	ContainmentHeld int
 	// ExplicitHits and ExplicitMisses mirror the controller's explicit-MPC
 	// counters as of the end of the run: control steps that lay in the
 	// interior critical region of the offline-compiled piecewise-affine
@@ -516,7 +515,7 @@ func (s *Simulator) RunContext(ctx context.Context) (*Trace, error) {
 		s.putEvent(e)
 	}
 	if cr, ok := s.cfg.Controller.(ContainmentReporter); ok {
-		s.trace.Stats.ContainmentBestIterate, s.trace.Stats.ContainmentRegularized, s.trace.Stats.ContainmentHeld = cr.ContainmentCounts()
+		_, _, s.trace.Stats.ContainmentHeld = cr.ContainmentCounts()
 	}
 	if er, ok := s.cfg.Controller.(ExplicitReporter); ok {
 		s.trace.Stats.ExplicitHits, s.trace.Stats.ExplicitMisses = er.ExplicitCounts()
