@@ -41,9 +41,8 @@ bench-smoke:
 
 ## chaos-smoke: the CI chaos gate — 25 seeded fault-storm scenarios against
 ## the canonical SIMPLE campaign, 6 crash/feedback-drop scenarios against
-## localized DEUCON on LARGE-128 (each run at 1 and 8 workers and required
-## bit-identical), and 2 partition scenarios against a real 8-agent TCP
-## fleet. Fails on any violation; `make test` runs the same test.
+## localized DEUCON on LARGE-128, and 2 partition scenarios against a real
+## 8-agent TCP fleet. Fails on any violation; `make test` runs the same test.
 chaos-smoke:
 	$(GO) test -count=1 -run TestCampaignSmokeClean ./internal/chaos
 

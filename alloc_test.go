@@ -30,16 +30,11 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 		{"centralized interior step on MEDIUM, explicit law attached", func(t *testing.T) (func() error, func() bool) {
 			return mediumInteriorStep(t, true)
 		}},
+		{"localized DEUCON period on MEDIUM", func(t *testing.T) (func() error, func() bool) {
+			return deuconInteriorPeriod(t, workload.Medium())
+		}},
 		{"localized DEUCON period on LARGE-128", func(t *testing.T) (func() error, func() bool) {
-			op, since := pinnedDeuconPeriod(t, workload.Large128())
-			return op, func() bool {
-				for o, n := range since() {
-					if o != int(mpc.SolveOK) && n != 0 {
-						return false
-					}
-				}
-				return true
-			}
+			return deuconInteriorPeriod(t, workload.Large128())
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,10 +92,24 @@ func mediumInteriorStep(t *testing.T, explicit bool) (op func() error, inRegime 
 	}
 }
 
+// deuconInteriorPeriod is pinnedDeuconPeriod with a regime check that
+// every measured local solve was SolveOK. MEDIUM's is the farm-wide
+// server's controller; LARGE-128's is the large-deucon one.
+func deuconInteriorPeriod(t *testing.T, sys *task.System) (op func() error, inRegime func() bool) {
+	op, since := pinnedDeuconPeriod(t, sys)
+	return op, func() bool {
+		for o, n := range since() {
+			if o != int(mpc.SolveOK) && n != 0 {
+				return false
+			}
+		}
+		return true
+	}
+}
+
 // pinnedDeuconPeriod is one full localized-DEUCON period — all
-// per-processor solves plus the order-stable merge — on sys, serial (the
-// claim is per-period work, not fan-out scaffolding), with utilization
-// pinned just below the set points: exactly at them the constraint slack
+// per-processor solves plus the merge — on sys, with utilization pinned
+// just below the set points: exactly at them the constraint slack
 // B−u is zero, the interior solve's strict-feasibility guard rejects every
 // local, and all of them take the allocating active-set solve. The first
 // announcement wave is a transient in which a few locals relax, so three
@@ -108,7 +117,7 @@ func mediumInteriorStep(t *testing.T, explicit bool) (op func() error, inRegime 
 // before op is returned; since reports the local solves each ladder rung
 // resolved after that.
 func pinnedDeuconPeriod(tb testing.TB, sys *task.System) (op func() error, since func() [mpc.SolveExplicitMiss + 1]int) {
-	ctrl, err := deucon.New(sys, nil, deucon.Config{Parallelism: 1})
+	ctrl, err := deucon.New(sys, nil, deucon.Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}

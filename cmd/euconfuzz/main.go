@@ -40,7 +40,7 @@ func run() int {
 	n := flag.Int("n", chaos.DefaultScenarios, "number of scenarios to generate and check")
 	maxClauses := flag.Int("max-clauses", chaos.DefaultMaxClauses, "maximum fault clauses per scenario")
 	periods := flag.Int("periods", chaos.DefaultPeriods, "sampling periods per run (canonical: 300)")
-	campaignName := flag.String("campaign", "simple", "campaign to run: simple (SIMPLE + centralized EUCON, full clause alphabet), large128 (LARGE-128 + localized DEUCON, crash/feedback-drop clauses, every scenario checked bit-identical at 1 and 8 workers), or partition (real 8-agent TCP fleet under injected partitions and transport loss)")
+	campaignName := flag.String("campaign", "simple", "campaign to run: simple (SIMPLE + centralized EUCON, full clause alphabet), large128 (LARGE-128 + localized DEUCON, crash/feedback-drop clauses), or partition (real 8-agent TCP fleet under injected partitions and transport loss)")
 	verbose := flag.Bool("v", false, "print each scenario's clause list")
 	flag.Parse()
 

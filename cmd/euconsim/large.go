@@ -41,10 +41,10 @@ func listWorkloads(w io.Writer) {
 //     banded Hessian backend (the "structured" and "bandwidth" fields), and
 //     its open-loop step-response trajectory — pure structured linear
 //     algebra, period after period — must not drift across PRs;
-//   - localized DEUCON must produce bit-identical closed-loop trajectories
-//     at 1, 2, and 8 internal workers. The digest line repeats per worker
-//     count and TestGoldenDigests compares the whole output with
-//     scripts/golden/, so any divergence fails go test ./... .
+//   - localized DEUCON's closed-loop trajectory at each execution-time
+//     factor must not drift across PRs. TestGoldenDigests compares the
+//     whole output with scripts/golden/, so any divergence fails
+//     go test ./... .
 //
 // The centralized digest is open-loop (a scripted utilization sequence in
 // the lightly-loaded regime) rather than a full closed-loop simulation:
@@ -81,19 +81,17 @@ func largeDigests(ctx context.Context, w io.Writer, name string) error {
 			sys.Name, banded, bw, largeStepPeriods, digest)
 	}
 
-	for _, workers := range []int{1, 2, 8} {
-		for _, etf := range etfs {
-			ctrl, err := deucon.New(sys, nil, deucon.Config{Parallelism: workers})
-			if err != nil {
-				return fmt.Errorf("%s DEUCON: %w", sys.Name, err)
-			}
-			digest, err := runLarge(ctx, sys, ctrl, etf)
-			if err != nil {
-				return fmt.Errorf("%s DEUCON workers=%d etf=%g: %w", sys.Name, workers, etf, err)
-			}
-			fmt.Fprintf(w, "{\"workload\":%q,\"controller\":\"DEUCON\",\"workers\":%d,\"etf\":%g,\"periods\":%d,\"digest\":%q}\n",
-				sys.Name, workers, etf, largePeriods, digest)
+	for _, etf := range etfs {
+		ctrl, err := deucon.New(sys, nil, deucon.Config{})
+		if err != nil {
+			return fmt.Errorf("%s DEUCON: %w", sys.Name, err)
 		}
+		digest, err := runLarge(ctx, sys, ctrl, etf)
+		if err != nil {
+			return fmt.Errorf("%s DEUCON etf=%g: %w", sys.Name, etf, err)
+		}
+		fmt.Fprintf(w, "{\"workload\":%q,\"controller\":\"DEUCON\",\"etf\":%g,\"periods\":%d,\"digest\":%q}\n",
+			sys.Name, etf, largePeriods, digest)
 	}
 	return nil
 }

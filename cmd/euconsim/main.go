@@ -50,7 +50,7 @@ func run() int {
 	faultDigest := flag.Bool("fault-digest", false, "with -faults: print JSON digests of a faulted SIMPLE sweep at 1, 2, and 8 workers, including robustness metrics, then exit (TestGoldenDigests compares these with scripts/golden/)")
 	explicit := flag.Bool("explicit", false, "run EUCON with the offline-compiled explicit MPC law (internal/empc); rates are bit-identical to the iterative solver, so every digest and table is unchanged — the flag exists to prove exactly that")
 	explicitReport := flag.Bool("explicit-report", false, "compile the explicit MPC laws for the SIMPLE and MEDIUM controllers and print one JSON line each with region counts, build digest, and compile wall time, then exit (scripts/check.sh compiles twice and requires equal digests)")
-	workloadName := flag.String("workload", "", "run a named LARGE scaling workload (see -list-workloads) and print JSON trajectory digests: centralized EUCON on the structured solver path plus localized DEUCON at 1, 2, and 8 workers (TestGoldenDigests compares these with scripts/golden/)")
+	workloadName := flag.String("workload", "", "run a named LARGE scaling workload (see -list-workloads) and print JSON trajectory digests: centralized EUCON on the structured solver path plus localized DEUCON at each execution-time factor (TestGoldenDigests compares these with scripts/golden/)")
 	listWL := flag.Bool("list-workloads", false, "list the named scaling workloads accepted by -workload")
 	flag.Parse()
 

@@ -10,7 +10,7 @@ import (
 // chainRoots pins the entry points of the runtime-gated allocation-free
 // hot paths: the simulator's steady-state event handlers (held at 0
 // allocs/op by internal/sim's TestSteadyStateEventLoopAllocFree) and the
-// localized DEUCON per-processor step (by the root package's
+// localized DEUCON period (by the root package's
 // TestSteadyStateAllocationFree). The noalloc analyzer requires
 // each root to exist and carry //eucon:noalloc; the interprocedural proof
 // then covers everything the roots reach, so the runtime allocation gate
@@ -23,7 +23,7 @@ var chainRoots = []struct {
 	{"internal/sim", "Simulator.handleRelease", "TestSteadyStateEventLoopAllocFree"},
 	{"internal/sim", "Simulator.handleCompletion", "TestSteadyStateEventLoopAllocFree"},
 	{"internal/sim", "Simulator.handleSampling", "TestSteadyStateEventLoopAllocFree"},
-	{"internal/deucon", "Controller.stepLocal", "TestSteadyStateAllocationFree"},
+	{"internal/deucon", "Controller.Step", "TestSteadyStateAllocationFree"},
 }
 
 // checkChainRoots verifies the declared chain roots of the analyzed

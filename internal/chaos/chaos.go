@@ -40,9 +40,6 @@ const (
 	CampaignSimple Campaign = iota
 	// CampaignLarge128 targets the localized DEUCON controller on the
 	// LARGE-128 workload with processor-crash and feedback-drop clauses.
-	// Every scenario runs twice — at 1 worker and at 8 workers — and the
-	// two traces must be bit-identical, so the parallel-determinism
-	// guarantee is checked under fault storms, not just on clean runs.
 	CampaignLarge128
 	// CampaignPartition targets the production distributed runtime itself:
 	// each scenario boots a real controller Server plus an 8-agent fleet
@@ -335,51 +332,33 @@ func (st *runStats) book(tr *sim.Trace) {
 // loop never recovers.
 const largeReconvergeTol = 0.2
 
-// largeWorkerCounts are the DEUCON worker-pool sizes every LARGE-128
-// scenario runs at; all runs must produce bit-identical traces.
-var largeWorkerCounts = [2]int{1, 8}
-
 // checkLarge128 runs one scenario of the LARGE-128 campaign: the localized
-// DEUCON controller on the 128-processor workload, once per entry of
-// largeWorkerCounts. Beyond the shared invariant set (checked on the
-// serial run), the traces from every worker count must match the serial
-// one bit for bit — parallel determinism under fault storms.
+// DEUCON controller on the 128-processor workload, checked against the
+// shared invariant set.
 func checkLarge128(ctx context.Context, specs []fault.Spec, opts Options) (problems []string, stats runStats) {
 	sys := workload.Large128()
-	runAt := func(workers int) (*sim.Trace, error) {
-		ctrl, err := deucon.New(sys, nil, deucon.Config{Parallelism: workers})
-		if err != nil {
-			return nil, fmt.Errorf("build controller: %w", err)
-		}
-		s, err := sim.New(sim.Config{
-			System:         sys,
-			SamplingPeriod: workload.SamplingPeriod,
-			Periods:        opts.Periods,
-			Controller:     ctrl,
-			Seed:           runSeed,
-			Faults:         specs,
-			DisableGuards:  opts.DisableGuards,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("configure simulator: %w", err)
-		}
-		return s.RunContext(ctx)
-	}
-	serial, err := runAt(largeWorkerCounts[0])
+	ctrl, err := deucon.New(sys, nil, deucon.Config{})
 	if err != nil {
-		return []string{fmt.Sprintf("workers=%d: %v", largeWorkerCounts[0], err)}, stats
+		return []string{fmt.Sprintf("build controller: %v", err)}, stats
 	}
-	stats.book(serial)
-	problems = inspect(serial, sys, opts.Periods, largeReconvergeTol)
-
-	parallel, err := runAt(largeWorkerCounts[1])
+	s, err := sim.New(sim.Config{
+		System:         sys,
+		SamplingPeriod: workload.SamplingPeriod,
+		Periods:        opts.Periods,
+		Controller:     ctrl,
+		Seed:           runSeed,
+		Faults:         specs,
+		DisableGuards:  opts.DisableGuards,
+	})
 	if err != nil {
-		return append(problems, fmt.Sprintf("workers=%d: %v", largeWorkerCounts[1], err)), stats
+		return []string{fmt.Sprintf("configure simulator: %v", err)}, stats
 	}
-	if d := traceDivergence(serial, parallel); d != "" {
-		problems = append(problems, fmt.Sprintf("parallel determinism broken at %d workers: %s", largeWorkerCounts[1], d))
+	tr, err := s.RunContext(ctx)
+	if err != nil {
+		return []string{fmt.Sprintf("run failed: %v", err)}, stats
 	}
-	return problems, stats
+	stats.book(tr)
+	return inspect(tr, sys, opts.Periods, largeReconvergeTol), stats
 }
 
 // traceDivergence returns a description of the first bitwise difference

@@ -23,8 +23,6 @@ package deucon
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"github.com/rtsyslab/eucon/internal/mat"
 	"github.com/rtsyslab/eucon/internal/mpc"
@@ -39,22 +37,9 @@ const (
 	trefOverTs        = 4 // Tref/Ts
 )
 
-// Config tunes the decentralized controller.
-type Config struct {
-	// Parallelism caps how many local MPC solves run concurrently within
-	// one control period — the decentralized solves are independent, as
-	// they would be on physically separate processors. 0 selects
-	// GOMAXPROCS; 1 solves serially. Results are identical for every
-	// setting.
-	Parallelism int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	return c
-}
+// Config tunes the decentralized controller. It has no settings: the
+// local controllers run the paper's SIMPLE tuning and step serially.
+type Config struct{}
 
 // adjTerm is one precomputed coupling coefficient: a nonzero allocation
 // entry F[proc][task] for a task led by another processor, whose announced
@@ -90,7 +75,6 @@ type local struct {
 // It is not safe for concurrent use.
 type Controller struct {
 	sys       *task.System
-	cfg       Config
 	setPoints []float64
 	locals    []*local
 	f         *mat.Dense
@@ -107,7 +91,6 @@ type Controller struct {
 	outcomes [mpc.SolveExplicitMiss + 1]int
 
 	// Per-period merge scratch, reused across periods (see Step).
-	errs []error
 	out  []float64
 	next []float64
 }
@@ -116,7 +99,7 @@ var _ sim.Controller = (*Controller)(nil)
 
 // New builds the decentralized controller. Passing nil set points selects
 // the system's default (Liu–Layland) set points.
-func New(sys *task.System, setPoints []float64, cfg Config) (*Controller, error) {
+func New(sys *task.System, setPoints []float64, _ Config) (*Controller, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, fmt.Errorf("deucon: %w", err)
 	}
@@ -126,11 +109,8 @@ func New(sys *task.System, setPoints []float64, cfg Config) (*Controller, error)
 	if len(setPoints) != sys.Processors {
 		return nil, fmt.Errorf("deucon: %d set points for %d processors", len(setPoints), sys.Processors)
 	}
-	cfg = cfg.withDefaults()
-
 	c := &Controller{
 		sys:       sys,
-		cfg:       cfg,
 		setPoints: mat.VecClone(setPoints),
 		f:         sys.AllocationMatrix(),
 		announced: make([]float64, len(sys.Tasks)),
@@ -152,7 +132,6 @@ func New(sys *task.System, setPoints []float64, cfg Config) (*Controller, error)
 	if len(c.locals) == 0 {
 		return nil, fmt.Errorf("deucon: no processor leads any task")
 	}
-	c.errs = make([]error, len(c.locals))
 	c.out = make([]float64, len(sys.Tasks))
 	c.next = make([]float64, len(sys.Tasks))
 	return c, nil
@@ -267,69 +246,31 @@ func (c *Controller) Name() string { return "DEUCON" }
 func (c *Controller) SetPoints() []float64 { return mat.VecClone(c.setPoints) }
 
 // Step implements sim.Controller: one decentralized control period.
-// The local solves are independent — each local MPC reads only this
-// period's shared measurements and last period's announcements, and
-// controls a disjoint set of tasks — so they run on up to
-// Config.Parallelism goroutines, mirroring the physically parallel
-// processors of a real deployment. The workers take the locals in
-// contiguous [lo, hi) spans of max(1, n/(8·workers)) locals, about eight
-// spans per worker: LARGE-128 at 2 workers is 16 handoffs of 8 locals
-// instead of 128 of one, while a 4-local MEDIUM controller still hands
-// out one local per span. Results are merged in processor order, making
-// the outcome identical for every parallelism setting.
+// Each local MPC reads only this period's shared measurements and last
+// period's announcements and controls a disjoint set of tasks; the locals
+// step in processor order, so the first failing processor wins error
+// reporting and counters accumulate in a fixed order.
 //
 // The returned rate slice aliases controller-owned memory reused by the
 // next Step call; callers that keep it across periods must copy it (the
-// simulator copies it into the plant state and traces immediately). With
-// Parallelism 1 the whole period — per-processor solves included — runs
-// allocation-free in the steady state; parallel mode allocates only the
-// per-period fan-out scaffolding (the job channel, the WaitGroup and one
-// closure per worker), never anything per processor or per span.
+// simulator copies it into the plant state and traces immediately). The
+// whole period, per-processor solves included, runs allocation-free in
+// the steady state.
+//
+//eucon:noalloc
 func (c *Controller) Step(_ int, u, rates []float64) ([]float64, error) {
 	if len(u) != c.sys.Processors {
-		return nil, fmt.Errorf("deucon: utilization vector has length %d, want %d", len(u), c.sys.Processors)
+		return nil, fmt.Errorf("deucon: utilization vector has length %d, want %d", len(u), c.sys.Processors) //eucon:alloc-ok error path only; the hot path never formats
 	}
 	if len(rates) != len(c.sys.Tasks) {
-		return nil, fmt.Errorf("deucon: rate vector has length %d, want %d", len(rates), len(c.sys.Tasks))
+		return nil, fmt.Errorf("deucon: rate vector has length %d, want %d", len(rates), len(c.sys.Tasks)) //eucon:alloc-ok error path only; the hot path never formats
 	}
 	c.periods++
 
-	n := len(c.locals)
-	if workers := min(c.cfg.Parallelism, n); workers <= 1 {
-		for i, l := range c.locals {
-			c.errs[i] = c.stepLocal(l, u, rates)
-		}
-	} else {
-		var wg sync.WaitGroup
-		jobs := make(chan [2]int) // [lo, hi) spans of locals
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for span := range jobs {
-					for i := span[0]; i < span[1]; i++ {
-						c.errs[i] = c.stepLocal(c.locals[i], u, rates)
-					}
-				}
-			}()
-		}
-		// About eight spans per worker keep the load balanced while
-		// paying one channel handoff per span rather than per local.
-		size := max(1, n/(8*workers))
-		for lo := 0; lo < n; lo += size {
-			jobs <- [2]int{lo, min(lo+size, n)}
-		}
-		close(jobs)
-		wg.Wait()
-	}
-
-	// Deterministic merge in local (processor) order: led task sets are
-	// disjoint, counters accumulate in a fixed order, and the first failing
-	// processor wins error reporting.
 	copy(c.out, rates)
-	for i, l := range c.locals {
-		if c.errs[i] != nil {
-			return nil, fmt.Errorf("deucon: local step on P%d: %w", l.proc+1, c.errs[i])
+	for _, l := range c.locals {
+		if err := c.stepLocal(l, u, rates); err != nil {
+			return nil, fmt.Errorf("deucon: local step on P%d: %w", l.proc+1, err) //eucon:alloc-ok error path only; the hot path never formats
 		}
 		c.messages += len(l.scope) // utilization reports (own report counted uniformly)
 		c.outcomes[l.res.Outcome]++
@@ -344,9 +285,9 @@ func (c *Controller) Step(_ int, u, rates []float64) ([]float64, error) {
 }
 
 // stepLocal runs one processor's local MPC for the current period into the
-// local's reusable scratch. It reads only shared immutable period state
-// (u, rates, the previous period's announcements) and writes only the
-// local's own state, so distinct locals may step concurrently.
+// local's reusable scratch. It reads only the period's measurements, the
+// rates and the previous period's announcements, and writes only the
+// local's own state.
 //
 //eucon:noalloc
 func (c *Controller) stepLocal(l *local, u, rates []float64) error {

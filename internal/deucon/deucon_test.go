@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/rtsyslab/eucon/internal/metrics"
-	"github.com/rtsyslab/eucon/internal/mpc"
 	"github.com/rtsyslab/eucon/internal/sim"
 	"github.com/rtsyslab/eucon/internal/task"
 	"github.com/rtsyslab/eucon/internal/workload"
@@ -222,112 +221,5 @@ func TestRatesDimensionErrors(t *testing.T) {
 	}
 	if ctrl.Name() != "DEUCON" {
 		t.Errorf("Name = %q", ctrl.Name())
-	}
-}
-
-// TestRatesParallelismDeterministic drives identical closed-loop input
-// sequences through controllers at several Parallelism settings: the rate
-// trajectories and message counters must be bit-identical, since the
-// parallel solves merge in processor order. MEDIUM's four locals go out
-// one per span; LARGE-128 goes out in spans of 8 (2 workers), 5 with a
-// short last span (3 workers) and 2 (8 workers).
-func TestRatesParallelismDeterministic(t *testing.T) {
-	for _, tc := range []struct {
-		sys  *task.System
-		pars []int
-	}{
-		{workload.Medium(), []int{2, 4, 8}},
-		{mustLarge(t, 16), []int{2, 3, 8}},
-		{workload.Large128(), []int{2, 3, 8}},
-	} {
-		sys := tc.sys
-		drive := func(par int) ([][]float64, int) {
-			ctrl, err := New(sys, nil, Config{Parallelism: par})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(7))
-			rates := sys.InitialRates()
-			var outs [][]float64
-			for k := 0; k < 40; k++ {
-				u := make([]float64, sys.Processors)
-				for i := range u {
-					u[i] = 0.3 + 0.6*rng.Float64()
-				}
-				next, err := ctrl.Step(k, u, rates)
-				if err != nil {
-					t.Fatalf("%s parallelism %d period %d: %v", sys.Name, par, k, err)
-				}
-				// Step's return value is controller-owned scratch; copy what
-				// we keep, as the simulator does.
-				outs = append(outs, append([]float64(nil), next...))
-				rates = append(rates[:0:0], next...)
-			}
-			return outs, ctrl.Messages()
-		}
-		refOuts, refMsgs := drive(1)
-		for _, par := range tc.pars {
-			outs, msgs := drive(par)
-			if msgs != refMsgs {
-				t.Errorf("%s parallelism %d: messages = %d, want %d", sys.Name, par, msgs, refMsgs)
-			}
-			for k := range refOuts {
-				for i := range refOuts[k] {
-					if outs[k][i] != refOuts[k][i] {
-						t.Fatalf("%s parallelism %d: rate[%d][%d] = %v, want %v (bit-exact)", sys.Name, par, k, i, outs[k][i], refOuts[k][i])
-					}
-				}
-			}
-		}
-	}
-}
-
-func mustLarge(t *testing.T, procs int) *task.System {
-	t.Helper()
-	sys, err := workload.Large(procs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
-}
-
-// TestParallelStepAllocations pins the fan-out scaffolding of a MEDIUM
-// period — the farm-wide server's controller — in the steady state: none
-// serially; the job channel, the WaitGroup and one closure per worker in
-// parallel. A fan-out that moves this count also moves the farm's
-// allocation volume, so it has to show up here first.
-func TestParallelStepAllocations(t *testing.T) {
-	sys := workload.Medium()
-	for _, tc := range []struct{ par, want int }{{1, 0}, {2, 4}, {4, 6}} {
-		ctrl, err := New(sys, nil, Config{Parallelism: tc.par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Just below the set points every local stays on the interior
-		// solve, which allocates nothing; three periods settle the first
-		// announcement wave.
-		u := sys.DefaultSetPoints()
-		for i := range u {
-			u[i] *= 0.98
-		}
-		rates := sys.InitialRates()
-		step := func() {
-			if _, err := ctrl.Step(0, u, rates); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for k := 0; k < 3; k++ {
-			step()
-		}
-		warm := ctrl.OutcomeCounts()
-		allocs := testing.AllocsPerRun(20, step)
-		for o, n := range ctrl.OutcomeCounts() {
-			if o != int(mpc.SolveOK) && n != warm[o] {
-				t.Fatalf("parallelism %d: measured steps left the interior regime (outcome %d)", tc.par, o)
-			}
-		}
-		if allocs != float64(tc.want) {
-			t.Errorf("parallelism %d: %.1f allocs per Step, want %d", tc.par, allocs, tc.want)
-		}
 	}
 }
