@@ -58,10 +58,14 @@ fuzz-queue:
 	$(GO) test -run '^$$' -fuzz FuzzEventQueueOrder -fuzztime 30s ./internal/sim
 
 ## fuzz-lane: fuzz the three lane codecs' decoders for 30 s: every body
-## must decode to a message that re-encodes, or fail closed; the seed
-## corpus already runs with the ordinary tests.
+## must decode to a message that re-encodes, or fail closed; then fuzz the
+## buffered receive for 30 s: a frame stream cut into Reads at any
+## boundaries must read back as per-frame decoding does, or fail with the
+## uncut stream's error. The seed corpora already run with the ordinary
+## tests.
 fuzz-lane:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 30s ./internal/lane
+	$(GO) test -run '^$$' -fuzz '^FuzzReceiveSegmented$$' -fuzztime 30s ./internal/lane
 
 ## fuzz-qp: fuzz the active-set solver's kept QR factor for 30 s: random
 ## row sets and add/drop scripts must give the independence decisions of a

@@ -57,7 +57,7 @@ func run(args []string) int {
 	agents := fs.Int("agents", 1000, "number of node agents (one processor each)")
 	periods := fs.Int("periods", 200, "sampling periods to run")
 	crashes := fs.Int("crashes", 8, "agent crash/rejoin cycles to inject across the run")
-	queue := fs.Int("queue", lane.DefaultQueueDepth, "per-peer send-queue depth (frames)")
+	queue := fs.Int("queue", lane.DefaultQueueDepth, "per-peer send-queue depth (frames): the server's queues, and the agents' when free-running")
 	codecName := fs.String("codec", "binary", "wire codec: binary, binary2, or json")
 	ctrlName := fs.String("controller", "deucon", "controller: deucon (localized, scales) or eucon (centralized MPC)")
 	periodTimeout := fs.Duration("period-timeout", 10*time.Second, "server step deadline per period")

@@ -37,7 +37,7 @@ func run() int {
 	interval := flag.Duration("interval", 50*time.Millisecond, "real-time duration of one sampling period (0 = lockstep)")
 	seed := flag.Int64("seed", defaultSeed, "noise seed, mixed with -proc so every node of a fleet draws its own noise")
 	codec := flag.String("codec", "binary", "wire codec: binary, binary2, or json (the same on euconctl and every nodeagent)")
-	queue := flag.Int("queue", lane.DefaultQueueDepth, "outbound send-queue depth (frames)")
+	queue := flag.Int("queue", lane.DefaultQueueDepth, "outbound send-queue depth (frames); free-running agents only (-interval > 0), a lockstep agent writes its reports inline")
 	faultSpec := flag.String("transport-faults", "", "inject transport faults on outbound reports, e.g. drop=0.05,delay=10ms,delayprob=0.5,seed=7 (reseeded per processor)")
 	drift := flag.Float64("drift", 0, "clock rate error for free-running pacing: +0.01 samples 1% fast, -0.01 1% slow")
 	skew := flag.Duration("skew", 0, "constant clock offset for free-running pacing")

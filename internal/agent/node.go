@@ -21,15 +21,19 @@ import (
 //
 // The agent hosts the synthetic plant of this package: utilization is
 // Σ c_i·r_i over the subtasks hosted on its processor, scaled by the ETF
-// schedule and optional jitter. Outbound frames flow through a bounded
-// send queue, so a stalled lane sheds stale reports instead of blocking
-// the measurement loop; rate frames are applied as they arrive (sparse
-// frames update only the hosted tasks).
+// schedule and optional jitter. Rate frames are applied as they arrive
+// (sparse frames update only the hosted tasks).
 //
 // By default the agent runs in lockstep: it reports period k and waits
 // for the server's period-k rates before sampling period k+1, as fast as
-// the lanes allow. WithInterval(d) switches to free-running: a ticker
-// paces the periods and rates apply asynchronously. WithLatencySink
+// the lanes allow. It writes its reports from its own loop: it never
+// measures a period before the last one's rates arrive, so a queue would
+// never coalesce or shed and would only add a hand-off per report.
+// WithInterval(d) switches to free-running: a ticker paces the periods,
+// rates apply asynchronously, and reports flow through a bounded send
+// queue, so a stalled lane sheds stale reports instead of blocking the
+// paced sampler. Either way the hello is written before anything else.
+// WithLatencySink
 // observes the end-to-end sampling-period latency (report sent → rates
 // received) in lockstep mode.
 func RunAgent(ctx context.Context, sys *task.System, processor int, addr string, opts ...Option) error {
@@ -53,10 +57,9 @@ func RunAgent(ctx context.Context, sys *task.System, processor int, addr string,
 	stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
 	defer stop()
 
-	// Outbound frames go through the bounded queue; reports additionally
-	// pass the fault plan (when configured) and the retry policy. A report
-	// still lost after retries is abandoned without killing the queue —
-	// the server degrades around it with hold-last substitution.
+	// Reports pass the fault plan (when configured) and the retry policy.
+	// A report still lost after retries is abandoned without failing the
+	// lane — the server degrades around it with hold-last substitution.
 	var reports lane.Sender = conn
 	if opt.peerFaults != nil {
 		if plan := opt.peerFaults(processor); plan != nil {
@@ -64,7 +67,7 @@ func RunAgent(ctx context.Context, sys *task.System, processor int, addr string,
 		}
 	}
 	retry := retryPolicy(opt.seed, processor)
-	queue := lane.NewSendQueue(func(ctx context.Context, m *lane.Message) error {
+	send := func(ctx context.Context, m *lane.Message) error {
 		if m.Type != lane.TypeUtilizationBatch {
 			return conn.Send(m, opt.ioTimeout)
 		}
@@ -73,13 +76,13 @@ func RunAgent(ctx context.Context, sys *task.System, processor int, addr string,
 			return nil
 		}
 		return err
-	}, opt.queueDepth)
-	qctx, stopQueue := context.WithCancel(ctx)
-	defer stopQueue()
-	queue.Start(qctx)
-
-	if err := queue.EnqueueHello(processor, opt.nodeName); err != nil {
-		return err
+	}
+	hello := &lane.Message{Type: lane.TypeHello, Hello: lane.Hello{Processor: processor, Node: opt.nodeName}}
+	if err := send(ctx, hello); err != nil {
+		if ctx.Err() != nil {
+			return nil
+		}
+		return fmt.Errorf("agent: node P%d hello: %w", processor+1, err)
 	}
 
 	// The plant.
@@ -122,9 +125,9 @@ func RunAgent(ctx context.Context, sys *task.System, processor int, addr string,
 	next := m.Rates.Period
 
 	if opt.interval > 0 {
-		err = runFree(ctx, conn, queue, &opt, processor, next, measure, rates)
+		err = runFree(ctx, conn, send, &opt, processor, next, measure, rates)
 	} else {
-		err = runLockstep(conn, queue, &opt, processor, next, measure, rates)
+		err = runLockstep(ctx, conn, send, &opt, processor, next, measure, rates)
 	}
 	if ctx.Err() != nil {
 		return nil // canceled: the harness's way to crash an agent
@@ -134,7 +137,7 @@ func RunAgent(ctx context.Context, sys *task.System, processor int, addr string,
 
 // runLockstep reports period k, waits for the server's period-k rates,
 // then advances — the paper's sequence, as fast as the lanes allow.
-func runLockstep(conn *lane.Conn, queue *lane.SendQueue, opt *Options,
+func runLockstep(ctx context.Context, conn *lane.Conn, send lane.SendFunc, opt *Options,
 	processor, next int, measure func(int) float64, rates []float64) error {
 	// applied tracks the newest period whose rates have been applied; under
 	// a faulty transport, duplicated or reordered frames can deliver an
@@ -142,11 +145,17 @@ func runLockstep(conn *lane.Conn, queue *lane.SendQueue, opt *Options,
 	// plant to stale rates.
 	applied := next - 1
 	var m lane.Message
+	report := lane.Message{Type: lane.TypeUtilizationBatch,
+		Batch: lane.UtilizationBatch{Processor: processor, Samples: make([]float64, 1)}}
 	for {
-		if err := queue.EnqueueSample(processor, next, measure(next)); err != nil {
-			return err
-		}
+		report.Batch.First = next
+		report.Batch.Samples[0] = measure(next)
+		// The round trip starts as the report leaves the loop, so it
+		// includes the write.
 		sentAt := time.Now() //eucon:wallclock-ok operational latency metric, never feeds control output
+		if err := send(ctx, &report); err != nil {
+			return fmt.Errorf("agent: node P%d: %w", processor+1, err)
+		}
 		for {
 			if err := conn.ReceiveInto(&m, opt.ioTimeout); err != nil {
 				return fmt.Errorf("agent: node P%d: %w", processor+1, err)
@@ -197,8 +206,16 @@ func runLockstep(conn *lane.Conn, queue *lane.SendQueue, opt *Options,
 // (between frames — through a partition, say — the counter free-runs on
 // the local clock and the resync snaps it back on the first frame after
 // the heal).
-func runFree(ctx context.Context, conn *lane.Conn, queue *lane.SendQueue, opt *Options,
+//
+// Reports go through a bounded send queue, so the paced sampler never
+// blocks on a stalled lane: a backlog coalesces, and the oldest reports
+// are shed.
+func runFree(ctx context.Context, conn *lane.Conn, send lane.SendFunc, opt *Options,
 	processor, next int, measure func(int) float64, rates []float64) error {
+	queue := lane.NewSendQueue(send, opt.queueDepth)
+	qctx, stopQueue := context.WithCancel(ctx)
+	defer stopQueue()
+	queue.Start(qctx)
 	var mu sync.Mutex // guards rates/next/sent between the pacer loop and the reader
 	// applied guards against duplicated or reordered rate frames regressing
 	// the plant to a stale period's rates.
@@ -209,7 +226,16 @@ func runFree(ctx context.Context, conn *lane.Conn, queue *lane.SendQueue, opt *O
 	sentPeriod := -1
 	var sentAt time.Time
 	done := make(chan error, 1)
+	// The reader must be gone before the agent returns: it calls the
+	// latency sink, which the caller may read once RunAgent is back.
+	// Closing the lane ends its blocked receive.
+	readerGone := make(chan struct{})
+	defer func() {
+		_ = conn.Close()
+		<-readerGone
+	}()
 	go func() {
+		defer close(readerGone)
 		var m lane.Message
 		for {
 			if err := conn.ReceiveInto(&m, opt.membershipTimeout); err != nil {

@@ -96,7 +96,9 @@ func WithCodec(c lane.Codec) Option {
 
 // WithSendQueue bounds each peer's outbound send queue at depth frames
 // (backpressure sheds the oldest utilization reports; rate commands are
-// never dropped). Zero or negative selects lane.DefaultQueueDepth.
+// never dropped). It applies to the Server's per-member queues and to a
+// free-running agent's; a lockstep agent writes its reports inline and
+// has no queue. Zero or negative selects lane.DefaultQueueDepth.
 func WithSendQueue(depth int) Option {
 	return func(o *Options) { o.queueDepth = depth }
 }

@@ -6,12 +6,16 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"github.com/rtsyslab/eucon/internal/fault"
 	"github.com/rtsyslab/eucon/internal/lane"
 	"github.com/rtsyslab/eucon/internal/sim"
+	"github.com/rtsyslab/eucon/internal/task"
 	"github.com/rtsyslab/eucon/internal/workload"
 )
 
@@ -232,6 +236,208 @@ func TestCanceledAgentClosesLane(t *testing.T) {
 			t.Fatalf("server side read %v, want EOF", err)
 		}
 		break
+	}
+}
+
+// acceptJoin plays a raw server's side of a join on ln: it reads the
+// hello and acks with period-0 rates.
+func acceptJoin(t *testing.T, ln net.Listener, sys *task.System) *lane.Conn {
+	t.Helper()
+	nc, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := lane.NewConn(nc)
+	var m lane.Message
+	if err := conn.ReceiveInto(&m, 5*time.Second); err != nil || m.Type != lane.TypeHello {
+		_ = conn.Close()
+		t.Fatalf("first frame = %v, %v; want hello", m.Type, err)
+	}
+	ack := &lane.Message{Type: lane.TypeRates, Rates: lane.Rates{Period: 0, Values: sys.InitialRates()}}
+	if err := conn.Send(ack, time.Second); err != nil {
+		_ = conn.Close()
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// goroutineStacks returns every live goroutine's stack trace.
+func goroutineStacks() []string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Split(string(buf[:n]), "\n\n")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// stackWith returns the first goroutine stack containing every one of
+// parts, or "".
+func stackWith(parts ...string) string {
+	for _, st := range goroutineStacks() {
+		all := true
+		for _, p := range parts {
+			all = all && strings.Contains(st, p)
+		}
+		if all {
+			return st
+		}
+	}
+	return ""
+}
+
+// delayFrom delays every send from message index from on by d.
+type delayFrom struct {
+	from uint64
+	d    time.Duration
+}
+
+func (p delayFrom) FateOf(n uint64) (bool, time.Duration, bool, bool) {
+	if n >= p.from {
+		return false, p.d, false, false
+	}
+	return false, 0, false, false
+}
+
+// TestCanceledAgentBlockedInReportWriteClosesLane: a lockstep agent writes
+// its reports from its own loop, so a stalled lane or a fault plan's delay
+// can hold that loop in a report write. Canceling it must still return nil
+// at once and close the lane. A raw server acks the hello and streams
+// rates for period after period; in the stalled case it never reads, until
+// the agent's reports fill the socket buffers, and in the delayed case
+// every report after the first sits in a one-minute injected delay.
+func TestCanceledAgentBlockedInReportWriteClosesLane(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		plan    lane.Plan
+		blocked string // in the agent loop's stack while it is held
+	}{
+		{"stalled-lane", nil, "waitWrite"},
+		{"fault-plan-delay", delayFrom{1, time.Minute}, "(*FaultConn).Send"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := workload.Simple()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = ln.Close() }()
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			agentDone := make(chan error, 1)
+			go func() {
+				agentDone <- RunAgent(ctx, sys, 0, ln.Addr().String(), WithIOTimeout(time.Minute),
+					WithTransportFaults(func(int) lane.Plan { return tc.plan }))
+			}()
+			conn := acceptJoin(t, ln, sys)
+			defer func() { _ = conn.Close() }()
+			go func() {
+				rates := &lane.Message{Type: lane.TypeRates, Rates: lane.Rates{Values: sys.InitialRates()}}
+				for k := 0; ; k++ {
+					rates.Rates.Period = k
+					if conn.Send(rates, 0) != nil {
+						return // the agent closed the lane
+					}
+				}
+			}()
+
+			deadline := time.Now().Add(30 * time.Second) //eucon:wallclock-ok test timeout
+			for stackWith("agent.runLockstep(", tc.blocked) == "" {
+				if time.Now().After(deadline) { //eucon:wallclock-ok test timeout
+					t.Fatal("the agent never blocked in a report write")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+
+			cancel()
+			select {
+			case err := <-agentDone:
+				if err != nil {
+					t.Fatalf("canceled agent returned %v, want nil", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("canceled agent still blocked after 1s")
+			}
+			// A blocked write may have put part of a frame on the wire, and
+			// the agent closed with rates unread, so its end may cut a frame
+			// or reset the lane rather than finish it; any of those ends the
+			// server's read.
+			var m lane.Message
+			for {
+				err := conn.ReceiveInto(&m, 5*time.Second)
+				if err == nil {
+					continue
+				}
+				if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, syscall.ECONNRESET) {
+					t.Fatalf("server side read %v, want the lane's end", err)
+				}
+				break
+			}
+		})
+	}
+}
+
+// TestLockstepAgentWritesOneFramePerPeriod: a lockstep agent starts no
+// send queue goroutine and writes exactly one report frame per period,
+// each carrying that period's one sample.
+func TestLockstepAgentWritesOneFramePerPeriod(t *testing.T) {
+	sys := workload.Simple()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ln.Close() }()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	agentDone := make(chan error, 1)
+	go func() {
+		agentDone <- RunAgent(ctx, sys, 1, ln.Addr().String(), WithIOTimeout(5*time.Second))
+	}()
+	conn := acceptJoin(t, ln, sys)
+	defer func() { _ = conn.Close() }()
+
+	const periods = 20
+	var m lane.Message
+	rates := &lane.Message{Type: lane.TypeRates, Rates: lane.Rates{Values: sys.InitialRates()}}
+	for k := 0; k <= periods; k++ {
+		if err := conn.ReceiveInto(&m, 5*time.Second); err != nil {
+			t.Fatalf("period %d: %v", k, err)
+		}
+		if m.Type != lane.TypeUtilizationBatch || m.Batch.Processor != 1 || m.Batch.First != k || len(m.Batch.Samples) != 1 {
+			t.Fatalf("period %d: got %v from P%d for periods %d+%d, want one report of period %d",
+				k, m.Type, m.Batch.Processor+1, m.Batch.First, len(m.Batch.Samples), k)
+		}
+		if k == periods/2 {
+			// The agent is parked on period k's rates now.
+			st := stackWith("agent.runLockstep(")
+			id, _, ok := strings.Cut(strings.TrimPrefix(st, "goroutine "), " ")
+			if !ok {
+				t.Fatal("no goroutine runs the lockstep loop")
+			}
+			if q := stackWith("(*SendQueue).run", "in goroutine "+id+"\n"); q != "" {
+				t.Fatalf("the lockstep agent started a send queue:\n%s", q)
+			}
+		}
+		if k == periods {
+			break
+		}
+		rates.Rates.Period = k
+		if err := conn.Send(rates, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The agent now waits for period-20 rates: no second frame follows.
+	if err := conn.ReceiveInto(&m, 50*time.Millisecond); err == nil {
+		t.Fatalf("a second frame (%v) followed the period-%d report", m.Type, periods)
+	}
+	if err := conn.Send(&lane.Message{Type: lane.TypeShutdown}, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-agentDone; err != nil {
+		t.Fatalf("agent returned %v after shutdown, want nil", err)
 	}
 }
 

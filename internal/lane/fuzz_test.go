@@ -1,6 +1,7 @@
 package lane
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -88,6 +89,50 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		}
 		if got.Batch.Processor != proc || got.Batch.First != first || !equalFloats(got.Batch.Samples, samples) {
 			t.Fatalf("round trip mismatch: %+v", got.Batch)
+		}
+	})
+}
+
+// FuzzReceiveSegmented feeds a stream of frames through ReceiveInto in
+// Reads cut at fuzzer-chosen boundaries (segment i is cuts[i]+1 bytes, the
+// rest arrives at once). Whatever the cuts, the frames read must be the
+// ones a direct codec.Decode of each body gives, and a stream that fails
+// must fail closed with the error the uncut stream gives. The seeds frame
+// every fixture, nasty bodies, an oversized prefix and truncated tails.
+func FuzzReceiveSegmented(f *testing.F) {
+	for c, codec := range []Codec{Binary, BinaryV2, JSONv0} {
+		stream, _ := fixtureStream(f, codec)
+		f.Add(uint8(c), stream, []byte{0})
+		f.Add(uint8(c), stream, []byte{2, 7, 0, 30, 1})
+		f.Add(uint8(c), stream[:len(stream)-3], []byte{5})
+	}
+	hostile := func(bodies ...[]byte) []byte {
+		var s []byte
+		for _, b := range bodies {
+			s = binary.BigEndian.AppendUint32(s, uint32(len(b)))
+			s = append(s, b...)
+		}
+		return s
+	}
+	valid := appendFrame(f, nil, Binary, &Message{Type: TypeRates, Rates: Rates{Period: 3, Values: []float64{0.5}}})
+	f.Add(uint8(0), append(hostile([]byte{binaryVersion, 0xff, 0xff}, nil), valid...), []byte{1, 3})
+	f.Add(uint8(1), append(hostile([]byte{binaryV2Version, byte(TypeRates), 9, rateFlagSparse, 0x80}), valid...), []byte{0, 0, 9})
+	f.Add(uint8(0), append(append([]byte(nil), valid...), binary.BigEndian.AppendUint32(nil, MaxFrameSize+1)...), []byte{4})
+	f.Add(uint8(2), hostile([]byte(`{`), []byte(`{"type":"shutdown"}`)), []byte{})
+
+	f.Fuzz(func(t *testing.T, c uint8, stream, cuts []byte) {
+		codec := []Codec{Binary, BinaryV2, JSONv0}[c%3]
+		segs := make([]int, len(cuts))
+		for i, b := range cuts {
+			segs[i] = int(b) + 1
+		}
+		whole := receiveAll(NewConn(&scriptConn{data: stream}, WithConnCodec(codec)))
+		cut := receiveAll(NewConn(&scriptConn{data: stream, segs: segs}, WithConnCodec(codec)))
+		if err := sameOutcomes(whole, decodeDirect(codec, stream)); err != nil {
+			t.Fatalf("uncut stream against direct decoding: %v", err)
+		}
+		if err := sameOutcomes(cut, whole); err != nil {
+			t.Fatalf("cut stream against the uncut one: %v", err)
 		}
 	})
 }

@@ -20,8 +20,11 @@
 // falling behind a congested lane ships its backlog in one write instead
 // of one frame per period.
 //
-// Writes are serialized by a mutex so a Conn may be shared by a reader and
-// a writer goroutine (one reader at a time).
+// Receives read through a per-Conn buffer: one Read takes whatever the
+// socket holds and frames are parsed out of the buffer, so a frame costs
+// one read syscall, and frames that arrived together cost one between
+// them. Writes are serialized by a mutex so a Conn may be shared by a
+// reader and a writer goroutine (one reader at a time).
 package lane
 
 import (
@@ -155,19 +158,30 @@ func WithConnCodec(c Codec) ConnOption {
 type Conn struct {
 	nc net.Conn
 
+	closeOnce sync.Once
+	closed    chan struct{} // closed by Close
+
 	codec Codec // the lane's one codec, immutable after NewConn
 
 	writeMu sync.Mutex
 	wbuf    []byte // reusable frame buffer, guarded by writeMu
 
-	rhdr [4]byte // length prefix buffer, owned by the single reader
-	rbuf []byte  // reusable body buffer, owned by the single reader
+	// rbuf[rpos:rend] holds bytes read off the wire but not yet returned
+	// as a frame; the buffer and both offsets are owned by the single
+	// reader.
+	rbuf       []byte
+	rpos, rend int
 }
+
+// readBufferSize is a Conn's initial read buffer, larger than any
+// steady-state frame of the benchmark systems; a larger frame grows the
+// buffer to fit it.
+const readBufferSize = 512
 
 // NewConn wraps a net.Conn. With no options frames are sent and received
 // in the binary format.
 func NewConn(nc net.Conn, opts ...ConnOption) *Conn {
-	c := &Conn{nc: nc, codec: Binary}
+	c := &Conn{nc: nc, codec: Binary, closed: make(chan struct{}), rbuf: make([]byte, readBufferSize)}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -186,8 +200,12 @@ func DialContext(ctx context.Context, addr string, timeout time.Duration, opts .
 	return NewConn(nc, opts...), nil
 }
 
-// Close closes the underlying connection.
-func (c *Conn) Close() error { return c.nc.Close() }
+// Close closes the underlying connection. It may be called more than
+// once.
+func (c *Conn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.nc.Close()
+}
 
 // Send encodes m with the connection's codec and writes one frame,
 // applying the deadline to the whole write (zero deadline means no
@@ -221,28 +239,71 @@ func (c *Conn) Send(m *Message, deadline time.Duration) error {
 
 // ReceiveInto reads one frame into m, decoding it with the connection's
 // codec and applying the deadline to the whole read (zero deadline means
-// no timeout). m's slice capacity is reused, so steady-state receives of
-// batch and rates frames do not allocate. Only one goroutine may receive
-// on a Conn at a time.
+// no timeout). Reads go through a per-Conn buffer: one Read takes whatever
+// the socket holds, and a frame already buffered by an earlier Read is
+// returned without touching the socket. The buffer grows only to fit a
+// frame larger than it, and m's slice capacity is reused, so steady-state
+// receives of batch and rates frames do not allocate. A stream that ends
+// at a frame boundary reads io.EOF; one that ends inside a frame reads
+// io.ErrUnexpectedEOF. Only one goroutine may receive on a Conn at a time.
 func (c *Conn) ReceiveInto(m *Message, deadline time.Duration) error {
-	if deadline > 0 {
-		if err := c.nc.SetReadDeadline(time.Now().Add(deadline)); err != nil { //eucon:wallclock-ok operational I/O deadline, never feeds control output
-			return fmt.Errorf("lane: set read deadline: %w", err)
-		}
-	}
-	if _, err := io.ReadFull(c.nc, c.rhdr[:]); err != nil {
-		return fmt.Errorf("lane: read frame length: %w", err)
-	}
-	n := binary.BigEndian.Uint32(c.rhdr[:])
-	if n > MaxFrameSize {
-		return fmt.Errorf("lane: frame of %d bytes: %w", n, ErrFrameTooLarge)
-	}
-	if cap(c.rbuf) < int(n) {
-		c.rbuf = make([]byte, n)
-	}
-	body := c.rbuf[:n]
-	if _, err := io.ReadFull(c.nc, body); err != nil {
-		return fmt.Errorf("lane: read frame body: %w", err)
+	body, err := c.nextFrame(deadline)
+	if err != nil {
+		return err
 	}
 	return c.codec.Decode(body, m)
+}
+
+// nextFrame returns the next frame body out of the read buffer, reading
+// from the connection only while the buffer lacks a whole frame. The body
+// aliases the buffer and is valid until the next call.
+func (c *Conn) nextFrame(deadline time.Duration) ([]byte, error) {
+	armed := false
+	for {
+		avail := c.rend - c.rpos
+		size := 0 // the whole frame's length, once its prefix is in
+		if avail >= 4 {
+			n := binary.BigEndian.Uint32(c.rbuf[c.rpos:])
+			if n > MaxFrameSize {
+				return nil, fmt.Errorf("lane: frame of %d bytes: %w", n, ErrFrameTooLarge)
+			}
+			size = 4 + int(n)
+			if avail >= size {
+				body := c.rbuf[c.rpos+4 : c.rpos+size]
+				c.rpos += size
+				return body, nil
+			}
+		}
+		// Move the partial frame to the front, growing the buffer when
+		// the frame cannot fit it.
+		if size > len(c.rbuf) {
+			grown := make([]byte, size)
+			c.rend = copy(grown, c.rbuf[c.rpos:c.rend])
+			c.rbuf = grown
+		} else {
+			c.rend = copy(c.rbuf, c.rbuf[c.rpos:c.rend])
+		}
+		c.rpos = 0
+		if !armed && deadline > 0 {
+			if err := c.nc.SetReadDeadline(time.Now().Add(deadline)); err != nil { //eucon:wallclock-ok operational I/O deadline, never feeds control output
+				return nil, fmt.Errorf("lane: set read deadline: %w", err)
+			}
+			armed = true
+		}
+		k, err := c.nc.Read(c.rbuf[c.rend:])
+		c.rend += k
+		if err == nil || k > 0 {
+			continue // a Read that returned data reports its error again
+		}
+		if size == 0 {
+			if errors.Is(err, io.EOF) && c.rend > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("lane: read frame length: %w", err)
+		}
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("lane: read frame body: %w", err)
+	}
 }

@@ -220,19 +220,9 @@ func (q *SendQueue) EnqueueRates(period int, tasks []int32, all []float64) error
 	return nil
 }
 
-// EnqueueHello queues the registration frame.
-func (q *SendQueue) EnqueueHello(processor int, node string) error {
-	return q.enqueueControl(Message{Type: TypeHello, Hello: Hello{Processor: processor, Node: node}})
-}
-
-// EnqueueShutdown queues a shutdown notice.
+// EnqueueShutdown queues a shutdown notice, a never-shed control frame,
+// shedding reports to respect the bound when possible.
 func (q *SendQueue) EnqueueShutdown(reason string) error {
-	return q.enqueueControl(Message{Type: TypeShutdown, Shutdown: Shutdown{Reason: reason}})
-}
-
-// enqueueControl appends a never-shed control frame, shedding reports to
-// respect the bound when possible.
-func (q *SendQueue) enqueueControl(m Message) error {
 	q.mu.Lock()
 	if err := q.refuse(); err != nil {
 		q.mu.Unlock()
@@ -241,7 +231,7 @@ func (q *SendQueue) enqueueControl(m Message) error {
 	if q.pending() >= q.depth {
 		_ = q.shedOldestSamples()
 	}
-	q.q = append(q.q, m)
+	q.q = append(q.q, Message{Type: TypeShutdown, Shutdown: Shutdown{Reason: reason}})
 	q.mu.Unlock()
 	q.wake()
 	return nil

@@ -53,7 +53,7 @@ func TestQueueFlushOnClose(t *testing.T) {
 	col := &collector{}
 	q := NewSendQueue(col.send, 8)
 	q.Start(context.Background())
-	if err := q.EnqueueHello(3, "n3"); err != nil {
+	if err := q.EnqueueShutdown("first"); err != nil {
 		t.Fatal(err)
 	}
 	if err := q.EnqueueSample(3, 0, 0.5); err != nil {
@@ -68,7 +68,7 @@ func TestQueueFlushOnClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	sent := col.snapshot()
-	if len(sent) != 3 || sent[0].Type != TypeHello || sent[1].Type != TypeUtilizationBatch || sent[2].Type != TypeShutdown {
+	if len(sent) != 3 || sent[0].Type != TypeShutdown || sent[1].Type != TypeUtilizationBatch || sent[2].Type != TypeShutdown {
 		t.Fatalf("sent = %+v", sent)
 	}
 	if err := q.EnqueueSample(3, 1, 0.5); !errors.Is(err, ErrQueueClosed) {
@@ -184,13 +184,13 @@ func TestQueueRatesGrowPastBoundWhenNothingSheddable(t *testing.T) {
 	q.Start(context.Background())
 	// Stall the writer and enqueue distinct one-off control frames past
 	// the bound: none may be lost.
-	if err := q.EnqueueHello(1, "a"); err != nil {
+	if err := q.EnqueueShutdown("a"); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.EnqueueHello(2, "b"); err != nil {
+	if err := q.EnqueueShutdown("b"); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.EnqueueHello(3, "c"); err != nil {
+	if err := q.EnqueueShutdown("c"); err != nil {
 		t.Fatal(err)
 	}
 	close(col.gate)
@@ -231,14 +231,14 @@ func TestQueueSendErrorKillsQueue(t *testing.T) {
 	boom := errors.New("wire snapped")
 	q := NewSendQueue(func(ctx context.Context, m *Message) error { return boom }, 4)
 	q.Start(context.Background())
-	if err := q.EnqueueHello(1, "x"); err != nil {
+	if err := q.EnqueueShutdown("x"); err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, q)
 	if err := q.Err(); !errors.Is(err, boom) {
 		t.Fatalf("Err = %v, want the send error", err)
 	}
-	if err := q.EnqueueHello(2, "y"); !errors.Is(err, boom) {
+	if err := q.EnqueueShutdown("y"); !errors.Is(err, boom) {
 		t.Fatalf("enqueue after failure = %v, want the send error", err)
 	}
 }

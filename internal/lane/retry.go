@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"time"
 )
@@ -204,7 +205,16 @@ func (f *FaultConn) Send(m *Message, deadline time.Duration) error {
 		return fmt.Errorf("lane: send %s (message %d): %w", m.Type, n, ErrInjectedDrop)
 	}
 	if delay > 0 {
-		time.Sleep(delay)
+		// A lane closed during the delay fails the send at once, as a
+		// write on the closed socket would: a canceled sender must not sit
+		// out the injected delay.
+		t := time.NewTimer(delay)
+		select {
+		case <-t.C:
+		case <-f.closed:
+			t.Stop()
+			return fmt.Errorf("lane: send %s (message %d): %w", m.Type, n, net.ErrClosed)
+		}
 	}
 	if reorder {
 		// Hold this frame; the previously held one (if any) must not be
