@@ -12,7 +12,7 @@ import (
 
 // TestSteadyStateAllocationFree is the allocation gate of the controllers'
 // steady state: once warm, the centralized step in the interior regime
-// (with and without an explicit law) and a full localized-DEUCON period
+// (with and without explicit mode) and a full localized-DEUCON period
 // must not allocate. The simulator's Reset+Run cycle is held to the same
 // budget by internal/sim's TestSteadyStateEventLoopAllocFree. euconlint
 // proves these paths allocation-free statically (chainRoots in

@@ -27,14 +27,14 @@ func TestGoldenDigests(t *testing.T) {
 		print       func(context.Context, io.Writer) error
 	}{
 		{file: "sweep-fig4-fig5.digest", regen: "-sweep-digest",
-			print: func(ctx context.Context, w io.Writer) error { return sweepDigests(ctx, w, false) }},
+			print: func(ctx context.Context, w io.Writer) error { return sweepDigests(ctx, w) }},
 		{file: "fault-proc2-crash-recover.digest", regen: "-faults proc2-crash-recover -fault-digest",
 			print: func(ctx context.Context, w io.Writer) error {
-				return faultDigests(ctx, w, "proc2-crash-recover", false)
+				return faultDigests(ctx, w, "proc2-crash-recover")
 			}},
 		{file: "fault-kitchen-sink.digest", regen: "-faults kitchen-sink -fault-digest",
 			print: func(ctx context.Context, w io.Writer) error {
-				return faultDigests(ctx, w, "kitchen-sink", false)
+				return faultDigests(ctx, w, "kitchen-sink")
 			}},
 		{file: "workload-large128.digest", regen: "-workload large128", slow: true,
 			print: func(ctx context.Context, w io.Writer) error { return largeDigests(ctx, w, "large128") }},

@@ -24,13 +24,10 @@ import (
 	"runtime"
 	"strings"
 	"syscall"
-	"time"
 
-	"github.com/rtsyslab/eucon/internal/core"
 	"github.com/rtsyslab/eucon/internal/experiments"
 	"github.com/rtsyslab/eucon/internal/fault"
 	"github.com/rtsyslab/eucon/internal/sim"
-	"github.com/rtsyslab/eucon/internal/task"
 	"github.com/rtsyslab/eucon/internal/trace"
 	"github.com/rtsyslab/eucon/internal/workload"
 )
@@ -48,8 +45,6 @@ func run() int {
 	faults := flag.String("faults", "", "fault scenario to inject: comma-separated scenario names (see -list-faults), an inline JSON clause array (chaos reproducer format, starts with '['), or @file containing either; runs the canonical 300-period SIMPLE experiment under the scenario and reports robustness and degradation counters")
 	listFaults := flag.Bool("list-faults", false, "list the named fault scenarios")
 	faultDigest := flag.Bool("fault-digest", false, "with -faults: print JSON digests of a faulted SIMPLE sweep at 1, 2, and 8 workers, including robustness metrics, then exit (TestGoldenDigests compares these with scripts/golden/)")
-	explicit := flag.Bool("explicit", false, "run EUCON with the offline-compiled explicit MPC law (internal/empc); rates are bit-identical to the iterative solver, so every digest and table is unchanged — the flag exists to prove exactly that")
-	explicitReport := flag.Bool("explicit-report", false, "compile the explicit MPC laws for the SIMPLE and MEDIUM controllers and print one JSON line each with region counts, build digest, and compile wall time, then exit (scripts/check.sh compiles twice and requires equal digests)")
 	workloadName := flag.String("workload", "", "run a named LARGE scaling workload (see -list-workloads) and print JSON trajectory digests: centralized EUCON on the structured solver path plus localized DEUCON at each execution-time factor (TestGoldenDigests compares these with scripts/golden/)")
 	listWL := flag.Bool("list-workloads", false, "list the named scaling workloads accepted by -workload")
 	flag.Parse()
@@ -64,14 +59,8 @@ func run() int {
 	}
 
 	switch {
-	case *explicitReport:
-		if err := printExplicitReport(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "euconsim: explicit report: %v\n", err)
-			return 1
-		}
-		return 0
 	case *digest:
-		if err := sweepDigests(ctx, os.Stdout, *explicit); err != nil {
+		if err := sweepDigests(ctx, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "euconsim: sweep digest: %v\n", err)
 			return 1
 		}
@@ -95,13 +84,13 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "euconsim: -fault-digest requires -faults (known scenarios: %v)\n", fault.Names())
 			return 2
 		}
-		if err := faultDigests(ctx, os.Stdout, *faults, *explicit); err != nil {
+		if err := faultDigests(ctx, os.Stdout, *faults); err != nil {
 			fmt.Fprintf(os.Stderr, "euconsim: fault digest: %v\n", err)
 			return 1
 		}
 		return 0
 	case *faults != "":
-		if err := faultReport(ctx, os.Stdout, *faults, *explicit); err != nil {
+		if err := faultReport(ctx, os.Stdout, *faults); err != nil {
 			fmt.Fprintf(os.Stderr, "euconsim: faults: %v\n", err)
 			return 1
 		}
@@ -150,7 +139,7 @@ func run() int {
 // the full-precision point series. Equal digests across worker counts prove
 // the parallel engine's outputs are bit-identical to the serial ones;
 // equal digests across PRs prove a perf change did not move the science.
-func sweepDigests(ctx context.Context, w io.Writer, explicit bool) error {
+func sweepDigests(ctx context.Context, w io.Writer) error {
 	grids := []struct {
 		name     string
 		workload experiments.WorkloadKind
@@ -165,7 +154,6 @@ func sweepDigests(ctx context.Context, w io.Writer, explicit bool) error {
 				Workload:    g.workload,
 				Seed:        experiments.DefaultSeed,
 				Parallelism: workers,
-				Explicit:    explicit,
 			}, g.etfs)
 			if err != nil {
 				return fmt.Errorf("%s workers=%d: %w", g.name, workers, err)
@@ -210,7 +198,7 @@ func parseFaultsArg(arg string) ([]fault.Spec, error) {
 // the controlled trajectories and the degradation behaviour. The standard
 // -sweep-digest format is untouched. TestGoldenDigests compares the
 // proc2-crash-recover and kitchen-sink outputs with scripts/golden/.
-func faultDigests(ctx context.Context, w io.Writer, list string, explicit bool) error {
+func faultDigests(ctx context.Context, w io.Writer, list string) error {
 	specs, err := parseFaultsArg(list)
 	if err != nil {
 		return err
@@ -222,7 +210,6 @@ func faultDigests(ctx context.Context, w io.Writer, list string, explicit bool) 
 			Seed:        experiments.DefaultSeed,
 			Faults:      specs,
 			Parallelism: workers,
-			Explicit:    explicit,
 		}, etfs)
 		if err != nil {
 			return fmt.Errorf("workers=%d: %w", workers, err)
@@ -247,7 +234,7 @@ func faultDigests(ctx context.Context, w io.Writer, list string, explicit bool) 
 // fault scenarios and prints the robustness metrics over the measurement
 // window plus the summed degradation counters, so a scenario's end-to-end
 // effect can be inspected without writing a test.
-func faultReport(ctx context.Context, w io.Writer, list string, explicit bool) error {
+func faultReport(ctx context.Context, w io.Writer, list string) error {
 	specs, err := parseFaultsArg(list)
 	if err != nil {
 		return err
@@ -256,7 +243,6 @@ func faultReport(ctx context.Context, w io.Writer, list string, explicit bool) e
 		Workload: experiments.WorkloadSimple,
 		Seed:     experiments.DefaultSeed,
 		Faults:   specs,
-		Explicit: explicit,
 	})
 	if err != nil {
 		return err
@@ -283,37 +269,6 @@ func faultReport(ctx context.Context, w io.Writer, list string, explicit bool) e
 	fmt.Fprintf(w, "solver-held\t%d\n", tr.Stats.ContainmentHeld)
 	fmt.Fprintf(w, "guard-firings\t%d\n",
 		tr.Stats.GuardRateFirings+tr.Stats.GuardUtilFirings+tr.Stats.GuardPoolFirings)
-	if explicit {
-		fmt.Fprintf(w, "explicit-hits\t%d\nexplicit-misses\t%d\n",
-			tr.Stats.ExplicitHits, tr.Stats.ExplicitMisses)
-	}
-	return nil
-}
-
-// printExplicitReport compiles the explicit laws for the paper's two
-// controllers and prints one JSON line each: region counts, the
-// deterministic build digest, and the offline-compile wall time.
-// scripts/check.sh runs it twice and requires equal digests.
-func printExplicitReport(w io.Writer) error {
-	for _, wl := range []struct {
-		name string
-		sys  *task.System
-		cfg  core.Config
-	}{
-		{"SIMPLE", workload.Simple(), workload.SimpleController()},
-		{"MEDIUM", workload.Medium(), workload.MediumController()},
-	} {
-		wl.cfg.Explicit = true
-		start := time.Now()
-		ctrl, err := core.New(wl.sys, nil, wl.cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", wl.name, err)
-		}
-		wall := time.Since(start)
-		rep := ctrl.ExplicitReport()
-		fmt.Fprintf(w, "{\"explicit_compile\":%q,\"regions\":%d,\"explored\":%d,\"truncated\":%v,\"digest\":%q,\"wall_ms\":%.1f}\n",
-			wl.name, rep.Regions, rep.Explored, rep.Truncated, rep.Digest, float64(wall.Microseconds())/1000)
-	}
 	return nil
 }
 

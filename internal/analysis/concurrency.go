@@ -10,8 +10,8 @@ import (
 )
 
 // runConcurrency enforces the worker-fabric disciplines the goroutine-
-// heavy layers (lane, agent, deucon, empc, experiments, chaos) must keep
-// as the distributed runtime grows:
+// heavy layers (lane, agent, experiments, chaos) must keep as the
+// distributed runtime grows:
 //
 //   - goroutine lifetime: every go statement must be joinable or
 //     cancellable — the spawned closure defers wg.Done(), the call carries

@@ -26,9 +26,8 @@ var determinismScope = []string{
 	// Named workloads (LARGE-128/LARGE-1024) are committed as golden
 	// digests, so their generation must be a pure function of the seed.
 	"internal/workload",
-	// The explicit-MPC offline compiler: its region tables are committed
-	// as build digests, so compilation must be a pure function of the
-	// problem.
+	// The explicit-mode types. The package declares no function now; it
+	// stays in scope, with its fixture, until nothing names it.
 	"internal/empc",
 	// The distributed runtime layers: protocol framing and the
 	// server/agent loops must replay identically given the same

@@ -124,11 +124,11 @@ type Options struct {
 	// Campaign selects the run configuration (workload + controller +
 	// clause alphabet); the zero value is the canonical SIMPLE campaign.
 	Campaign Campaign
-	// Explicit runs every SIMPLE scenario a second time with an explicit
-	// law attached (core.Config.Explicit). The law is documented to change
-	// no rate, so the second trace must be bit-identical to the first, and
-	// its hits + misses must equal the controller steps; anything else is
-	// a violation.
+	// Explicit runs every SIMPLE scenario a second time in explicit mode
+	// (core.Config.Explicit). The mode is documented to change no rate, so
+	// the second trace must be bit-identical to the first, and its hits +
+	// misses must equal the controller steps; anything else is a
+	// violation.
 	Explicit bool
 
 	// seedBug, when non-nil, plants a controller bug for harness
@@ -266,23 +266,23 @@ func Check(ctx context.Context, specs []fault.Spec, opts Options) (problems []st
 	}
 	etr, ectrl, err := runSimple(ctx, sys, specs, opts, true)
 	if err != nil {
-		return append(problems, fmt.Sprintf("explicit law: %v", err)), stats
+		return append(problems, fmt.Sprintf("explicit mode: %v", err)), stats
 	}
 	if d := traceDivergence(tr, etr); d != "" {
-		problems = append(problems, fmt.Sprintf("explicit law changed the trace: %s", d))
+		problems = append(problems, fmt.Sprintf("explicit mode changed the trace: %s", d))
 	}
 	steps := 0
 	for _, ps := range etr.Periods {
 		steps += 1 - ps.ControlSkipped
 	}
 	if hits, misses := ectrl.ExplicitCounts(); hits+misses != steps {
-		problems = append(problems, fmt.Sprintf("explicit law booked %d hits + %d misses over %d controller steps", hits, misses, steps))
+		problems = append(problems, fmt.Sprintf("explicit mode booked %d hits + %d misses over %d controller steps", hits, misses, steps))
 	}
 	return problems, stats
 }
 
 // runSimple runs one simulation of the canonical SIMPLE configuration
-// under specs, with or without the explicit law attached.
+// under specs, in explicit mode or not.
 func runSimple(ctx context.Context, sys *task.System, specs []fault.Spec, opts Options, explicit bool) (*sim.Trace, *core.Controller, error) {
 	ccfg := workload.SimpleController()
 	ccfg.Explicit = explicit

@@ -56,11 +56,11 @@ func TestCampaignSmokeClean(t *testing.T) {
 	}
 }
 
-// TestCampaignExplicitClean re-runs the clean campaign with the explicit
-// law attached: under the same fault storms, each run's trace must be
-// bit-identical to the run without it, and its hits + misses must equal
-// the controller steps, with zero violations and zero guard firings — the
-// chaos-harness acceptance run for explicit MPC.
+// TestCampaignExplicitClean re-runs the clean campaign in explicit mode:
+// under the same fault storms, each run's trace must be bit-identical to
+// the run without it, and its hits + misses must equal the controller
+// steps, with zero violations and zero guard firings — the chaos-harness
+// acceptance run for explicit mode.
 func TestCampaignExplicitClean(t *testing.T) {
 	rep, err := Run(context.Background(), Options{Seed: 1, Scenarios: 25, Explicit: true})
 	if err != nil {

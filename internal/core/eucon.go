@@ -40,16 +40,11 @@ type Config struct {
 	// point. (The paper does not describe its monitor's smoothing; this is
 	// our documented addition — see EXPERIMENTS.md.)
 	MeasurementFilter float64
-	// Explicit compiles the MPC's parametric QP into an offline
-	// piecewise-affine law at construction (see internal/empc): an analysis
-	// artefact (regions, gains, digest — ExplicitReport) plus run-time
-	// bookkeeping. Rates, traces, digests and the per-step cost are the same
-	// with or without it; ExplicitCounts reports how many steps lay in the
-	// law's interior critical region (hits) versus anywhere else (misses).
+	// Explicit switches on the MPC's explicit mode (see internal/empc):
+	// ExplicitCounts then reports how many steps the interior solve
+	// resolved (hits) versus anything else (misses). Rates, traces, digests
+	// and the per-step cost are the same with or without it.
 	Explicit bool
-	// ExplicitMaxRegions caps the offline region enumeration; 0 selects
-	// the empc default.
-	ExplicitMaxRegions int
 }
 
 func (c Config) withDefaults() Config {
@@ -77,10 +72,6 @@ type Controller struct {
 	res      mpc.StepResult // reused by every Step; sized by the first
 	relaxed  int
 	steps    int
-
-	// explicitReport is the offline-compile report when Config.Explicit
-	// was set; nil otherwise.
-	explicitReport *empc.Report
 
 	// keBuf and kdBuf back the allocation-free gain queries of
 	// CriticalGain and StableAt (mpc.GainsTo), built on first use.
@@ -122,15 +113,10 @@ func New(sys *task.System, setPoints []float64, cfg Config) (*Controller, error)
 	if err != nil {
 		return nil, fmt.Errorf("eucon: %w", err)
 	}
-	c := &Controller{sys: sys, mpc: m, cfg: cfg, f: f}
 	if cfg.Explicit {
-		rep, err := m.CompileExplicit(empc.Options{MaxRegions: cfg.ExplicitMaxRegions})
-		if err != nil {
-			return nil, fmt.Errorf("eucon: %w", err)
-		}
-		c.explicitReport = rep
+		_, _ = m.CompileExplicit(empc.Options{}) // switches on counting; the error is always nil
 	}
-	return c, nil
+	return &Controller{sys: sys, mpc: m, cfg: cfg, f: f}, nil
 }
 
 // checkSetPoints requires one set point per processor, each in (0, 1].
@@ -203,13 +189,9 @@ func (c *Controller) LastOutcome() mpc.SolveOutcome { return c.mpc.LastOutcome()
 func (c *Controller) SetPoints() []float64 { return c.mpc.SetPoints() }
 
 // UpdateSetPoints changes the set points online (overload protection:
-// paper §3.3). When the controller runs with an explicit law and the set
-// points actually change, the law is recompiled for the new set points —
-// the piecewise-affine offsets bake them in — so the law and its counters
-// survive overload-protection transitions. Recompilation is an
-// offline-scale cost (tens of milliseconds) paid only on genuine set-point
-// changes. The set points are validated as New validates them; on an error
-// nothing changes.
+// paper §3.3). The explicit-mode counters carry on across the change. The
+// set points are validated as New validates them; on an error nothing
+// changes.
 func (c *Controller) UpdateSetPoints(b []float64) error {
 	if err := checkSetPoints(b, c.sys.Processors); err != nil {
 		return err
@@ -217,25 +199,13 @@ func (c *Controller) UpdateSetPoints(b []float64) error {
 	if err := c.mpc.UpdateSetPoints(b); err != nil {
 		return fmt.Errorf("eucon: %w", err)
 	}
-	if c.cfg.Explicit && c.mpc.ExplicitLaw() == nil {
-		rep, err := c.mpc.CompileExplicit(empc.Options{MaxRegions: c.cfg.ExplicitMaxRegions})
-		if err != nil {
-			return fmt.Errorf("eucon: recompile explicit law: %w", err)
-		}
-		c.explicitReport = rep
-	}
 	return nil
 }
 
-// ExplicitCounts implements sim.ExplicitReporter: explicit-law hits and
-// misses since construction or Reset. Both are zero when the
-// controller runs without Config.Explicit.
+// ExplicitCounts implements sim.ExplicitReporter: explicit-mode hits and
+// misses since construction or Reset. Both are zero when the controller
+// runs without Config.Explicit.
 func (c *Controller) ExplicitCounts() (hits, misses int) { return c.mpc.ExplicitCounts() }
-
-// ExplicitReport returns the offline-compile report of the explicit law
-// (region count, exploration stats, build digest), or nil when the
-// controller runs without Config.Explicit.
-func (c *Controller) ExplicitReport() *empc.Report { return c.explicitReport }
 
 // Reset restores the controller to its post-New state between runs: the
 // MPC's move memory, warm-start cache, and measurement-filter state are

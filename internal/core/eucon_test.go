@@ -132,20 +132,44 @@ func TestRelaxedPeriodsCountsOverload(t *testing.T) {
 	}
 }
 
+// TestUpdateSetPointsOnline: a valid change moves the set points, and in
+// explicit mode the counters carry on, one hit or miss per step. An
+// invalid vector changes nothing: not the set points, not the counters.
 func TestUpdateSetPointsOnline(t *testing.T) {
-	c, err := New(simpleSystem(), nil, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.UpdateSetPoints([]float64{0.5, 0.6}); err != nil {
-		t.Fatal(err)
-	}
-	got := c.SetPoints()
-	if math.Abs(got[0]-0.5) > 1e-12 || math.Abs(got[1]-0.6) > 1e-12 {
-		t.Fatalf("SetPoints = %v after update", got)
-	}
-	if err := c.UpdateSetPoints([]float64{0.5}); err == nil {
-		t.Error("short set-point vector accepted")
+	for _, explicit := range []bool{false, true} {
+		c, err := New(simpleSystem(), nil, Config{Explicit: explicit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rates := simpleSystem().InitialRates()
+		step := func(u []float64) {
+			t.Helper()
+			if rates, err = c.Step(0, u, rates); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step([]float64{0.6, 0.7})
+		if err := c.UpdateSetPoints([]float64{0.5, 0.6}); err != nil {
+			t.Fatal(err)
+		}
+		got := c.SetPoints()
+		if math.Abs(got[0]-0.5) > 1e-12 || math.Abs(got[1]-0.6) > 1e-12 {
+			t.Fatalf("explicit=%v: SetPoints = %v after update", explicit, got)
+		}
+		step([]float64{0.55, 0.65})
+		hits, misses := c.ExplicitCounts()
+		if explicit && hits+misses != c.Steps() {
+			t.Errorf("explicit: %d hits + %d misses over %d steps across a set-point change", hits, misses, c.Steps())
+		}
+		if err := c.UpdateSetPoints([]float64{0.5}); err == nil {
+			t.Errorf("explicit=%v: short set-point vector accepted", explicit)
+		}
+		if after := c.SetPoints(); !slices.Equal(after, got) {
+			t.Errorf("explicit=%v: rejected update moved the set points %v → %v", explicit, got, after)
+		}
+		if h, m := c.ExplicitCounts(); h != hits || m != misses {
+			t.Errorf("explicit=%v: rejected update moved the counters (%d, %d) → (%d, %d)", explicit, hits, misses, h, m)
+		}
 	}
 }
 

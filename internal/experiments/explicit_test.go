@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestExplicitRunBitIdentical pins the explicit-MPC contract at the
+// TestExplicitRunBitIdentical pins the explicit-mode contract at the
 // experiment layer: the same Spec with Explicit on and off produces
-// bit-identical traces — an attached law is bookkeeping on the one step
-// path, not a second solver — while the Stats record one lookup per
+// bit-identical traces — the mode is bookkeeping on the one step path,
+// not a second solver — while the Stats record one hit or miss per
 // period. That the interior solve both runs take equals the iterative one
 // is mpc's TestInteriorSolveMatchesIterativeBitwise.
 func TestExplicitRunBitIdentical(t *testing.T) {
@@ -26,17 +26,17 @@ func TestExplicitRunBitIdentical(t *testing.T) {
 			t.Fatalf("%v explicit: %v", wl, err)
 		}
 		if !reflect.DeepEqual(got.Utilization, ref.Utilization) {
-			t.Errorf("%v: utilization series differs with the law attached", wl)
+			t.Errorf("%v: utilization series differs in explicit mode", wl)
 		}
 		if !reflect.DeepEqual(got.Rates, ref.Rates) {
-			t.Errorf("%v: rate series differs with the law attached", wl)
+			t.Errorf("%v: rate series differs in explicit mode", wl)
 		}
 		if ref.Stats.ExplicitHits != 0 || ref.Stats.ExplicitMisses != 0 {
-			t.Errorf("%v: run without a law recorded explicit lookups (%d/%d)",
+			t.Errorf("%v: run without explicit mode recorded hits/misses (%d/%d)",
 				wl, ref.Stats.ExplicitHits, ref.Stats.ExplicitMisses)
 		}
 		if total := got.Stats.ExplicitHits + got.Stats.ExplicitMisses; total != exp.Periods {
-			t.Errorf("%v: explicit lookups %d (hits %d + misses %d), want one per period = %d",
+			t.Errorf("%v: explicit hits + misses = %d (%d + %d), want one per period = %d",
 				wl, total, got.Stats.ExplicitHits, got.Stats.ExplicitMisses, exp.Periods)
 		}
 		t.Logf("%v: explicit hits=%d misses=%d", wl, got.Stats.ExplicitHits, got.Stats.ExplicitMisses)
@@ -56,7 +56,7 @@ func TestExplicitIgnoredByNonMPCKinds(t *testing.T) {
 }
 
 // TestExplicitSweepGoldenDigests is the acceptance criterion for the
-// explicit control law: the Figure 4 and Figure 5 sweep digests with
+// explicit mode: the Figure 4 and Figure 5 sweep digests with
 // Explicit on must equal the ones scripts/golden/sweep-fig4-fig5.digest
 // pins for the sweeps without it.
 func TestExplicitSweepGoldenDigests(t *testing.T) {

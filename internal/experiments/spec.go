@@ -91,9 +91,9 @@ type Spec struct {
 	// (etf, replication) job; each job re-resolves probabilistic faults
 	// from its own run seed, so replications see independent patterns.
 	Faults []fault.Spec
-	// Explicit runs the MPC controller with an offline-compiled explicit
-	// law (see core.Config.Explicit). The law changes no rate, so every
-	// trace, sweep series, and digest is unchanged; only
+	// Explicit runs the MPC controller in explicit mode (see
+	// core.Config.Explicit). The mode changes no rate, so every trace,
+	// sweep series, and digest is unchanged; only
 	// Stats.ExplicitHits/ExplicitMisses differ. Ignored by non-MPC
 	// controller kinds.
 	Explicit bool

@@ -112,13 +112,12 @@ type Controller struct {
 	z0          []float64 // the step's stacked solution; the iterative solve's starting point while it runs
 	prevRelaxed bool      // which constraint variant the warm-start set refers to
 
-	// Explicit-MPC state. The law is the offline-compiled piecewise-affine
-	// map of internal/empc — an analysis artefact; at run time it only turns
-	// on the hit/miss counters (see StepTo).
-	law            *empc.Law
+	// Explicit mode (CompileExplicit) turns on the hit/miss counters of
+	// StepTo and changes no rate.
+	explicit       bool
 	explicitHits   int
 	explicitMisses int
-	lastExplicit   SolveOutcome // SolveExplicit, SolveExplicitMiss, or SolveOK (no law)
+	lastExplicit   SolveOutcome // SolveExplicit, SolveExplicitMiss, or SolveOK (mode off)
 
 	// GainsTo scratch: the QR factorization of the least-squares stack is
 	// constant after construction, so it is computed once on first use and
@@ -157,17 +156,15 @@ const (
 	// move memory reconciles itself through the anti-windup resync on the
 	// next Step, so no windup accumulates while holding.
 	SolveHeld
-	// SolveExplicit: SolveOK while an explicit law is attached — the query
-	// lay in the law's interior critical region, where the interior solve
-	// (qp.LSI.SolveInteriorTo) produces the rates the iterative solver
-	// would have returned, bit for bit. Not a degradation.
+	// SolveExplicit: SolveOK in explicit mode when the interior solve
+	// (qp.LSI.SolveInteriorTo) resolved the step, producing the rates the
+	// iterative solver would have returned, bit for bit. Not a degradation.
 	SolveExplicit
-	// SolveExplicitMiss: an explicit law is attached but the interior solve
-	// did not resolve the step (a constrained critical region, off-map or
-	// non-finite parameters); the iterative solver or the hold rung
-	// produced the move. Reported through ExplicitCounts and
-	// LastExplicitOutcome — a step's Outcome always carries the outcome
-	// that actually produced the rates.
+	// SolveExplicitMiss: explicit mode is on but the interior solve did not
+	// resolve the step (a constraint active, or non-finite inputs); the
+	// iterative solver or the hold rung produced the move. Reported through
+	// ExplicitCounts and LastExplicitOutcome — a step's Outcome always
+	// carries the outcome that actually produced the rates.
 	SolveExplicitMiss
 )
 
@@ -296,22 +293,9 @@ func (c *Controller) SetPoints() []float64 { return mat.VecClone(c.setPoints) }
 
 // UpdateSetPoints changes the utilization set points online (paper §3.3,
 // overload protection: set points can be lowered in anticipation of load).
-//
-// The explicit law bakes the set points into its affine offsets, so
-// changing them detaches any attached law (and stops its hit/miss
-// bookkeeping) until CompileExplicit or AttachExplicit is called again.
 func (c *Controller) UpdateSetPoints(b []float64) error {
 	if len(b) != c.n {
 		return fmt.Errorf("mpc: set points have length %d, want %d", len(b), c.n)
-	}
-	if c.law != nil {
-		for i := range b {
-			if b[i] != c.setPoints[i] { //eucon:float-exact the law is valid exactly when the baked-in set points are bit-identical to the new ones
-				c.law = nil
-				c.lastExplicit = SolveOK
-				break
-			}
-		}
 	}
 	copy(c.setPoints, b)
 	return nil
@@ -353,20 +337,33 @@ func (c *Controller) LastOutcome() SolveOutcome { return c.lastOutcome }
 func (c *Controller) AntiWindupSyncs() int { return c.windupSyncs }
 
 // ExplicitCounts reports how many steps since construction or Reset, taken
-// with a law attached, the interior solve resolved (hits) versus left to
-// the iterative solver or the hold rung (misses). Both are zero when no law
-// has ever been attached.
+// in explicit mode, the interior solve resolved (hits) versus left to the
+// iterative solver or the hold rung (misses). Both are zero while the mode
+// is off.
 func (c *Controller) ExplicitCounts() (hits, misses int) {
 	return c.explicitHits, c.explicitMisses
 }
 
-// LastExplicitOutcome reports the explicit-law disposition of the most
+// LastExplicitOutcome reports the explicit-mode disposition of the most
 // recent Step: SolveExplicit (hit), SolveExplicitMiss (fell back), or
-// SolveOK when no law is attached.
+// SolveOK while the mode is off.
 func (c *Controller) LastExplicitOutcome() SolveOutcome { return c.lastExplicit }
 
-// ExplicitLaw returns the attached explicit law, or nil.
-func (c *Controller) ExplicitLaw() *empc.Law { return c.law }
+// CompileExplicit switches on explicit mode: from the next step on, StepTo
+// counts interior hits and misses (ExplicitCounts). It changes no rate. The
+// report always names one region, the interior one the hit counter
+// measures, and the error is always nil.
+func (c *Controller) CompileExplicit(empc.Options) (*empc.Report, error) {
+	c.explicit = true
+	return &empc.Report{Regions: 1}, nil
+}
+
+// Matrices returns copies of the constant least-squares stack C and
+// constraint matrix A of the per-period problem ‖C·z − d‖² subject to
+// A·z ≤ b (the rate box rows first, then the output rows unless disabled).
+func (c *Controller) Matrices() (cmat, a *mat.Dense) {
+	return c.cmat.Clone(), c.aFull.Clone()
+}
 
 // Step computes the control input for the next sampling period from the
 // measured utilizations u(k) and the currently applied rates r(k−1),
@@ -411,9 +408,8 @@ func (c *Controller) NewStepResult() *StepResult {
 // so does a non-finite measurement or rate vector, before any solve —
 // steering the plant on NaN would poison the move memory.
 //
-// An attached explicit law does not change the path: it is bookkeeping.
-// Every step with a law attached counts as a hit (the interior solve
-// resolved it — the law's interior critical region — reported as
+// Explicit mode does not change the path: it is bookkeeping. Every step in
+// the mode counts as a hit (the interior solve resolved it, reported as
 // SolveExplicit) or a miss (anything else; Outcome carries the outcome).
 //
 //eucon:noalloc
@@ -443,7 +439,7 @@ func (c *Controller) StepTo(out *StepResult, u, rates []float64) error {
 			copy(c.z0, x)
 		}
 	}
-	if c.law != nil {
+	if c.explicit {
 		if interior {
 			c.explicitHits++
 			c.lastExplicit, outcome = SolveExplicit, SolveExplicit
@@ -631,121 +627,6 @@ func sized(s []float64, n int) []float64 {
 		return make([]float64, n) //eucon:alloc-ok grows only when the caller under-provisions capacity
 	}
 	return s[:n]
-}
-
-// explicitUtilMax bounds the utilization coordinates of the explicit
-// parameter domain. Monitors report busy fractions in [0, 1]; headroom to
-// 2 keeps transient overshoot and fault-injected overload on the map.
-const explicitUtilMax = 2.0
-
-// BuildExplicitProblem describes the controller's per-period QP as a
-// parametric program over θ = (u, r(k−1), Δr(k−1)) for the offline
-// explicit-MPC compiler. The affine maps d(θ) = D·θ + D0 and
-// b(θ) = S·θ + S0 mirror fillLeastSquaresRHS and fillConstraintRHS row
-// for row; the domain box spans [0, explicitUtilMax] per utilization, the
-// actuator box per rate, and the widest admissible move per Δr(k−1).
-//
-// The current set points are baked into D0 and S0: a law compiled from
-// this problem is invalidated by UpdateSetPoints.
-func (c *Controller) BuildExplicitProblem() *empc.Problem {
-	p, mh := c.cfg.PredictionHorizon, c.cfg.ControlHorizon
-	nTheta := c.n + 2*c.m
-	ell := c.cmat.Rows()
-	dm := mat.New(ell, nTheta)
-	d0 := make([]float64, ell)
-	// Tracking rows: d = √q_r·λ_i·(B_r − u_r).
-	for i := 1; i <= p; i++ {
-		rowBase := (i - 1) * c.n
-		for r := 0; r < c.n; r++ {
-			dm.Set(rowBase+r, r, -c.sqrtQ[r]*c.lam[i])
-			d0[rowBase+r] = c.sqrtQ[r] * c.lam[i] * c.setPoints[r]
-		}
-	}
-	// First control-penalty block: d = Δr_j(k−1); later blocks zero.
-	base := c.n * p
-	for j := 0; j < c.m; j++ {
-		dm.Set(base+j, c.n+c.m+j, 1)
-	}
-	mc := c.aFull.Rows()
-	sm := mat.New(mc, nTheta)
-	s0 := make([]float64, mc)
-	// Rate box rows: b_up = Rmax_j − r_j, b_lo = r_j − Rmin_j.
-	for i := 0; i < mh; i++ {
-		for j := 0; j < c.m; j++ {
-			up := 2 * (i*c.m + j)
-			sm.Set(up, c.n+j, -1)
-			s0[up] = c.rmax[j]
-			sm.Set(up+1, c.n+j, 1)
-			s0[up+1] = -c.rmin[j]
-		}
-	}
-	// Output rows: b = B_r − u_r.
-	if !c.cfg.DisableOutputConstraints {
-		obase := 2 * c.m * mh
-		for i := 1; i <= p; i++ {
-			for r := 0; r < c.n; r++ {
-				sm.Set(obase+(i-1)*c.n+r, r, -1)
-				s0[obase+(i-1)*c.n+r] = c.setPoints[r]
-			}
-		}
-	}
-	lo := make([]float64, nTheta)
-	hi := make([]float64, nTheta)
-	for r := 0; r < c.n; r++ {
-		lo[r], hi[r] = 0, explicitUtilMax
-	}
-	for j := 0; j < c.m; j++ {
-		lo[c.n+j], hi[c.n+j] = c.rmin[j], c.rmax[j]
-		span := c.rmax[j] - c.rmin[j]
-		lo[c.n+c.m+j], hi[c.n+c.m+j] = -span, span
-	}
-	return &empc.Problem{
-		C: c.cmat.Clone(), A: c.aFull.Clone(),
-		D: dm, D0: d0, S: sm, S0: s0,
-		ThetaLo: lo, ThetaHi: hi,
-		GainRows: c.m,
-	}
-}
-
-// CompileExplicit compiles the controller's parametric program into a
-// piecewise-affine law offline and attaches it, returning the compile
-// report. The compile fans region exploration across opts.Workers
-// goroutines; the resulting law and its digest are identical for every
-// worker count.
-func (c *Controller) CompileExplicit(opts empc.Options) (*empc.Report, error) {
-	law, rep, err := empc.Compile(c.BuildExplicitProblem(), opts)
-	if err != nil {
-		return nil, fmt.Errorf("mpc: compile explicit law: %w", err)
-	}
-	if err := c.AttachExplicit(law); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// AttachExplicit installs an offline-compiled explicit law; nil detaches.
-// The law must have been compiled from this controller's
-// BuildExplicitProblem (same dimensions and an interior region).
-// Attaching changes no rate: it turns on the hit/miss bookkeeping of
-// StepTo.
-func (c *Controller) AttachExplicit(law *empc.Law) error {
-	if law == nil {
-		c.law = nil
-		c.lastExplicit = SolveOK
-		return nil
-	}
-	if got, want := law.NumTheta(), c.n+2*c.m; got != want {
-		return fmt.Errorf("mpc: explicit law parameter dimension %d, want %d", got, want)
-	}
-	if got := law.GainRows(); got != c.m {
-		return fmt.Errorf("mpc: explicit law gain rows %d, want %d", got, c.m)
-	}
-	if law.InteriorIndex() < 0 {
-		return errors.New("mpc: explicit law has no interior region")
-	}
-	c.law = law
-	c.lastExplicit = SolveOK
-	return nil
 }
 
 // maxViolation returns the largest constraint violation of A·z ≤ b at z.

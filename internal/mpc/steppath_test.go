@@ -54,7 +54,7 @@ func sameBits(a, b []float64) bool {
 // (Experiment II), then a scripted closed-loop tail of overload,
 // infeasible and NaN measurements in which StepTo is handed its own
 // previous NewRates; an iteration-capped solver, whose failed solves
-// hold, and an attached law put every SolveOutcome produced under the
+// hold, and explicit mode put every SolveOutcome produced under the
 // comparison.
 func TestStepToMatchesStepBitwise(t *testing.T) {
 	tr, err := experiments.Run(context.Background(), experiments.Spec{Workload: experiments.WorkloadMedium, ETF: experiments.DynamicETF(), Seed: experiments.DefaultSeed})
@@ -87,7 +87,7 @@ func TestStepToMatchesStepBitwise(t *testing.T) {
 				if _, err := fresh.CompileExplicit(empc.Options{}); err != nil {
 					t.Fatal(err)
 				}
-				if err := reused.AttachExplicit(fresh.ExplicitLaw()); err != nil {
+				if _, err := reused.CompileExplicit(empc.Options{}); err != nil {
 					t.Fatal(err)
 				}
 			}

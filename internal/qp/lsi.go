@@ -157,7 +157,7 @@ func (s *LSI) Structured() (banded bool, bandwidth int) {
 // with an empty working set in one unblocked Newton step, accepted at the
 // next iteration by the full-step rule. This is the steady-state case of
 // the EUCON controller — no rate bound or output constraint active — and
-// the interior critical region of the explicit-MPC law (internal/empc).
+// what the controller's explicit mode counts as a hit (internal/empc).
 //
 // When it reports ok, x holds bit-for-bit the iterate that
 // Solve(d, a, b, 0) would have returned in Result.X, iters the iteration

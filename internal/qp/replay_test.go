@@ -100,26 +100,29 @@ func newReplayer(t *testing.T, rec recording) *replayer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The parametric description carries C and A as the controller built
-	// them and, in D, the weights its right-hand side multiplies by.
-	prob := ctrl.BuildExplicitProblem()
+	// C and A as the controller built them. The right-hand-side weights
+	// are the controller's own: √q = 1 and a unit move penalty.
+	c, a := ctrl.Matrices()
 	n, m := sys.Processors, len(sys.Tasks)
-	nz := prob.C.Cols()
 	r := &replayer{
 		t: t, ctrl: ctrl, out: ctrl.NewStepResult(),
-		c: prob.C, a: prob.A, aBox: prob.A.RowPrefix(2 * nz),
+		c: c, a: a, aBox: a.RowPrefix(2 * c.Cols()),
 		n: n, m: m, setPoints: sys.DefaultSetPoints(), rmin: rmin, rmax: rmax,
 		alpha:     rec.cfg.MeasurementFilter,
 		prevDelta: make([]float64, m),
-		d:         make([]float64, prob.C.Rows()),
-		b:         make([]float64, prob.A.Rows()),
+		d:         make([]float64, c.Rows()),
+		b:         make([]float64, a.Rows()),
 	}
-	tracking := n * rec.cfg.PredictionHorizon
-	for row := 0; row < tracking; row++ {
-		r.trackW = append(r.trackW, -prob.D.At(row, row%n))
+	// √q·λᵢ with √q = 1 and λᵢ = 1 − e^(−i/(Tref/Ts)), computed as
+	// fillLeastSquaresRHS computes it, so d matches the controller's bits.
+	for i := 1; i <= rec.cfg.PredictionHorizon; i++ {
+		lam := 1 - math.Exp(-float64(i)/rec.cfg.TrefOverTs)
+		for range n {
+			r.trackW = append(r.trackW, lam)
+		}
 	}
-	for j := 0; j < m; j++ {
-		r.penaltyW = append(r.penaltyW, prob.D.At(tracking+j, n+m+j))
+	for range m {
+		r.penaltyW = append(r.penaltyW, 1)
 	}
 	return r
 }

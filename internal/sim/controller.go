@@ -53,12 +53,11 @@ type ContainmentReporter interface {
 }
 
 // ExplicitReporter is an optional interface a Controller can implement to
-// expose explicit-MPC accounting: how many control steps lay in the
-// interior critical region of the offline-compiled piecewise-affine law
-// versus anywhere else.
+// expose explicit-mode accounting: how many control steps the interior
+// solve resolved versus anything else.
 type ExplicitReporter interface {
 	// ExplicitCounts reports interior hits and misses since construction or
-	// Reset. Both are zero when no explicit law is in use.
+	// Reset. Both are zero with explicit mode off.
 	ExplicitCounts() (hits, misses int)
 }
 

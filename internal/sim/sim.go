@@ -171,11 +171,10 @@ type Stats struct {
 	// the count is cumulative since the controller's construction or last
 	// Reset.
 	ContainmentHeld int
-	// ExplicitHits and ExplicitMisses mirror the controller's explicit-MPC
-	// counters as of the end of the run: control steps that lay in the
-	// interior critical region of the offline-compiled piecewise-affine
-	// law versus anywhere else. Populated only when the controller implements
-	// ExplicitReporter; both stay zero without an explicit law.
+	// ExplicitHits and ExplicitMisses mirror the controller's explicit-mode
+	// counters as of the end of the run: control steps the interior solve
+	// resolved versus anything else. Populated only when the controller
+	// implements ExplicitReporter; both stay zero with the mode off.
 	ExplicitHits, ExplicitMisses int
 }
 
